@@ -60,7 +60,7 @@ int main() {
   bool gates_ok = true;
 
   ndr::OptimizerOptions exact;
-  exact.use_models = false;
+  exact.scoring = ndr::Scoring::kExactNet;
 
   // --- g96: does the activity-weighted objective move the assignment? ---
   {

@@ -67,7 +67,8 @@ int main() {
                                 blanket.power.total_power;
   std::cout << "\nSmart NDR saves " << report::fmt_pct(save)
             << " clock power vs blanket NDR ("
-            << smart.stats.commits << " rule changes, "
+            << nets.size() - smart.rule_histogram[tech.rules.blanket_index()]
+            << " rule changes, "
             << smart.stats.exact_net_evals << " exact net evals)\n";
   std::cout << "Rule mix:";
   for (int r = 0; r < tech.rules.size(); ++r) {

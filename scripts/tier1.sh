@@ -18,6 +18,25 @@ cmake -B "$repo/build" -S "$repo" >/dev/null
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" -j "$jobs" --output-on-failure
 
+# The determinism contract end to end: `sndr run` stdout must be
+# byte-identical at 1 vs all lanes, under a tight geometry budget, and
+# through the annealer at both lane counts. Files land in the build tree.
+echo "== tier1: CLI byte-identity (threads, memory budget, anneal) =="
+work="$repo/build/identity"
+mkdir -p "$work"
+sndr="$repo/build/tools/sndr"
+"$sndr" generate --sinks 3000 --dist mixed --seed 9 --out "$work/d.txt" \
+  >/dev/null
+run() { "$sndr" run --design "$work/d.txt" --results-dir "$work" "$@"; }
+run --threads 1 >"$work/t1.txt"
+run --threads "$(nproc)" >"$work/tN.txt"
+run --threads 1 --memory-budget 64k >"$work/budget.txt"
+run --threads 1 --anneal 4000 >"$work/anneal1.txt"
+run --threads "$(nproc)" --anneal 4000 >"$work/annealN.txt"
+cmp "$work/t1.txt" "$work/tN.txt"
+cmp "$work/t1.txt" "$work/budget.txt"
+cmp "$work/anneal1.txt" "$work/annealN.txt"
+
 echo "== tier1: ThreadSanitizer build + parallel/obs/flow tests =="
 cmake -B "$repo/build-tsan" -S "$repo" -DSNDR_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \

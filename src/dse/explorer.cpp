@@ -102,11 +102,9 @@ std::uint64_t sweep_fingerprint(const flow::FlowConfig& base, const Axes& a) {
   mix_double(base.em_margin);
   mix_double(base.skew_margin);
   mix(static_cast<std::uint64_t>(base.max_passes));
-  mix(static_cast<std::uint64_t>(base.full_refresh_interval));
   mix(static_cast<std::uint64_t>(base.max_repair_rounds));
   mix_double(base.anneal_t_start_frac);
   mix_double(base.anneal_t_end_frac);
-  mix(static_cast<std::uint64_t>(base.anneal_full_refresh_interval));
   mix_str(base.dse_mode);
   mix(static_cast<std::uint64_t>(base.dse_points));
   mix_axis(a.power);

@@ -38,13 +38,11 @@ void write_fields(std::ostream& os, const ndr::AnnealCheckpoint& ck,
   os << "temperature " << hexfloat(ck.temperature) << "\n";
   os << "cooling " << hexfloat(ck.cooling) << "\n";
   os << "rng_state " << ck.rng_state << "\n";
-  os << "accepted_since_refresh " << ck.accepted_since_refresh << "\n";
   os << "proposed " << ck.proposed << "\n";
   os << "accepted " << ck.accepted << "\n";
   os << "rejected " << ck.rejected << "\n";
   os << "uphill_accepted " << ck.uphill_accepted << "\n";
   os << "delta_updates " << ck.delta_updates << "\n";
-  os << "full_rebuilds " << ck.full_rebuilds << "\n";
   os << "start_cap " << hexfloat(ck.start_cap) << "\n";
   os << "start_feasible " << (ck.start_feasible ? 1 : 0) << "\n";
   os << "best_cap " << hexfloat(ck.best_cap) << "\n";
@@ -118,6 +116,11 @@ common::Result<ndr::AnnealCheckpoint> load_checkpoint(
   std::string line;
   ++line_no;
   if (!std::getline(f, line) || line != kMagic) {
+    const std::string family = "sndr.anneal_checkpoint/";
+    if (line.rfind(family, 0) == 0) {
+      return bad("unsupported checkpoint schema '" + line + "' (expected " +
+                 kMagic + "); delete it to start over");
+    }
     return bad(std::string("expected ") + kMagic);
   }
 
@@ -153,8 +156,6 @@ common::Result<ndr::AnnealCheckpoint> load_checkpoint(
       ok = read_hexfloat(is, ck.cooling);
     } else if (key == "rng_state") {
       ok = want(ck.rng_state);
-    } else if (key == "accepted_since_refresh") {
-      ok = want(ck.accepted_since_refresh);
     } else if (key == "proposed") {
       ok = want(ck.proposed);
     } else if (key == "accepted") {
@@ -165,8 +166,6 @@ common::Result<ndr::AnnealCheckpoint> load_checkpoint(
       ok = want(ck.uphill_accepted);
     } else if (key == "delta_updates") {
       ok = want(ck.delta_updates);
-    } else if (key == "full_rebuilds") {
-      ok = want(ck.full_rebuilds);
     } else if (key == "start_cap") {
       ok = read_hexfloat(is, ck.start_cap);
     } else if (key == "start_feasible") {

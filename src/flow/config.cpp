@@ -150,10 +150,6 @@ const std::map<std::string, Setter>& setters() {
       {"max_passes", [](FlowConfig& c, const std::string& v) {
          return parse_int(v, c.max_passes) && c.max_passes > 0;
        }},
-      {"full_refresh_interval", [](FlowConfig& c, const std::string& v) {
-         return parse_int(v, c.full_refresh_interval) &&
-                c.full_refresh_interval > 0;
-       }},
       {"max_repair_rounds", [](FlowConfig& c, const std::string& v) {
          return parse_int(v, c.max_repair_rounds) && c.max_repair_rounds >= 0;
        }},
@@ -165,11 +161,6 @@ const std::map<std::string, Setter>& setters() {
        }},
       {"prewarm", [](FlowConfig& c, const std::string& v) {
          return parse_bool(v, c.prewarm);
-       }},
-      {"anneal_full_refresh_interval",
-       [](FlowConfig& c, const std::string& v) {
-         return parse_int(v, c.anneal_full_refresh_interval) &&
-                c.anneal_full_refresh_interval > 0;
        }},
       {"results_dir", [](FlowConfig& c, const std::string& v) {
          c.results_dir = v;
@@ -397,10 +388,7 @@ ndr::OptimizerOptions FlowConfig::optimizer_options() const {
   ndr::OptimizerOptions o;
   if (scoring == "exact_net") {
     o.scoring = ndr::Scoring::kExactNet;
-    o.use_models = false;
   } else if (scoring == "full_sta") {
-    // use_models stays true: the optimizer maps use_models == false to
-    // kExactNet regardless of `scoring`.
     o.scoring = ndr::Scoring::kFullSta;
   }
   o.training_samples = training_samples;
@@ -410,7 +398,6 @@ ndr::OptimizerOptions FlowConfig::optimizer_options() const {
   o.em_margin = em_margin;
   o.skew_margin = skew_margin;
   o.max_passes = max_passes;
-  o.full_refresh_interval = full_refresh_interval;
   o.max_repair_rounds = max_repair_rounds;
   o.geometry_budget_bytes = memory_budget_bytes;
   o.power_weight = power_weight;
@@ -423,7 +410,6 @@ ndr::AnnealOptions FlowConfig::anneal_options() const {
   a.t_start_frac = anneal_t_start_frac;
   a.t_end_frac = anneal_t_end_frac;
   a.seed = seed;
-  a.full_refresh_interval = anneal_full_refresh_interval;
   a.slew_margin = slew_margin;
   a.uncertainty_margin = uncertainty_margin;
   a.em_margin = em_margin;

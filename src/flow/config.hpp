@@ -38,10 +38,10 @@ struct FlowConfig {
   std::uint64_t seed = 1;
   int threads = -1;  ///< ThreadBudget semantics (-1 inherit, 0/1 serial).
 
-  /// GeometryCache byte budget for every optimizer/anneal search in the
-  /// flow (0 = unbounded). Accepts K/M/G suffixes on the `memory_budget`
-  /// key ("64M"). Results are bit-identical at any budget; only peak
-  /// memory and geometry rebuild counts change.
+  /// Byte budget of the flow's GeometryCache, which the optimizer and the
+  /// annealer share (0 = unbounded). Accepts K/M/G suffixes on the
+  /// `memory_budget` key ("64M"). Results are bit-identical at any budget;
+  /// only peak memory and geometry rebuild counts change.
   std::size_t memory_budget_bytes = 0;
 
   /// Anneal checkpoint/resume. When `checkpoint` names a file (resolved
@@ -60,7 +60,6 @@ struct FlowConfig {
   double em_margin = 0.05;
   double skew_margin = 0.10;
   int max_passes = 4;
-  int full_refresh_interval = 256;
   int max_repair_rounds = 8;
 
   /// Objective weight on switched capacitance (> 0). Scales the annealer's
@@ -83,7 +82,6 @@ struct FlowConfig {
   // Anneal knobs (ndr::AnnealOptions; margins above are shared).
   double anneal_t_start_frac = 0.5;
   double anneal_t_end_frac = 0.005;
-  int anneal_full_refresh_interval = 512;
   /// Batched exact-eval prewarm of the anneal memo (AnnealOptions::
   /// prewarm). Results are bitwise identical either way; false measures
   /// the lazy per-net path.

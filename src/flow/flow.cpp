@@ -137,9 +137,8 @@ common::Status Flow::prepare() {
     // the rebuild is value-neutral and Session::geometry() serves the
     // borrowed one.
     if (session_.reuse().geometry != nullptr) return common::Status::Ok();
-    // The session cache honors the flow-wide memory budget too; the
-    // optimizer and annealer build their own (also budgeted) caches tied
-    // to their AssignmentState lifetimes.
+    // The one geometry cache of the run: the optimizer, the annealer and
+    // every evaluation borrow it. It honors the flow-wide memory budget.
     session_.set_geometry(std::make_unique<extract::GeometryCache>(
         session_.cts().tree, session_.design(), session_.nets(),
         session_.config().memory_budget_bytes, extract::ExtractOptions{}));
@@ -194,9 +193,10 @@ common::Result<FlowResult> Flow::run() {
       ndr::OptimizerOptions o = config.optimizer_options();
       o.cancel = session_.cancel_token();
       o.shared_predictor = session_.world().predictor;
-      // Cross-session reuse (DSE): borrow the shared geometry and adopt
-      // transplantable memo rows; both channels are value-neutral.
-      o.shared_geometry = session_.reuse().geometry;
+      // Borrow the session's geometry (the extract stage's, or the DSE
+      // donor's) and adopt transplantable memo rows (DSE); both channels
+      // are value-neutral.
+      o.shared_geometry = geometry;
       o.memo_in = session_.reuse().memo_in;
       if (config.anneal_iterations <= 0) {
         o.memo_out = session_.reuse().memo_out;  // else the annealer's.
@@ -223,7 +223,7 @@ common::Result<FlowResult> Flow::run() {
     s = stage("anneal", [&] {
       ndr::AnnealOptions a = config.anneal_options();
       a.cancel = session_.cancel_token();
-      a.shared_geometry = session_.reuse().geometry;
+      a.shared_geometry = geometry;
       a.memo_in = session_.reuse().memo_in;
       a.memo_out = session_.reuse().memo_out;
       if (!config.checkpoint_path.empty()) {

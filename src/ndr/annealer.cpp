@@ -24,7 +24,7 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   AssignmentState state(tree, design, tech, nets, options.analysis,
                         options.geometry_budget_bytes,
                         options.shared_geometry);
-  // Every full evaluation in this search shares the state's geometry cache:
+  // The start and final full evaluations share the state's geometry cache:
   // the tree and congestion map are fixed, only rules move.
   const extract::GeometryCache* geometry = &state.geometry_cache();
   // Resume continues from the snapshot's assignment; `start` is still the
@@ -80,7 +80,6 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   SNDR_GAUGE_SET("anneal.t_end", t_end);
 
   double temperature = t_start;
-  int accepted_since_refresh = 0;
   int it0 = 0;
   if (resuming) {
     const AnnealCheckpoint& ck = *options.resume;
@@ -88,13 +87,11 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
     temperature = ck.temperature;
     cooling = ck.cooling;  // NOT re-derived: see AnnealCheckpoint.
     rng.set_state(ck.rng_state);
-    accepted_since_refresh = ck.accepted_since_refresh;
     result.proposed = ck.proposed;
     result.accepted = ck.accepted;
     result.rejected = ck.rejected;
     result.uphill_accepted = ck.uphill_accepted;
     result.delta_updates = ck.delta_updates;
-    result.full_rebuilds = ck.full_rebuilds;
     best = ck.best;
     best_cap = ck.best_cap;
   }
@@ -157,13 +154,6 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
         best = state.assignment();
         best_cap = state.total_energy();
       }
-      if (++accepted_since_refresh >= options.full_refresh_interval) {
-        accepted_since_refresh = 0;
-        ev = evaluate(tree, design, tech, nets, state.assignment(),
-                      options.analysis, geometry);
-        state.rebuild(state.assignment(), ev);
-        ++result.full_rebuilds;
-      }
     }();
 
     // Snapshot AFTER every RNG draw of this iteration: a resumed run picks
@@ -177,13 +167,11 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
       ck.temperature = temperature * cooling;  // next iteration's value.
       ck.cooling = cooling;
       ck.rng_state = rng.state();
-      ck.accepted_since_refresh = accepted_since_refresh;
       ck.proposed = result.proposed;
       ck.accepted = result.accepted;
       ck.rejected = result.rejected;
       ck.uphill_accepted = result.uphill_accepted;
       ck.delta_updates = result.delta_updates;
-      ck.full_rebuilds = result.full_rebuilds;
       ck.start_cap = result.start_cap;
       ck.start_feasible = start_feasible;
       ck.assignment = state.assignment();
@@ -218,7 +206,6 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   SNDR_COUNTER_ADD("anneal.rejected", result.rejected);
   SNDR_COUNTER_ADD("anneal.uphill_accepted", result.uphill_accepted);
   SNDR_COUNTER_ADD("anneal.delta_updates", result.delta_updates);
-  SNDR_COUNTER_ADD("anneal.full_rebuilds", result.full_rebuilds);
   return result;
 }
 

@@ -12,8 +12,10 @@
 // trajectory bitwise unchanged — without domains). Uphill moves are
 // accepted with the Metropolis criterion on a geometric cooling schedule.
 // Infeasible moves are never accepted, so every intermediate state remains
-// signoff-clean (up to the incremental approximations, which a final full
-// evaluation verifies).
+// signoff-clean under the guard bands. The incremental state is bitwise
+// equal to a full analysis (AssignmentState::apply_move), so the loop runs
+// whole-tree extraction and timing only on the start assignment and on the
+// final best one, which a full evaluation verifies.
 #pragma once
 
 #include <cstddef>
@@ -38,13 +40,11 @@ struct AnnealCheckpoint {
   double temperature = 0.0;
   double cooling = 1.0;
   std::uint64_t rng_state = 0;
-  int accepted_since_refresh = 0;
   int proposed = 0;
   int accepted = 0;
   int rejected = 0;
   int uphill_accepted = 0;
   int delta_updates = 0;
-  int full_rebuilds = 0;
   double start_cap = 0.0;
   bool start_feasible = false;
   RuleAssignment assignment;  ///< current (not best) assignment.
@@ -59,8 +59,6 @@ struct AnnealOptions {
   double t_start_frac = 0.5;
   double t_end_frac = 0.005;
   std::uint64_t seed = 1;
-  /// Exact full re-analysis cadence (accepted moves).
-  int full_refresh_interval = 512;
   /// Guard bands during move checking (the annealer inherits the greedy
   /// result's margins by default).
   double slew_margin = 0.05;
@@ -115,12 +113,9 @@ struct AnnealResult {
   int accepted = 0;
   int rejected = 0;  ///< proposed == accepted + rejected, always.
   int uphill_accepted = 0;
-  /// Incremental (delta-timing) state updates vs whole-tree re-analyses:
-  /// delta_updates counts accepted moves applied through the O(pieces +
-  /// subtree) path; full_rebuilds counts the in-loop reference resyncs
-  /// (every full_refresh_interval accepted moves).
+  /// Accepted moves applied through the incremental O(pieces + subtree)
+  /// delta-timing path; the loop never re-analyzes the whole tree.
   int delta_updates = 0;
-  int full_rebuilds = 0;
   double start_cap = 0.0;  ///< F, activity-weighted switched cap at start.
   double end_cap = 0.0;    ///< F, activity-weighted (== raw w/o domains).
 

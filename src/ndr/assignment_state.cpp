@@ -1,7 +1,6 @@
 #include "ndr/assignment_state.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 
@@ -112,41 +111,6 @@ void AssignmentState::flush_metrics() const {
 void AssignmentState::rebuild(const RuleAssignment& assignment,
                               const FlowEvaluation& ev) {
   flush_metrics();
-#ifndef NDEBUG
-  // Delta-vs-reference contract: when the caller resynchronizes against a
-  // full evaluation of the assignment the incremental state already tracks,
-  // every delta-maintained accumulator must agree BITWISE with the fresh
-  // evaluation. Rebuilds under a different assignment (optimizer repair /
-  // full-STA scoring pass their own) are legitimately divergent and skip
-  // the check.
-  if (delta_.synced() && assignment == assignment_) {
-    assert(sink_latency_ == ev.timing.sink_arrival);
-    assert(delta_.sink_arrival() == ev.timing.sink_arrival);
-    assert(delta_.node_arrival() == ev.timing.node_arrival);
-    assert(delta_.node_slew() == ev.timing.node_slew);
-    assert(latency_sum_ == std::accumulate(ev.timing.sink_arrival.begin(),
-                                           ev.timing.sink_arrival.end(),
-                                           0.0));
-    double cap_check = 0.0;
-    for (const netlist::Net& net : nets_->nets) {
-      assert(nets_state_[net.id].cap == ev.power.net_switched_cap[net.id]);
-      assert(nets_state_[net.id].sigma == ev.variation.net_sigma[net.id]);
-      assert(nets_state_[net.id].xtalk == ev.variation.net_xtalk[net.id]);
-      cap_check += ev.power.net_switched_cap[net.id];
-    }
-    assert(total_cap_ == cap_check);
-    for (int s = 0; s < static_cast<int>(design_->sinks.size()); ++s) {
-      double var = 0.0;
-      double xt = 0.0;
-      for (const int net : nets_on_path_[s]) {
-        var += ev.variation.net_sigma[net] * ev.variation.net_sigma[net];
-        xt += ev.variation.net_xtalk[net];
-      }
-      assert(sink_var_[s] == var);
-      assert(sink_xtalk_[s] == xt);
-    }
-  }
-#endif
   assignment_ = assignment;
   const int n_sinks = static_cast<int>(design_->sinks.size());
   sink_latency_ = ev.timing.sink_arrival;
@@ -162,10 +126,9 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
     }
   }
 
-  // Reference resync of the delta-timing mirror: re-derives every net's
-  // per-load wire delay / step slew and the arrival/slew arrays from the
-  // fresh evaluation (the O(tree) moment work that previously lived in the
-  // loop below).
+  // Reseeds the delta-timing mirror: re-derives every net's per-load wire
+  // delay / step slew and the arrival/slew arrays from the fresh
+  // evaluation.
   delta_.rebuild(ev.parasitics, ev.timing);
 
   total_cap_ = 0.0;
@@ -180,7 +143,7 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
     const double driver_res =
         timing::net_driver_res(*tree_, *tech_, net, analysis_);
     // The exact_eval memo is keyed on the net's electrical context; a
-    // resync only invalidates a net's cached row when that context really
+    // rebuild only invalidates a net's cached row when that context really
     // changed (exact results are otherwise independent of the assignment).
     if (driver_res != st.summary.driver_res) {
       st.summary.driver_res = driver_res;

@@ -4,8 +4,9 @@
 // need the same machinery: per-net summaries and current metrics, per-sink
 // latency / variance / crosstalk accumulators, routing-usage tracking, and
 // latency windows. This class owns that state and offers move checking /
-// application with exactly the approximations documented in optimizer.hpp;
-// callers periodically re-synchronize against a full evaluation.
+// application with exactly the approximations documented in optimizer.hpp.
+// Callers seed it with rebuild() from a full evaluation (at search start and
+// after a repair); apply_move() keeps it bitwise equal to a fresh rebuild.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +58,8 @@ class AssignmentState {
                   std::size_t geometry_budget_bytes = 0,
                   const extract::GeometryCache* shared_geometry = nullptr);
 
-  /// Re-synchronizes every incremental accumulator from a full evaluation
-  /// of `assignment` (which becomes the current assignment).
+  /// Reseeds every incremental accumulator from a full evaluation of
+  /// `assignment` (which becomes the current assignment).
   void rebuild(const RuleAssignment& assignment, const FlowEvaluation& ev);
 
   const RuleAssignment& assignment() const { return assignment_; }
@@ -101,8 +102,10 @@ class AssignmentState {
   /// subtree)); the latency / variance / crosstalk / cap accumulators are
   /// then re-derived in rebuild()'s exact floating-point order over the
   /// affected sinks only, so the state stays BITWISE identical to a fresh
-  /// rebuild() of the same assignment (asserted there in debug builds;
-  /// routing usage keeps its own incremental bookkeeping and is excluded).
+  /// rebuild() of the same assignment (pinned by the state-vs-rebuild
+  /// comparer in tests/state_compare.hpp). Routing usage keeps its own
+  /// += bookkeeping and may drift by FP rounding; the tests pin that
+  /// check_move() answers agree with a fresh rebuild regardless.
   void apply_move(int net_id, int rule_idx, const NetExact& exact);
 
   /// Exact per-net evaluation of a candidate rule (driver model included).
@@ -140,7 +143,7 @@ class AssignmentState {
   void warm_all_rows() const;
 
   /// Rule-independent net geometry shared by every evaluation this state
-  /// drives (exact_eval misses, full evaluate() resyncs, corner signoff).
+  /// drives (exact_eval misses, full evaluate() calls, corner signoff).
   /// Built once in the constructor (or borrowed; see the ctor); the tree
   /// and congestion map are fixed for the lifetime of a search, so it is
   /// never invalidated here.

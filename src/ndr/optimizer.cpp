@@ -33,7 +33,6 @@ class Optimizer {
         tech_(tech),
         nets_(nets),
         opt_(opt),
-        scoring_(opt.use_models ? opt.scoring : Scoring::kExactNet),
         margins_{opt.slew_margin, opt.uncertainty_margin, opt.em_margin,
                  opt.skew_margin},
         state_(tree, design, tech, nets, opt.analysis,
@@ -48,15 +47,10 @@ class Optimizer {
  private:
   FlowEvaluation full_eval(const RuleAssignment& assignment) {
     ++stats_.full_evals;
-    // Resyncs share the state's geometry cache: the tree and congestion
-    // map never change during a run, only the rule assignment does.
+    // Full evaluations share the state's geometry cache: the tree and
+    // congestion map never change during a run, only the rule assignment.
     return evaluate(tree_, design_, tech_, nets_, assignment, opt_.analysis,
                     &state_.geometry_cache());
-  }
-
-  void resync(const RuleAssignment& assignment) {
-    const FlowEvaluation ev = full_eval(assignment);
-    state_.rebuild(assignment, ev);
   }
 
   /// Tries to move `net_id` to the cheapest feasible rule; returns true on
@@ -72,7 +66,6 @@ class Optimizer {
   const tech::Technology& tech_;
   const netlist::NetList& nets_;
   OptimizerOptions opt_;
-  Scoring scoring_;
   MoveMargins margins_;
 
   AssignmentState state_;
@@ -92,14 +85,10 @@ void Optimizer::commit(int net_id, int rule_idx, const NetExact& exact) {
   state_.apply_move(net_id, rule_idx, exact);
   assignment_[net_id] = rule_idx;
   ++stats_.commits;
-  if (opt_.full_refresh_interval > 0 &&
-      stats_.commits % opt_.full_refresh_interval == 0) {
-    resync(assignment_);
-  }
 }
 
 bool Optimizer::improve_net(int net_id) {
-  if (scoring_ == Scoring::kFullSta) return improve_net_full_sta(net_id);
+  if (opt_.scoring == Scoring::kFullSta) return improve_net_full_sta(net_id);
   const double cap_now = state_.net_cap(net_id);
   const NetSummary& summary = state_.summary(net_id);
 
@@ -114,7 +103,7 @@ bool Optimizer::improve_net(int net_id) {
 
   for (const auto& [cap_new, r] : cands) {
     ++stats_.candidates_scored;
-    if (scoring_ == Scoring::kModels && predictor_ready_) {
+    if (opt_.scoring == Scoring::kModels && predictor_ready_) {
       const NetImpact impact = predictor_->predict(summary, r);
       if (!state_.check_move(net_id, r, impact, margins_)) continue;
       // Validate the winning candidate with the exact per-net engines.
@@ -341,7 +330,7 @@ SmartNdrResult Optimizer::run() {
     repair(ev);
   }
 
-  if (scoring_ == Scoring::kModels) {
+  if (opt_.scoring == Scoring::kModels) {
     opt_.cancel.check();
     if (opt_.shared_predictor) {
       // Training is deterministic in its inputs, so a cached predictor
@@ -383,7 +372,7 @@ SmartNdrResult Optimizer::run() {
   // them; prefetching the sweep's rows with cross-net shape-bucketed
   // batches does the same work with full SIMD lanes. Cached values are
   // bitwise identical either way, so the sweep's decisions are unchanged.
-  if (scoring_ == Scoring::kExactNet) state_.warm_rows(sweep);
+  if (opt_.scoring == Scoring::kExactNet) state_.warm_rows(sweep);
 
   const auto t1 = Clock::now();
   {

@@ -15,9 +15,11 @@
 //
 // Candidate scoring uses the learned per-rule models (plus exact analytic
 // capacitance and EM bounds); a commit is validated with an exact per-net
-// re-extraction, and periodic full analyses re-synchronize the incremental
-// state. `use_models = false` degenerates to exact re-extraction scoring,
-// which is the slow flow the paper compares against.
+// re-extraction and applied to the incremental state, which stays bitwise
+// equal to a full analysis (AssignmentState::apply_move). Full extraction
+// and timing run only at the start, after a repair, and on the final
+// assignment. `Scoring::kExactNet` degenerates to exact re-extraction
+// scoring, the slow flow the paper compares against.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +50,6 @@ enum class Scoring {
 
 struct OptimizerOptions {
   Scoring scoring = Scoring::kModels;
-  bool use_models = true;  ///< legacy alias; false selects kExactNet.
   int training_samples = 400;
 
   /// Parallelism for the evaluation engine: -1 inherits the process-wide
@@ -71,7 +72,6 @@ struct OptimizerOptions {
   std::size_t geometry_budget_bytes = 0;
 
   int max_passes = 4;          ///< greedy sweeps until quiescence.
-  int full_refresh_interval = 256;  ///< exact full re-analysis cadence.
   int max_repair_rounds = 8;
 
   // ECO / incremental mode. A warm start re-optimizes from a previous
@@ -147,7 +147,7 @@ struct SmartNdrResult {
   RuleAssignment assignment;
   FlowEvaluation final_eval;  ///< exact signoff of the final assignment.
   OptimizerStats stats;
-  TrainReport train_report;   ///< empty when use_models is false.
+  TrainReport train_report;   ///< empty unless scoring == kModels.
   /// Histogram: rule_count[rule] = number of nets on that rule.
   std::vector<int> rule_histogram;
   /// The predictor this run scored with (trained here, or the shared one

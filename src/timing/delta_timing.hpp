@@ -14,9 +14,9 @@
 // over the descendant subtree (O(subtree fanout)) — absolute values, never
 // accumulated deltas, in analyze's exact floating-point op order — so the
 // maintained arrays stay BITWISE identical to a fresh analyze() of the
-// current assignment. rebuild() is the reference resync point; callers
-// re-run it at configurable intervals and (in debug builds) assert the
-// bitwise agreement. tests/delta_timing_test.cpp pins the contract.
+// current assignment. rebuild() seeds the mirror from a full analysis;
+// tests/delta_timing_test.cpp and tests/scenario_fuzz_test.cpp pin the
+// bitwise agreement.
 #pragma once
 
 #include <vector>
@@ -36,7 +36,7 @@ class DeltaTimer {
              const tech::Technology& tech, const netlist::NetList& nets,
              const AnalysisOptions& options);
 
-  /// Full resync from a whole-tree analysis of the current assignment:
+  /// Full reseed from a whole-tree analysis of the current assignment:
   /// copies the report's arrival/slew arrays and re-derives every net's
   /// per-load wire delay / step slew from `parasitics` (which must be what
   /// the report was computed from). O(tree) — the reference path.

@@ -53,13 +53,11 @@ ndr::AnnealCheckpoint awkward_checkpoint() {
   ck.temperature = 0.1 * 3.0e-15;
   ck.cooling = 0.99973210431532987;
   ck.rng_state = 0xdeadbeefcafef00dULL;
-  ck.accepted_since_refresh = 17;
   ck.proposed = 1234;
   ck.accepted = 600;
   ck.rejected = 634;
   ck.uphill_accepted = 41;
   ck.delta_updates = 555;
-  ck.full_rebuilds = 2;
   ck.start_cap = 4.6366462191032524e-12;
   ck.start_feasible = true;
   ck.assignment = {0, 3, 1, 2, 0, 1};
@@ -81,13 +79,11 @@ TEST(CheckpointFile, SaveLoadRoundTripsEveryFieldExactly) {
   EXPECT_EQ(got.temperature, ck.temperature);  // exact, not near.
   EXPECT_EQ(got.cooling, ck.cooling);
   EXPECT_EQ(got.rng_state, ck.rng_state);
-  EXPECT_EQ(got.accepted_since_refresh, ck.accepted_since_refresh);
   EXPECT_EQ(got.proposed, ck.proposed);
   EXPECT_EQ(got.accepted, ck.accepted);
   EXPECT_EQ(got.rejected, ck.rejected);
   EXPECT_EQ(got.uphill_accepted, ck.uphill_accepted);
   EXPECT_EQ(got.delta_updates, ck.delta_updates);
-  EXPECT_EQ(got.full_rebuilds, ck.full_rebuilds);
   EXPECT_EQ(got.start_cap, ck.start_cap);
   EXPECT_EQ(got.start_feasible, ck.start_feasible);
   EXPECT_EQ(got.assignment, ck.assignment);
@@ -127,21 +123,32 @@ TEST(CheckpointFile, MalformedFilesAreRejected) {
   EXPECT_EQ(load_checkpoint(p, fp).status().code(),
             StatusCode::kParseError);
   std::remove(p.c_str());
+  // A file from the /1 schema is refused by its schema line, with a hint,
+  // before any of its retired fields could read as "unknown field".
+  p = write("ck_old_schema.txt",
+            "sndr.anneal_checkpoint/1\nfingerprint 99\niteration 5\n");
+  const common::Status old = load_checkpoint(p, fp).status();
+  EXPECT_EQ(old.code(), StatusCode::kParseError);
+  EXPECT_NE(old.message().find(p + ":1: unsupported checkpoint schema "
+                                   "'sndr.anneal_checkpoint/1'"),
+            std::string::npos)
+      << old.to_string();
+  std::remove(p.c_str());
   // Unknown key.
   p = write("ck_bad_key.txt",
-            "sndr.anneal_checkpoint/1\nfingerprint 99\nbogus 1\n");
+            "sndr.anneal_checkpoint/2\nfingerprint 99\nbogus 1\n");
   EXPECT_EQ(load_checkpoint(p, fp).status().code(),
             StatusCode::kParseError);
   std::remove(p.c_str());
   // Non-numeric value.
   p = write("ck_bad_value.txt",
-            "sndr.anneal_checkpoint/1\nfingerprint 99\ntemperature oops\n");
+            "sndr.anneal_checkpoint/2\nfingerprint 99\ntemperature oops\n");
   EXPECT_EQ(load_checkpoint(p, fp).status().code(),
             StatusCode::kParseError);
   std::remove(p.c_str());
   // Fingerprint present but assignment vectors missing.
   p = write("ck_no_assignment.txt",
-            "sndr.anneal_checkpoint/1\nfingerprint 99\niteration 5\n");
+            "sndr.anneal_checkpoint/2\nfingerprint 99\niteration 5\n");
   EXPECT_EQ(load_checkpoint(p, fp).status().code(),
             StatusCode::kParseError);
   std::remove(p.c_str());
@@ -175,7 +182,7 @@ TEST(CheckpointFile, TruncatedMidFieldIsAParseError) {
 
 TEST(CheckpointFile, DuplicatedKeyIsAParseError) {
   const std::string path = temp_path("ck_dup_key.txt");
-  std::ofstream(path) << "sndr.anneal_checkpoint/1\n"
+  std::ofstream(path) << "sndr.anneal_checkpoint/2\n"
                          "fingerprint 99\n"
                          "iteration 5\n"
                          "iteration 6\n";
@@ -193,7 +200,7 @@ TEST(CheckpointFile, HexfloatTrailingJunkIsAParseError) {
   // ("0x1.8p+1 junk") are both rejected, with the line number named.
   const auto check = [](const std::string& name, const std::string& line) {
     const std::string path = temp_path(name);
-    std::ofstream(path) << "sndr.anneal_checkpoint/1\n"
+    std::ofstream(path) << "sndr.anneal_checkpoint/2\n"
                            "fingerprint 99\n" +
                                line + "\n";
     const common::Result<ndr::AnnealCheckpoint> r = load_checkpoint(path, 99);

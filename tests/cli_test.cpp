@@ -214,7 +214,7 @@ TEST(Cli, VersionPrintsSchemasAndExitsZero) {
     EXPECT_EQ(out.rfind("sndr ", 0), 0u) << out;
     EXPECT_GT(out.size(), std::string("sndr \n").size()) << out;
     EXPECT_NE(out.find("sndr.run_manifest/2"), std::string::npos) << out;
-    EXPECT_NE(out.find("sndr.anneal_checkpoint/1"), std::string::npos) << out;
+    EXPECT_NE(out.find("sndr.anneal_checkpoint/2"), std::string::npos) << out;
   }
 }
 
@@ -244,6 +244,26 @@ TEST(Cli, CorruptCheckpointExitsParseError) {
   std::string out;
   EXPECT_EQ(run_cli(base, &out), 4) << out;
   EXPECT_NE(out.find("anneal.ck:"), std::string::npos) << out;
+}
+
+// "N rule changes" counts nets whose final rule differs from the blanket,
+// not greedy commits: on this design repair falls back to the blanket
+// assignment after hundreds of commits, so the smart row equals the
+// blanket row and nothing changed.
+TEST(Cli, RuleChangesCountNetsOffTheBlanketRule) {
+  const std::string design = path_in_scratch("design_6000.txt");
+  ASSERT_EQ(run_cli("generate --sinks 6000 --dist mixed --seed 17 --out " +
+                    design),
+            0);
+  std::string out;
+  ASSERT_EQ(run_cli("run --design " + design +
+                        " --scoring exact_net --max-skew 40 --results-dir " +
+                        path_in_scratch("results_changes"),
+                    &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("+0.0% power, 0 rule changes"), std::string::npos)
+      << out;
 }
 
 }  // namespace

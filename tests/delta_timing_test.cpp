@@ -12,6 +12,8 @@
 #include "extract/net_geometry.hpp"
 #include "ndr/assignment_state.hpp"
 #include "ndr/smart_ndr.hpp"
+#include "route/congestion_route.hpp"
+#include "state_compare.hpp"
 #include "test_util.hpp"
 #include "timing/delta_timing.hpp"
 #include "workload/rng.hpp"
@@ -80,77 +82,102 @@ TEST(DeltaTimer, RootNetChangeReachesEverySink) {
   EXPECT_EQ(static_cast<int>(dt.last_updated_nets().size()), f.nets.size());
 }
 
-/// Every incremental accumulator AssignmentState maintains, snapshotted
-/// for bitwise comparison (EXPECT_EQ on doubles is exact).
-struct StateSnapshot {
-  std::vector<double> sink_latency, sink_var, sink_xtalk;
-  std::vector<double> net_cap, net_sigma, net_xtalk, net_wire_delay;
-  double latency_sum = 0.0;
-  double total_cap = 0.0;
-};
-
-StateSnapshot snapshot(const AssignmentState& st, int n_nets, int n_sinks) {
-  StateSnapshot s;
-  for (int i = 0; i < n_sinks; ++i) {
-    s.sink_latency.push_back(st.sink_latency(i));
-    s.sink_var.push_back(st.sink_var(i));
-    s.sink_xtalk.push_back(st.sink_xtalk(i));
-  }
-  for (int n = 0; n < n_nets; ++n) {
-    s.net_cap.push_back(st.net_cap(n));
-    s.net_sigma.push_back(st.net_sigma(n));
-    s.net_xtalk.push_back(st.net_xtalk_of(n));
-    s.net_wire_delay.push_back(st.net_wire_delay(n));
-  }
-  s.latency_sum = st.latency_sum();
-  s.total_cap = st.total_cap();
-  return s;
-}
-
-void expect_bitwise_eq(const StateSnapshot& got, const StateSnapshot& want) {
-  EXPECT_EQ(got.sink_latency, want.sink_latency);
-  EXPECT_EQ(got.sink_var, want.sink_var);
-  EXPECT_EQ(got.sink_xtalk, want.sink_xtalk);
-  EXPECT_EQ(got.net_cap, want.net_cap);
-  EXPECT_EQ(got.net_sigma, want.net_sigma);
-  EXPECT_EQ(got.net_xtalk, want.net_xtalk);
-  EXPECT_EQ(got.net_wire_delay, want.net_wire_delay);
-  EXPECT_EQ(got.latency_sum, want.latency_sum);
-  EXPECT_EQ(got.total_cap, want.total_cap);
-}
-
 TEST(DeltaTimingChurn, RandomMovesStayBitwiseIdenticalToRebuild) {
   test::Flow f = test::small_flow(96, 23);
   const timing::AnalysisOptions aopt;
-  RuleAssignment a = assign_all(f.nets, f.tech.rules.blanket_index());
+  const RuleAssignment a = assign_all(f.nets, f.tech.rules.blanket_index());
   AssignmentState state(f.cts.tree, f.design, f.tech, f.nets, aopt);
-  const FlowEvaluation ev = evaluate(f.cts.tree, f.design, f.tech, f.nets, a,
-                                     aopt, &state.geometry_cache());
-  state.rebuild(a, ev);
-
-  // Reference state, re-synced from a full evaluation after every move.
-  AssignmentState ref(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  state.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
+                            &state.geometry_cache()));
 
   const int n_nets = f.nets.size();
   const int n_rules = f.tech.rules.size();
-  const int n_sinks = static_cast<int>(f.design.sinks.size());
   workload::Rng rng(20260809);
   for (int move = 0; move < 32; ++move) {
     SCOPED_TRACE("move " + std::to_string(move));
     const int net_id = static_cast<int>(rng.uniform_int(n_nets));
     int rule = static_cast<int>(rng.uniform_int(n_rules));
     if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
+    state.apply_move(net_id, rule, state.exact_eval(net_id, rule));
+    test::expect_matches_fresh_rebuild(state);
+  }
+}
+
+// Routing usage is the one accumulator apply_move maintains with +=
+// deltas, so it can drift from a fresh compute_usage() by FP rounding;
+// nothing re-syncs it mid-search. On a design where capacity binds, every
+// proposal's check_move() verdict must still equal the verdict of a state
+// freshly rebuilt from a full evaluation of the same assignment.
+TEST(DeltaTimingChurn, CongestedCheckMoveMatchesFreshRebuild) {
+  workload::DesignSpec spec;
+  spec.name = "congested";
+  spec.num_sinks = 160;
+  spec.seed = 41;
+  spec.occupancy_base = 0.6;
+  spec.hotspot_occupancy = 0.3;
+  spec.clock_track_fraction = 0.10;
+  test::Flow f;
+  f.design = workload::make_design(spec);
+  f.tech = tech::Technology::make_default_45nm();
+  f.cts = cts::synthesize(f.design, f.tech);
+  f.nets = netlist::build_nets(f.cts.tree);
+  ASSERT_TRUE(f.design.congestion.valid());
+
+  const timing::AnalysisOptions aopt;
+  const MoveMargins margins{0.05, 0.05, 0.05, 0.10};
+  RuleAssignment a = assign_all(f.nets, f.tech.rules.blanket_index());
+  AssignmentState state(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  state.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
+                            &state.geometry_cache()));
+
+  const int n_nets = f.nets.size();
+  const int n_rules = f.tech.rules.size();
+  const double width_frac = f.tech.clock_layer.width_frac();
+  workload::Rng rng(7);
+  int verdicts[2] = {0, 0};
+  int widening[2] = {0, 0};  // [fits capacity?] over pitch-widening moves.
+  for (int move = 0; move < 200; ++move) {
+    SCOPED_TRACE("proposal " + std::to_string(move));
+    const int net_id = static_cast<int>(rng.uniform_int(n_nets));
+    int rule = static_cast<int>(rng.uniform_int(n_rules));
+    if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
     const NetExact exact = state.exact_eval(net_id, rule);
+    NetImpact impact;
+    impact.step_slew = exact.step_slew_worst;
+    impact.sigma = exact.sigma_worst;
+    impact.xtalk = exact.xtalk_worst;
+    impact.delay = exact.wire_delay_worst;
+
+    AssignmentState fresh(f.cts.tree, f.design, f.tech, f.nets, aopt, 0,
+                          &state.geometry_cache());
+    fresh.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
+                              &state.geometry_cache()));
+    const bool ok = state.check_move(net_id, rule, impact, margins);
+    EXPECT_EQ(ok, fresh.check_move(net_id, rule, impact, margins));
+    ++verdicts[ok ? 1 : 0];
+    const double d_pitch =
+        f.tech.rules[rule].pitch_mult(width_frac) -
+        f.tech.rules[state.rule_of(net_id)].pitch_mult(width_frac);
+    if (d_pitch > 0.0) {
+      const netlist::RoutingUsage usage = route::compute_usage(
+          f.cts.tree, f.nets, a, f.tech, f.design.congestion);
+      bool fits = true;
+      for (const geom::Path& p : state.net_paths(net_id)) {
+        fits = fits && usage.fits(p, d_pitch);
+      }
+      ++widening[fits ? 1 : 0];
+    }
+
+    // Churn through rejected moves too, so usage keeps moving both ways.
     state.apply_move(net_id, rule, exact);
     a[net_id] = rule;
-
-    const FlowEvaluation fresh = evaluate(f.cts.tree, f.design, f.tech,
-                                          f.nets, a, aopt,
-                                          &state.geometry_cache());
-    ref.rebuild(a, fresh);
-    expect_bitwise_eq(snapshot(state, n_nets, n_sinks),
-                      snapshot(ref, n_nets, n_sinks));
   }
+  EXPECT_GT(verdicts[0], 0);
+  EXPECT_GT(verdicts[1], 0);
+  // Capacity binds both ways: some widening moves fit, some do not.
+  EXPECT_GT(widening[0], 0);
+  EXPECT_GT(widening[1], 0);
+  test::expect_matches_fresh_rebuild(state);
 }
 
 TEST(DeltaTimingChurn, ChurnIsThreadCountInvariant) {
@@ -160,7 +187,6 @@ TEST(DeltaTimingChurn, ChurnIsThreadCountInvariant) {
       assign_all(f.nets, f.tech.rules.blanket_index());
   const int n_nets = f.nets.size();
   const int n_rules = f.tech.rules.size();
-  const int n_sinks = static_cast<int>(f.design.sinks.size());
 
   // Prewarm (parallel batched kernels) + serial churn, at a given thread
   // count. Batch composition and memo contents must not depend on it.
@@ -179,14 +205,14 @@ TEST(DeltaTimingChurn, ChurnIsThreadCountInvariant) {
       if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
       state.apply_move(net_id, rule, state.exact_eval(net_id, rule));
     }
-    StateSnapshot s = snapshot(state, n_nets, n_sinks);
+    test::StateSnapshot s = test::snapshot(state);
     common::set_thread_count(-1);
     return s;
   };
 
-  const StateSnapshot one = churn(1);
-  const StateSnapshot eight = churn(8);
-  expect_bitwise_eq(eight, one);
+  const test::StateSnapshot one = churn(1);
+  const test::StateSnapshot eight = churn(8);
+  test::expect_bitwise_eq(eight, one);
 }
 
 }  // namespace

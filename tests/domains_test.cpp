@@ -480,7 +480,7 @@ TEST(DomainObjective, ActivityChangesRuleAssignment) {
   netlist::Design plain = w.design;
   plain.clock_domains = netlist::ClockDomainMap();
   ndr::OptimizerOptions o;
-  o.use_models = false;
+  o.scoring = ndr::Scoring::kExactNet;
   bool split = false;
   for (const double mult : {10.0, 11.0, 12.0, 14.0}) {
     netlist::Design gated_d = w.design;

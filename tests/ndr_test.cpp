@@ -279,7 +279,7 @@ TEST_F(OptimizerFixture, HistogramMatchesAssignment) {
 TEST_F(OptimizerFixture, ExactModeMatchesModelModeClosely) {
   OptimizerOptions model_opt;
   OptimizerOptions exact_opt;
-  exact_opt.use_models = false;
+  exact_opt.scoring = Scoring::kExactNet;
   const SmartNdrResult m = optimize_smart_ndr(f.cts.tree, f.design, f.tech,
                                               f.nets, model_opt);
   const SmartNdrResult e = optimize_smart_ndr(f.cts.tree, f.design, f.tech,

@@ -306,8 +306,8 @@ TEST_F(ExactCacheFixture, ApplyMoveKeepsCacheWarmAndConsistent) {
 
 TEST_F(ExactCacheFixture, RebuildKeepsEntriesWithUnchangedContext) {
   // exact_eval is keyed on the net's electrical context (driver_res); a
-  // resync that does not change it must keep the memoized rows warm — this
-  // is what lets the cache survive the optimizer/annealer refresh cadence.
+  // rebuild that does not change it must keep the memoized rows warm — this
+  // is what lets the cache survive the optimizer's repair rebuilds.
   state->exact_eval(0, 1);
   state->rebuild(blanket, ev);
   const auto misses_before = state->exact_cache_misses();

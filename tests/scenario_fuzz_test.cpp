@@ -7,7 +7,9 @@
 //
 //   * bitwise determinism: evaluate / optimize / anneal results identical
 //     at 1 vs 8 threads, under a geometry byte budget vs unbounded, and
-//     across checkpoint-resume vs uninterrupted;
+//     across checkpoint-resume vs uninterrupted; the incremental search
+//     state after the greedy and annealing move sequences equals a fresh
+//     rebuild from a full evaluation;
 //   * metamorphic: raising a gated subtree's activity never makes the
 //     optimizer pick a CHEAPER rule for its nets when the global
 //     constraints are relaxed to equal slack (the EM-feasible set only
@@ -34,6 +36,7 @@
 #include "fuzz_util.hpp"
 #include "ndr/assignment_state.hpp"
 #include "ndr/smart_ndr.hpp"
+#include "state_compare.hpp"
 
 namespace sndr {
 namespace {
@@ -75,7 +78,7 @@ void expect_eval_bitwise(const ndr::FlowEvaluation& a,
 
 ndr::OptimizerOptions exact_options() {
   ndr::OptimizerOptions o;
-  o.use_models = false;  // exact scoring: no model-training cost per run.
+  o.scoring = ndr::Scoring::kExactNet;  // no model-training cost per run.
   return o;
 }
 
@@ -191,6 +194,72 @@ TEST(ScenarioFuzz, AnnealCheckpointResumeBitwise) {
     EXPECT_EQ(whole.accepted, resumed.accepted);
     EXPECT_EQ(whole.end_cap, resumed.end_cap);
     expect_eval_bitwise(whole.final_eval, resumed.final_eval);
+  }
+}
+
+/// Applies the rule changes from `state`'s assignment to `target` as
+/// moves, highest net id first (the greedy sweep's leaf-first order).
+void replay_to(ndr::AssignmentState& state, const ndr::RuleAssignment& target) {
+  for (int id = static_cast<int>(target.size()) - 1; id >= 0; --id) {
+    const int r = target[static_cast<std::size_t>(id)];
+    if (r != state.rule_of(id)) state.apply_move(id, r, state.exact_eval(id, r));
+  }
+}
+
+// Neither search re-analyzes the whole tree mid-run, so its incremental
+// state must stay bitwise equal to a fresh rebuild. Replays the greedy
+// result's moves in sweep order, then the annealer's exact trajectory (one
+// checkpoint per iteration gives the current assignment after every
+// proposal), and compares the state with a fresh rebuild after each search.
+TEST(ScenarioFuzz, SearchMovesMatchFreshRebuild) {
+  ThreadGuard guard;
+  const int n = fuzz::scenario_count(15);
+  for (int i = 0; i < n; ++i) {
+    const fuzz::Scenario s = fuzz::make_scenario(fuzz::scenario_seed(10, i));
+    SCOPED_TRACE(s.label());
+    const workload::DomainWorkload w = fuzz::build(s, default_tech());
+    const auto full_eval = [&](const ndr::AssignmentState& st,
+                               const ndr::RuleAssignment& a) {
+      return ndr::evaluate(w.tree, w.design, default_tech(), w.nets, a, {},
+                           &st.geometry_cache());
+    };
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ndr::OptimizerOptions o = exact_options();
+      o.threads = threads;
+      const ndr::SmartNdrResult greedy = ndr::optimize_smart_ndr(
+          w.tree, w.design, default_tech(), w.nets, o);
+
+      ndr::AssignmentState state(w.tree, w.design, default_tech(), w.nets,
+                                 timing::AnalysisOptions{});
+      const ndr::RuleAssignment blanket =
+          ndr::assign_all(w.nets, default_tech().rules.blanket_index());
+      state.rebuild(blanket, full_eval(state, blanket));
+      replay_to(state, greedy.assignment);
+      test::expect_matches_fresh_rebuild(state);
+
+      ndr::AnnealOptions a;
+      a.iterations = 200;
+      a.threads = threads;
+      a.checkpoint_interval = 1;
+      std::vector<ndr::RuleAssignment> trajectory;
+      a.checkpoint_sink = [&trajectory](const ndr::AnnealCheckpoint& ck) {
+        trajectory.push_back(ck.assignment);
+      };
+      ndr::anneal_rules(w.tree, w.design, default_tech(), w.nets,
+                        greedy.assignment, a);
+      ASSERT_EQ(trajectory.size(), 200u);
+      state.rebuild(greedy.assignment, full_eval(state, greedy.assignment));
+      for (const ndr::RuleAssignment& next : trajectory) {
+        int moved = 0;
+        for (std::size_t k = 0; k < next.size(); ++k) {
+          moved += next[k] != state.assignment()[k];
+        }
+        ASSERT_LE(moved, 1);  // one proposal, at most one accepted move.
+        replay_to(state, next);
+      }
+      test::expect_matches_fresh_rebuild(state);
+    }
   }
 }
 
@@ -388,13 +457,11 @@ TEST(ScenarioFuzz, CheckpointCorruptionAlwaysParseErrors) {
     ck.temperature = rng.uniform(1e-6, 10.0);
     ck.cooling = rng.uniform(0.5, 1.0);
     ck.rng_state = rng.next_u64();
-    ck.accepted_since_refresh = static_cast<int>(rng.uniform_int(100));
     ck.proposed = static_cast<int>(rng.uniform_int(10000));
     ck.accepted = static_cast<int>(rng.uniform_int(10000));
     ck.rejected = static_cast<int>(rng.uniform_int(10000));
     ck.uphill_accepted = static_cast<int>(rng.uniform_int(1000));
     ck.delta_updates = static_cast<int>(rng.uniform_int(10000));
-    ck.full_rebuilds = static_cast<int>(rng.uniform_int(100));
     ck.start_cap = rng.uniform(1e-15, 1e-9);
     ck.start_feasible = rng.uniform_int(2) == 1;
     ck.best_cap = rng.uniform(1e-15, 1e-9);

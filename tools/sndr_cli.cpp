@@ -147,7 +147,7 @@ void print_usage(std::ostream& os) {
       "  --threads N: evaluation-engine parallelism (default: hardware\n"
       "               concurrency; 0 = serial). Results are identical at\n"
       "               any thread count.\n"
-      "  --memory-budget B: byte budget for the geometry caches (k/M/G\n"
+      "  --memory-budget B: byte budget for the geometry cache (k/M/G\n"
       "               suffixes accepted, e.g. 256M; 0 = unbounded). Under\n"
       "               a budget cold per-net geometry is LRU-evicted and\n"
       "               rebuilt on demand — results stay bit-identical, only\n"
@@ -168,13 +168,12 @@ void print_usage(std::ostream& os) {
       "optimizer keys (same --flag / config-key duality):\n"
       "  --scoring models|exact_net|full_sta, --training-samples N,\n"
       "  --slew-margin F, --uncertainty-margin F, --em-margin F,\n"
-      "  --skew-margin F, --max-passes N, --full-refresh-interval N,\n"
-      "  --max-repair-rounds N.\n"
+      "  --skew-margin F, --max-passes N, --max-repair-rounds N.\n"
       "anneal keys:\n"
-      "  --anneal-t-start-frac F, --anneal-t-end-frac F,\n"
-      "  --anneal-full-refresh-interval N, --prewarm BOOL (batched\n"
-      "  exact-eval prewarm of the anneal memo, default true; results are\n"
-      "  bitwise identical either way — false measures the lazy path).\n"
+      "  --anneal-t-start-frac F, --anneal-t-end-frac F, --prewarm BOOL\n"
+      "  (batched exact-eval prewarm of the anneal memo, default true;\n"
+      "  results are bitwise identical either way — false measures the\n"
+      "  lazy path).\n"
       "sweep keys (sndr dse; also usable on run for a single point):\n"
       "  --power-weight F: objective weight on switched cap (> 0; 1.0 is\n"
       "               the bitwise-neutral default). The DSE power axis.\n"
@@ -336,12 +335,18 @@ int cmd_run(const Args& args, int argc, char** argv) {
   print_loaded(outcome);
   result.table.print(std::cout);
   if (result.smart) {
+    // Nets whose final rule (annealed when --anneal ran) is not the
+    // blanket's. Commits overcount: repair can revert them all.
+    const ndr::RuleAssignment& final_rules = *result.final_assignment();
+    int changed = 0;
+    for (std::size_t i = 0; i < final_rules.size(); ++i) {
+      if (final_rules[i] != result.blanket_eval.assignment[i]) ++changed;
+    }
     std::cout << "\nsmart vs blanket: "
               << report::fmt_pct(result.final_eval().power.total_power /
                                      result.blanket_eval.power.total_power -
                                  1.0)
-              << " power, " << result.smart->stats.commits
-              << " rule changes\n";
+              << " power, " << changed << " rule changes\n";
   }
   if (result.corners) {
     std::cout << (result.corners->feasible()
