@@ -72,7 +72,8 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
   --target extract_cache_test --target batch_kernel_test --target obs_test \
   --target manifest_golden_test --target net_batch_test \
   --target geometry_budget_test --target scale_smoke_test \
-  --target scenario_fuzz_test
+  --target scenario_fuzz_test --target assignment_state_test \
+  --target pairwise_sum_test
 "$repo/build-asan/tests/extract_test"
 "$repo/build-asan/tests/extract_cache_test"
 # Scale smoke: a 10k-net generated tree plus budgeted caches under heavy
@@ -85,6 +86,10 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
 "$repo/build-asan/tests/net_batch_test"
 "$repo/build-asan/tests/obs_test"
 "$repo/build-asan/tests/manifest_golden_test"
+# Search state: sum-tree leaf/padding indexing, the depth-first sink runs
+# and the per-net path-prefix arrays, through root and leaf-net moves.
+"$repo/build-asan/tests/pairwise_sum_test"
+"$repo/build-asan/tests/assignment_state_test"
 # Property fuzz at reduced depth: budgeted GeometryCache eviction and the
 # domain workload generator allocate hard; ASan guards their reuse paths.
 SNDR_FUZZ_ITERS="${SNDR_FUZZ_ITERS_ASAN:-4}" \
@@ -95,7 +100,8 @@ cmake -B "$repo/build-ubsan" -S "$repo" -DSNDR_SANITIZE=undefined >/dev/null
 cmake --build "$repo/build-ubsan" -j "$jobs" --target flow_test \
   --target io_test --target design_io_test --target batch_kernel_test \
   --target delta_timing_test --target checkpoint_test \
-  --target scenario_fuzz_test
+  --target scenario_fuzz_test --target assignment_state_test \
+  --target pairwise_sum_test
 "$repo/build-ubsan/tests/flow_test"
 "$repo/build-ubsan/tests/io_test"
 "$repo/build-ubsan/tests/design_io_test"
@@ -105,6 +111,9 @@ cmake --build "$repo/build-ubsan" -j "$jobs" --target flow_test \
 "$repo/build-ubsan/tests/batch_kernel_test"
 # Subtree replay indexing (flattened load offsets) under UBSan.
 "$repo/build-ubsan/tests/delta_timing_test"
+# Sum-tree and sink-run index arithmetic (size_t ranges, ~driver markers).
+"$repo/build-ubsan/tests/pairwise_sum_test"
+"$repo/build-ubsan/tests/assignment_state_test"
 # Property fuzz at reduced depth: domain-weighted power/EM arithmetic and
 # the checkpoint corruption property (strtod hexfloat paths) under UBSan.
 SNDR_FUZZ_ITERS="${SNDR_FUZZ_ITERS_UBSAN:-4}" \

@@ -4,7 +4,7 @@
 // this module gives them a file format and a validity check so a killed
 // million-net run restarts where it left off instead of from iteration 0.
 //
-// Format: `sndr.anneal_checkpoint/2`, line-oriented text; a file of any
+// Format: `sndr.anneal_checkpoint/3`, line-oriented text; a file of any
 // other schema version is rejected by its first line. Floating-point
 // fields are written as hexfloats (%a), which round-trip bit-exactly —
 // the resumed trajectory is bitwise identical to the uninterrupted run.
@@ -28,7 +28,7 @@ namespace sndr::flow {
 /// Schema tag written as the first line of every checkpoint file; also
 /// printed by `sndr version` so operators can match binaries to on-disk
 /// checkpoints.
-inline constexpr const char* kCheckpointSchema = "sndr.anneal_checkpoint/2";
+inline constexpr const char* kCheckpointSchema = "sndr.anneal_checkpoint/3";
 
 /// FNV-1a over the inputs the checkpoint is only valid against.
 std::uint64_t checkpoint_fingerprint(int n_nets, int n_rules,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "common/parallel.hpp"
 #include "route/congestion_route.hpp"
@@ -32,24 +33,42 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
       usage_(&design.congestion) {
   const int n_nets = nets.size();
   const int n_sinks = static_cast<int>(design.sinks.size());
-  sinks_under_.assign(n_nets, {});
-  nets_on_path_.assign(n_sinks, {});
 
-  for (int v = 0; v < tree.size(); ++v) {
-    const netlist::TreeNode& n = tree.node(v);
-    if (n.kind != netlist::NodeKind::kSink) continue;
-    int node = v;
-    int last_net = -1;
-    while (node >= 0) {
-      const int net = nets.net_of_edge[node];
-      if (net >= 0 && net != last_net) {
-        sinks_under_[net].push_back(n.sink);
-        nets_on_path_[n.sink].push_back(net);
-        last_net = net;
-      }
-      node = tree.node(node).parent;
+  // Depth-first walk: a net's sinks are exactly those below its driver, so
+  // they form one contiguous run of the visit order, opened when the walk
+  // enters the driver and closed (~driver on the stack) when it leaves.
+  sink_lo_.assign(n_nets, 0);
+  sink_hi_.assign(n_nets, 0);
+  leaf_net_.assign(n_sinks, -1);
+  sink_order_.reserve(n_sinks);
+  std::vector<int> stack;
+  if (!tree.empty()) stack.push_back(tree.root());
+  while (!stack.empty()) {
+    const int v = stack.back();
+    stack.pop_back();
+    if (v < 0) {
+      sink_hi_[nets.net_driven[~v]] = static_cast<int>(sink_order_.size());
+      continue;
     }
+    const netlist::TreeNode& n = tree.node(v);
+    if (n.kind == netlist::NodeKind::kSink) {
+      sink_order_.push_back(n.sink);
+      leaf_net_[n.sink] = nets.net_of_edge[v];
+    }
+    const int driven = nets.net_driven[v];
+    if (driven >= 0) {
+      sink_lo_[driven] = static_cast<int>(sink_order_.size());
+      stack.push_back(~v);
+    }
+    stack.insert(stack.end(), n.children.rbegin(), n.children.rend());
   }
+
+  parent_net_.assign(n_nets, -1);
+  for (const netlist::Net& net : nets.nets) {
+    parent_net_[net.id] = nets.net_of_edge[net.driver];
+  }
+  path_var_.assign(n_nets, 0.0);
+  path_xtalk_.assign(n_nets, 0.0);
 
   win_lo_.resize(n_sinks);
   win_hi_.resize(n_sinks);
@@ -112,34 +131,20 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
                               const FlowEvaluation& ev) {
   flush_metrics();
   assignment_ = assignment;
-  const int n_sinks = static_cast<int>(design_->sinks.size());
-  sink_latency_ = ev.timing.sink_arrival;
-  latency_sum_ = std::accumulate(sink_latency_.begin(), sink_latency_.end(),
-                                 0.0);
-  sink_var_.assign(n_sinks, 0.0);
-  sink_xtalk_.assign(n_sinks, 0.0);
-  for (int s = 0; s < n_sinks; ++s) {
-    for (const int net : nets_on_path_[s]) {
-      sink_var_[s] +=
-          ev.variation.net_sigma[net] * ev.variation.net_sigma[net];
-      sink_xtalk_[s] += ev.variation.net_xtalk[net];
-    }
-  }
 
   // Reseeds the delta-timing mirror: re-derives every net's per-load wire
   // delay / step slew and the arrival/slew arrays from the fresh
-  // evaluation.
+  // evaluation. The mirror's sink arrivals are the state's sink latencies.
   delta_.rebuild(ev.parasitics, ev.timing);
 
-  total_cap_ = 0.0;
-  total_energy_ = 0.0;
+  // Ascending net ids are root-first, so every path prefix reads a
+  // finished parent.
   for (const netlist::Net& net : nets_->nets) {
     NetState& st = nets_state_[net.id];
     st.cap = ev.power.net_switched_cap[net.id];
-    total_cap_ += st.cap;
-    total_energy_ += net_weight_[net.id] * st.cap;
     st.sigma = ev.variation.net_sigma[net.id];
     st.xtalk = ev.variation.net_xtalk[net.id];
+    update_path_prefix(net.id);
     const double driver_res =
         timing::net_driver_res(*tree_, *tech_, net, analysis_);
     // The exact_eval memo is keyed on the net's electrical context; a
@@ -152,8 +157,35 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
     st.wire_delay = delta_.net_wire_delay_worst(net.id);
   }
 
+  const std::vector<double>& arrival = delta_.sink_arrival();
+  latency_sum_.assign(sink_order_.size(), [&](std::size_t r) {
+    return arrival[sink_order_[r]];
+  });
+  total_cap_.assign(nets_state_.size(),
+                    [&](std::size_t i) { return nets_state_[i].cap; });
+  total_energy_.assign(nets_state_.size(), [&](std::size_t i) {
+    return net_weight_[i] * nets_state_[i].cap;
+  });
+
   usage_ = route::compute_usage(*tree_, *nets_, assignment_, *tech_,
                                 design_->congestion);
+}
+
+void AssignmentState::update_path_prefix(int net_id) {
+  const NetState& st = nets_state_[net_id];
+  const int up = parent_net_[net_id];
+  const double up_var = up < 0 ? 0.0 : path_var_[up];
+  const double up_xtalk = up < 0 ? 0.0 : path_xtalk_[up];
+  path_var_[net_id] = up_var + st.sigma * st.sigma;
+  path_xtalk_[net_id] = up_xtalk + st.xtalk;
+}
+
+std::vector<int> AssignmentState::nets_on_path(int sink) const {
+  std::vector<int> path;
+  for (int net = leaf_net_[sink]; net >= 0; net = parent_net_[net]) {
+    path.push_back(net);
+  }
+  return path;
 }
 
 double AssignmentState::slew_at_loads(int net_id, double step_slew) const {
@@ -187,22 +219,23 @@ bool AssignmentState::check_move(int net_id, int rule_idx,
   }
 
   const double d_delay = impact.delay - st.wire_delay;
-  const std::vector<int>& under = sinks_under_[net_id];
+  const std::span<const int> under = sinks_under(net_id);
   const int n_sinks = static_cast<int>(design_->sinks.size());
   const double new_mean =
-      (latency_sum_ + d_delay * static_cast<double>(under.size())) /
+      (latency_sum() + d_delay * static_cast<double>(under.size())) /
       std::max(1, n_sinks);
   const double d_var = impact.sigma * impact.sigma - st.sigma * st.sigma;
   const double d_xtalk = impact.xtalk - st.xtalk;
   const double max_unc = c.max_uncertainty * (1.0 - margins.uncertainty);
   const double win_scale = 1.0 - margins.skew;
+  const std::vector<double>& arrival = delta_.sink_arrival();
   for (const int s : under) {
-    const double off = sink_latency_[s] + d_delay - new_mean;
+    const double off = arrival[s] + d_delay - new_mean;
     if (off < win_lo_[s] * win_scale || off > win_hi_[s] * win_scale) {
       return false;
     }
-    const double var = std::max(0.0, sink_var_[s] + d_var);
-    const double unc = 3.0 * std::sqrt(var) + sink_xtalk_[s] + d_xtalk;
+    const double var = std::max(0.0, sink_var(s) + d_var);
+    const double unc = 3.0 * std::sqrt(var) + sink_xtalk(s) + d_xtalk;
     if (unc > max_unc) return false;
   }
   return true;
@@ -248,30 +281,18 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
   st.xtalk = exact.xtalk_worst;
   st.wire_delay = delta_.net_wire_delay_worst(net_id);
 
-  // Re-derive the accumulators of the affected sinks as ABSOLUTE re-sums in
-  // rebuild()'s exact floating-point order — never accumulated +=deltas —
-  // so the incremental state stays bitwise equal to a fresh rebuild.
+  // Re-derive the accumulators with rebuild()'s definitions, over what the
+  // move touched: the path prefixes of the descendant nets the replay just
+  // visited (ascending, so parents first), the latency leaves of the net's
+  // sink run, and one cap / energy leaf.
+  for (const int id : delta_.last_updated_nets()) update_path_prefix(id);
   const std::vector<double>& arrival = delta_.sink_arrival();
-  for (const int s : sinks_under_[net_id]) {
-    sink_latency_[s] = arrival[s];
-    double var = 0.0;
-    double xt = 0.0;
-    for (const int net : nets_on_path_[s]) {
-      const NetState& ns = nets_state_[net];
-      var += ns.sigma * ns.sigma;
-      xt += ns.xtalk;
-    }
-    sink_var_[s] = var;
-    sink_xtalk_[s] = xt;
-  }
-  latency_sum_ = std::accumulate(sink_latency_.begin(), sink_latency_.end(),
-                                 0.0);
-  total_cap_ = 0.0;
-  total_energy_ = 0.0;
-  for (const netlist::Net& net : nets_->nets) {
-    total_cap_ += nets_state_[net.id].cap;
-    total_energy_ += net_weight_[net.id] * nets_state_[net.id].cap;
-  }
+  latency_sum_.set_range(sink_lo_[net_id], sink_hi_[net_id],
+                         [&](std::size_t r) {
+                           return arrival[sink_order_[r]];
+                         });
+  total_cap_.set(net_id, st.cap);
+  total_energy_.set(net_id, net_weight_[net_id] * st.cap);
 }
 
 void AssignmentState::warm_rows(const std::vector<int>& net_ids) const {

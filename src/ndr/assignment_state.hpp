@@ -7,12 +7,23 @@
 // application with exactly the approximations documented in optimizer.hpp.
 // Callers seed it with rebuild() from a full evaluation (at search start and
 // after a repair); apply_move() keeps it bitwise equal to a fresh rebuild.
+//
+// Two summation definitions make that equality hold by construction
+// rather than by replaying a whole-design loop:
+//  * the latency, cap and energy totals are common::PairwiseSum trees
+//    (fixed shape, zero-padded), whose total depends only on the leaf
+//    values, never on the order they were updated in;
+//  * a sink's variance / crosstalk is a root-first per-net prefix,
+//    path[net] = path[parent net] + term(net), read at the sink's leaf net.
+// A move therefore costs O(sinks under the net + descendant nets + log n).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 
+#include "common/pairwise_sum.hpp"
 #include "ndr/evaluation.hpp"
 #include "ndr/net_eval.hpp"
 #include "ndr/predictor.hpp"
@@ -71,8 +82,8 @@ class AssignmentState {
   }
   /// Current switched cap of a net under its assigned rule (raw).
   double net_cap(int net_id) const { return nets_state_[net_id].cap; }
-  /// Total raw switched capacitance.
-  double total_cap() const { return total_cap_; }
+  /// Total raw switched capacitance (pairwise sum over nets).
+  double total_cap() const { return total_cap_.total(); }
 
   /// Clock-domain toggle weight of a net (1.0 in the single-domain world).
   double net_weight(int net_id) const { return net_weight_[net_id]; }
@@ -83,7 +94,7 @@ class AssignmentState {
   }
   /// Total activity-weighted switched capacitance (the search energy);
   /// bitwise equal to total_cap() when domains are disabled.
-  double total_energy() const { return total_energy_; }
+  double total_energy() const { return total_energy_.total(); }
 
   /// Transition at the loads of `net_id` if its wire step slew were `step`.
   double slew_at_loads(int net_id, double step_slew) const;
@@ -96,12 +107,15 @@ class AssignmentState {
   /// Applies a validated move; `exact` must be the exact evaluation of the
   /// net under the new rule.
   ///
-  /// Exact and incremental since PR 6: the net's parasitics are
-  /// re-materialized under the new rule and a delta-timing replay updates
-  /// sink latencies along the net's descendant subtree (O(pieces +
-  /// subtree)); the latency / variance / crosstalk / cap accumulators are
-  /// then re-derived in rebuild()'s exact floating-point order over the
-  /// affected sinks only, so the state stays BITWISE identical to a fresh
+  /// Exact and incremental: the net's parasitics are re-materialized under
+  /// the new rule and a delta-timing replay updates sink latencies along
+  /// the net's descendant subtree (O(pieces + subtree)). The accumulators
+  /// follow with the same definitions rebuild() uses: the variance /
+  /// crosstalk path prefixes are recomputed over the descendant nets the
+  /// replay visited, the latency sum tree over the net's contiguous run of
+  /// sinks, and the cap / energy sum trees at one leaf. No loop covers all
+  /// sinks or all nets — a move costs O(sinks under the net + descendant
+  /// nets + log n) — and the state stays BITWISE identical to a fresh
   /// rebuild() of the same assignment (pinned by the state-vs-rebuild
   /// comparer in tests/state_compare.hpp). Routing usage keeps its own
   /// += bookkeeping and may drift by FP rounding; the tests pin that
@@ -183,22 +197,29 @@ class AssignmentState {
   const netlist::NetList& nets() const { return *nets_; }
   const timing::AnalysisOptions& analysis() const { return analysis_; }
 
-  /// Design sinks downstream of a net / nets on a sink's source path.
-  const std::vector<int>& sinks_under(int net_id) const {
-    return sinks_under_[net_id];
+  /// Design sinks downstream of a net, in depth-first tree order (every
+  /// net's sinks are one contiguous run of that order).
+  std::span<const int> sinks_under(int net_id) const {
+    return std::span<const int>(sink_order_).subspan(
+        sink_lo_[net_id], sink_hi_[net_id] - sink_lo_[net_id]);
   }
-  const std::vector<int>& nets_on_path(int sink) const {
-    return nets_on_path_[sink];
-  }
+  /// Nets on a sink's source path, leaf net first.
+  std::vector<int> nets_on_path(int sink) const;
   const std::vector<geom::Path>& net_paths(int net_id) const {
     return nets_state_[net_id].paths;
   }
 
   // Accumulator accessors (tests pin these against a fresh rebuild()).
-  double sink_latency(int sink) const { return sink_latency_[sink]; }
-  double sink_var(int sink) const { return sink_var_[sink]; }
-  double sink_xtalk(int sink) const { return sink_xtalk_[sink]; }
-  double latency_sum() const { return latency_sum_; }
+  double sink_latency(int sink) const { return delta_.sink_arrival()[sink]; }
+  /// Sum of net_sigma² over the sink's path nets, root first.
+  double sink_var(int sink) const {
+    return leaf_net_[sink] < 0 ? 0.0 : path_var_[leaf_net_[sink]];
+  }
+  /// Sum of net_xtalk_of over the sink's path nets, root first.
+  double sink_xtalk(int sink) const {
+    return leaf_net_[sink] < 0 ? 0.0 : path_xtalk_[leaf_net_[sink]];
+  }
+  double latency_sum() const { return latency_sum_.total(); }
   double net_sigma(int net_id) const { return nets_state_[net_id].sigma; }
   double net_xtalk_of(int net_id) const { return nets_state_[net_id].xtalk; }
   double net_wire_delay(int net_id) const {
@@ -220,6 +241,9 @@ class AssignmentState {
     double base_slew = 0.0;
     std::vector<geom::Path> paths;
   };
+
+  /// Recomputes path_var_/path_xtalk_[net_id] from its parent's prefix.
+  void update_path_prefix(int net_id);
 
   const netlist::ClockTree* tree_;
   const netlist::Design* design_;
@@ -250,11 +274,17 @@ class AssignmentState {
   mutable std::int64_t cache_misses_ = 0;
   mutable std::int64_t flushed_hits_ = 0;    ///< already in the registry.
   mutable std::int64_t flushed_misses_ = 0;
-  std::vector<std::vector<int>> sinks_under_;
-  std::vector<std::vector<int>> nets_on_path_;
-  std::vector<double> sink_latency_;
-  std::vector<double> sink_var_;
-  std::vector<double> sink_xtalk_;
+  /// Sinks in depth-first tree order; net n's sinks are
+  /// sink_order_[sink_lo_[n], sink_hi_[n]).
+  std::vector<int> sink_order_;
+  std::vector<int> sink_lo_;
+  std::vector<int> sink_hi_;
+  std::vector<int> parent_net_;  ///< net feeding a net's driver, -1 at root.
+  std::vector<int> leaf_net_;    ///< per sink: the net it loads, -1 if none.
+  /// Root-first path prefixes: path_var_[n] = path_var_[parent] + sigma_n²,
+  /// path_xtalk_[n] = path_xtalk_[parent] + xtalk_n.
+  std::vector<double> path_var_;
+  std::vector<double> path_xtalk_;
   std::vector<double> win_lo_;  ///< raw windows (no margin).
   std::vector<double> win_hi_;
   /// Per-net clock-domain rate factors (clock_domains.hpp), all exactly
@@ -264,9 +294,9 @@ class AssignmentState {
   /// check_move bounds, and analyze_em agree bitwise).
   std::vector<double> net_weight_;
   std::vector<double> net_em_scale_;
-  double latency_sum_ = 0.0;
-  double total_cap_ = 0.0;
-  double total_energy_ = 0.0;  ///< sum of net_weight_[i] * cap_i.
+  common::PairwiseSum latency_sum_;   ///< leaves: sink_order_ arrivals.
+  common::PairwiseSum total_cap_;     ///< leaves: per-net cap.
+  common::PairwiseSum total_energy_;  ///< leaves: net_weight_[i] * cap_i.
   netlist::RoutingUsage usage_;
 };
 

@@ -19,8 +19,15 @@ NetSummary summarize_net(const netlist::ClockTree& tree,
   s.driver_res = timing::net_driver_res(tree, tech, net, options);
   s.load_count = static_cast<int>(net.loads.size());
 
-  // Per-node path length from the driver, along the tree.
-  std::vector<double> dist(tree.size(), 0.0);
+  // Per-node path length from the driver, along the tree. Only the
+  // driver's and this net's wire entries are written before they are read
+  // (wires come root-first and loads are wires), so a per-thread buffer is
+  // reused instead of zero-filling a tree-sized array for every net.
+  thread_local std::vector<double> dist;
+  if (dist.size() < static_cast<std::size_t>(tree.size())) {
+    dist.resize(static_cast<std::size_t>(tree.size()));
+  }
+  dist[net.driver] = 0.0;
   geom::Path fallback(2);  // reused buffer for pathless (direct) wires.
   for (const int v : net.wires) {
     const netlist::TreeNode& n = tree.node(v);

@@ -36,6 +36,9 @@ struct NetSummary {
   int depth = 0;            ///< buffer depth of the net.
 };
 
+/// O(net wires + loads): works in a per-thread buffer that grows to the
+/// largest tree seen and is never cleared, so no call allocates or fills
+/// anything proportional to the tree once that buffer is warm.
 NetSummary summarize_net(const netlist::ClockTree& tree,
                          const netlist::Design& design,
                          const tech::Technology& tech,

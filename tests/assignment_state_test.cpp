@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
+#include "fuzz_util.hpp"
 #include "ndr/assignment_state.hpp"
 #include "ndr/smart_ndr.hpp"
+#include "state_compare.hpp"
 #include "test_util.hpp"
 
 namespace sndr::ndr {
@@ -62,9 +65,9 @@ TEST_F(StateFixture, ApplyMoveTracksIncrementalCap) {
 
 TEST_F(StateFixture, IncrementalStateMatchesFreshRebuildAfterMoves) {
   // Apply a handful of moves incrementally, then compare against a full
-  // evaluation of the same assignment: since PR 6 apply_move is exact (a
-  // delta-timing replay plus accumulator re-sums in rebuild()'s FP order),
-  // so the agreement is BITWISE, not approximate.
+  // evaluation of the same assignment: apply_move is exact (a delta-timing
+  // replay plus accumulators with rebuild()'s summation definitions), so
+  // the agreement is BITWISE, not approximate.
   RuleAssignment a = blanket;
   for (const int net_id :
        {1, f.nets.size() / 2, f.nets.size() - 2, f.nets.size() - 1}) {
@@ -74,16 +77,55 @@ TEST_F(StateFixture, IncrementalStateMatchesFreshRebuildAfterMoves) {
   }
   const FlowEvaluation ev2 = evaluate(f.cts.tree, f.design, f.tech, f.nets,
                                       a, aopt, &state->geometry_cache());
-  double cap = 0.0;
   for (int i = 0; i < f.nets.size(); ++i) {
     EXPECT_EQ(state->net_cap(i), ev2.power.net_switched_cap[i]);
-    cap += state->net_cap(i);
   }
-  EXPECT_EQ(state->total_cap(), cap);
   for (std::size_t s = 0; s < ev2.timing.sink_arrival.size(); ++s) {
     EXPECT_EQ(state->sink_latency(static_cast<int>(s)),
               ev2.timing.sink_arrival[s]);
   }
+  test::expect_matches_fresh_rebuild(*state);
+}
+
+// The widest and the narrowest move: the root net has every sink under it
+// (its latency run spans the whole sum tree and every net's path prefix is
+// recomputed); the deepest leaf net has no descendant nets at all.
+void move_root_then_deepest_leaf(const netlist::ClockTree& tree,
+                                 const netlist::Design& design,
+                                 const tech::Technology& tech,
+                                 const netlist::NetList& nets, int threads) {
+  common::set_thread_count(threads);
+  const timing::AnalysisOptions aopt;
+  const RuleAssignment blanket = assign_all(nets, tech.rules.blanket_index());
+  AssignmentState state(tree, design, tech, nets, aopt);
+  state.rebuild(blanket, evaluate(tree, design, tech, nets, blanket, aopt,
+                                  &state.geometry_cache()));
+  ASSERT_EQ(state.sinks_under(0).size(), design.sinks.size());
+  int deepest = 0;
+  for (const netlist::Net& net : nets.nets) {
+    if (net.depth >= nets.nets[deepest].depth) deepest = net.id;
+  }
+  ASSERT_GT(deepest, 0);
+  for (const int net_id : {0, deepest}) {
+    const int rule = (state.rule_of(net_id) + 1) % tech.rules.size();
+    state.apply_move(net_id, rule, state.exact_eval(net_id, rule));
+    test::expect_matches_fresh_rebuild(state);
+  }
+}
+
+TEST(StateMoves, RootAndDeepestLeafMatchFreshRebuild) {
+  const test::Flow small = test::small_flow(96, 23);
+  const workload::DomainWorkload domains =
+      test::fuzz::build(test::fuzz::make_scenario(5), small.tech);
+  ASSERT_TRUE(domains.design.clock_domains.enabled());
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    move_root_then_deepest_leaf(small.cts.tree, small.design, small.tech,
+                                small.nets, threads);
+    move_root_then_deepest_leaf(domains.tree, domains.design, small.tech,
+                                domains.nets, threads);
+  }
+  common::set_thread_count(-1);
 }
 
 TEST_F(StateFixture, CheckMoveRejectsObviousViolations) {

@@ -123,32 +123,39 @@ TEST(CheckpointFile, MalformedFilesAreRejected) {
   EXPECT_EQ(load_checkpoint(p, fp).status().code(),
             StatusCode::kParseError);
   std::remove(p.c_str());
-  // A file from the /1 schema is refused by its schema line, with a hint,
-  // before any of its retired fields could read as "unknown field".
-  p = write("ck_old_schema.txt",
-            "sndr.anneal_checkpoint/1\nfingerprint 99\niteration 5\n");
-  const common::Status old = load_checkpoint(p, fp).status();
-  EXPECT_EQ(old.code(), StatusCode::kParseError);
-  EXPECT_NE(old.message().find(p + ":1: unsupported checkpoint schema "
-                                   "'sndr.anneal_checkpoint/1'"),
-            std::string::npos)
-      << old.to_string();
-  std::remove(p.c_str());
+  // Files from older schemas are refused by their schema line, with a hint:
+  // /1 before any of its retired fields could read as "unknown field", /2
+  // because its stored energies were summed in a different order.
+  for (const std::string old_schema :
+       {"sndr.anneal_checkpoint/1", "sndr.anneal_checkpoint/2"}) {
+    p = write("ck_old_schema.txt",
+              old_schema + "\nfingerprint 99\niteration 5\n");
+    const common::Status old = load_checkpoint(p, fp).status();
+    EXPECT_EQ(old.code(), StatusCode::kParseError) << old_schema;
+    EXPECT_NE(old.message().find(p + ":1: unsupported checkpoint schema '" +
+                                 old_schema + "'"),
+              std::string::npos)
+        << old.to_string();
+    EXPECT_NE(old.message().find("delete it to start over"),
+              std::string::npos)
+        << old.to_string();
+    std::remove(p.c_str());
+  }
   // Unknown key.
   p = write("ck_bad_key.txt",
-            "sndr.anneal_checkpoint/2\nfingerprint 99\nbogus 1\n");
+            "sndr.anneal_checkpoint/3\nfingerprint 99\nbogus 1\n");
   EXPECT_EQ(load_checkpoint(p, fp).status().code(),
             StatusCode::kParseError);
   std::remove(p.c_str());
   // Non-numeric value.
   p = write("ck_bad_value.txt",
-            "sndr.anneal_checkpoint/2\nfingerprint 99\ntemperature oops\n");
+            "sndr.anneal_checkpoint/3\nfingerprint 99\ntemperature oops\n");
   EXPECT_EQ(load_checkpoint(p, fp).status().code(),
             StatusCode::kParseError);
   std::remove(p.c_str());
   // Fingerprint present but assignment vectors missing.
   p = write("ck_no_assignment.txt",
-            "sndr.anneal_checkpoint/2\nfingerprint 99\niteration 5\n");
+            "sndr.anneal_checkpoint/3\nfingerprint 99\niteration 5\n");
   EXPECT_EQ(load_checkpoint(p, fp).status().code(),
             StatusCode::kParseError);
   std::remove(p.c_str());
@@ -182,7 +189,7 @@ TEST(CheckpointFile, TruncatedMidFieldIsAParseError) {
 
 TEST(CheckpointFile, DuplicatedKeyIsAParseError) {
   const std::string path = temp_path("ck_dup_key.txt");
-  std::ofstream(path) << "sndr.anneal_checkpoint/2\n"
+  std::ofstream(path) << "sndr.anneal_checkpoint/3\n"
                          "fingerprint 99\n"
                          "iteration 5\n"
                          "iteration 6\n";
@@ -200,7 +207,7 @@ TEST(CheckpointFile, HexfloatTrailingJunkIsAParseError) {
   // ("0x1.8p+1 junk") are both rejected, with the line number named.
   const auto check = [](const std::string& name, const std::string& line) {
     const std::string path = temp_path(name);
-    std::ofstream(path) << "sndr.anneal_checkpoint/2\n"
+    std::ofstream(path) << "sndr.anneal_checkpoint/3\n"
                            "fingerprint 99\n" +
                                line + "\n";
     const common::Result<ndr::AnnealCheckpoint> r = load_checkpoint(path, 99);

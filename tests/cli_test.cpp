@@ -214,7 +214,7 @@ TEST(Cli, VersionPrintsSchemasAndExitsZero) {
     EXPECT_EQ(out.rfind("sndr ", 0), 0u) << out;
     EXPECT_GT(out.size(), std::string("sndr \n").size()) << out;
     EXPECT_NE(out.find("sndr.run_manifest/2"), std::string::npos) << out;
-    EXPECT_NE(out.find("sndr.anneal_checkpoint/2"), std::string::npos) << out;
+    EXPECT_NE(out.find("sndr.anneal_checkpoint/3"), std::string::npos) << out;
   }
 }
 
