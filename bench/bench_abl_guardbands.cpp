@@ -20,10 +20,7 @@ int main() {
                    "exact evals", "feasible"});
   for (const double margin : {0.0, 0.02, 0.05, 0.10, 0.20, 0.35}) {
     ndr::OptimizerOptions opt;
-    opt.slew_margin = margin;
-    opt.uncertainty_margin = margin;
-    opt.em_margin = margin;
-    opt.skew_margin = margin;
+    opt.search.margins = {margin, margin, margin, margin};
     const ndr::SmartNdrResult smart =
         ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);
     t.add_row({report::fmt(margin, 2),

@@ -19,9 +19,11 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" -j "$jobs" --output-on-failure
 
 # The determinism contract end to end: `sndr run` stdout must be
-# byte-identical at 1 vs all lanes, under a tight geometry budget, and
-# through the annealer at both lane counts. Files land in the build tree.
-echo "== tier1: CLI byte-identity (threads, memory budget, anneal) =="
+# byte-identical at 1 vs all lanes, under a tight geometry budget, through
+# the annealer at both lane counts, and with non-default guard bands plus
+# a weighted anneal (the margins both searches share, under real
+# parallelism). Files land in the build tree.
+echo "== tier1: CLI byte-identity (threads, memory budget, anneal, margins) =="
 work="$repo/build/identity"
 mkdir -p "$work"
 sndr="$repo/build/tools/sndr"
@@ -33,9 +35,14 @@ run --threads "$(nproc)" >"$work/tN.txt"
 run --threads 1 --memory-budget 64k >"$work/budget.txt"
 run --threads 1 --anneal 4000 >"$work/anneal1.txt"
 run --threads "$(nproc)" --anneal 4000 >"$work/annealN.txt"
+margins=(--anneal 4000 --uncertainty-margin 0.08 --skew-margin 0.15
+  --power-weight 0.5)
+run --threads 1 "${margins[@]}" >"$work/margins1.txt"
+run --threads "$(nproc)" "${margins[@]}" >"$work/marginsN.txt"
 cmp "$work/t1.txt" "$work/tN.txt"
 cmp "$work/t1.txt" "$work/budget.txt"
 cmp "$work/anneal1.txt" "$work/annealN.txt"
+cmp "$work/margins1.txt" "$work/marginsN.txt"
 
 echo "== tier1: ThreadSanitizer build + parallel/obs/flow tests =="
 cmake -B "$repo/build-tsan" -S "$repo" -DSNDR_SANITIZE=thread >/dev/null

@@ -63,6 +63,16 @@ bool parse_byte_size(const std::string& v, std::size_t& out) {
 using Setter =
     std::function<bool(FlowConfig&, const std::string&)>;  // false = bad value.
 
+/// A guard band: the fraction of a constraint held in reserve, so it must
+/// leave some of the constraint usable.
+bool valid_margin(double d) { return d >= 0.0 && d < 1.0; }
+
+Setter margin_key(double FlowConfig::*field) {
+  return [field](FlowConfig& c, const std::string& v) {
+    return parse_double(v, c.*field) && valid_margin(c.*field);
+  };
+}
+
 const std::map<std::string, Setter>& setters() {
   static const std::map<std::string, Setter>* table = new std::map<
       std::string, Setter>{
@@ -135,18 +145,10 @@ const std::map<std::string, Setter>& setters() {
       {"training_samples", [](FlowConfig& c, const std::string& v) {
          return parse_int(v, c.training_samples) && c.training_samples > 0;
        }},
-      {"slew_margin", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.slew_margin);
-       }},
-      {"uncertainty_margin", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.uncertainty_margin);
-       }},
-      {"em_margin", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.em_margin);
-       }},
-      {"skew_margin", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.skew_margin);
-       }},
+      {"slew_margin", margin_key(&FlowConfig::slew_margin)},
+      {"uncertainty_margin", margin_key(&FlowConfig::uncertainty_margin)},
+      {"em_margin", margin_key(&FlowConfig::em_margin)},
+      {"skew_margin", margin_key(&FlowConfig::skew_margin)},
       {"max_passes", [](FlowConfig& c, const std::string& v) {
          return parse_int(v, c.max_passes) && c.max_passes > 0;
        }},
@@ -154,13 +156,12 @@ const std::map<std::string, Setter>& setters() {
          return parse_int(v, c.max_repair_rounds) && c.max_repair_rounds >= 0;
        }},
       {"anneal_t_start_frac", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.anneal_t_start_frac);
+         return parse_double(v, c.anneal_t_start_frac) &&
+                c.anneal_t_start_frac > 0.0;
        }},
       {"anneal_t_end_frac", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.anneal_t_end_frac);
-       }},
-      {"prewarm", [](FlowConfig& c, const std::string& v) {
-         return parse_bool(v, c.prewarm);
+         return parse_double(v, c.anneal_t_end_frac) &&
+                c.anneal_t_end_frac > 0.0;
        }},
       {"results_dir", [](FlowConfig& c, const std::string& v) {
          c.results_dir = v;
@@ -228,7 +229,8 @@ const std::map<std::string, ListSetter>& list_setters() {
            }},
           {"dse_uncertainty_margin",
            [](FlowConfig& c, const std::vector<std::string>& vs) {
-             return parse_double_list(vs, c.dse_uncertainty_margin);
+             return parse_double_list(vs, c.dse_uncertainty_margin,
+                                      valid_margin);
            }},
       };
   return *table;
@@ -304,10 +306,14 @@ common::Status FlowConfig::set(const std::string& key,
     }
     return common::Status::InvalidArgument(std::move(message));
   }
-  if (!it->second(*this, value)) {
+  // Parse into a copy: a setter may write its field before rejecting the
+  // value, and a rejected value must leave this config as it was.
+  FlowConfig next = *this;
+  if (!it->second(next, value)) {
     return common::Status::InvalidArgument("bad value '" + value +
                                            "' for option '" + key + "'");
   }
+  *this = std::move(next);
   return common::Status::Ok();
 }
 
@@ -384,39 +390,33 @@ std::vector<std::string> FlowConfig::known_keys() {
   return keys;
 }
 
+ndr::SearchContext FlowConfig::search_context() const {
+  ndr::SearchContext search;
+  search.margins = {slew_margin, uncertainty_margin, em_margin, skew_margin};
+  return search;
+}
+
 ndr::OptimizerOptions FlowConfig::optimizer_options() const {
   ndr::OptimizerOptions o;
+  o.search = search_context();
   if (scoring == "exact_net") {
     o.scoring = ndr::Scoring::kExactNet;
   } else if (scoring == "full_sta") {
     o.scoring = ndr::Scoring::kFullSta;
   }
   o.training_samples = training_samples;
-  o.threads = threads;
-  o.slew_margin = slew_margin;
-  o.uncertainty_margin = uncertainty_margin;
-  o.em_margin = em_margin;
-  o.skew_margin = skew_margin;
   o.max_passes = max_passes;
   o.max_repair_rounds = max_repair_rounds;
-  o.geometry_budget_bytes = memory_budget_bytes;
-  o.power_weight = power_weight;
   return o;
 }
 
 ndr::AnnealOptions FlowConfig::anneal_options() const {
   ndr::AnnealOptions a;
+  a.search = search_context();
   a.iterations = anneal_iterations;
   a.t_start_frac = anneal_t_start_frac;
   a.t_end_frac = anneal_t_end_frac;
   a.seed = seed;
-  a.slew_margin = slew_margin;
-  a.uncertainty_margin = uncertainty_margin;
-  a.em_margin = em_margin;
-  a.skew_margin = skew_margin;
-  a.threads = threads;
-  a.prewarm = prewarm;
-  a.geometry_budget_bytes = memory_budget_bytes;
   a.power_weight = power_weight;
   return a;
 }

@@ -1,16 +1,20 @@
 // Unified flow configuration: one struct, one `key = value` file format,
 // one precedence rule.
 //
-// FlowConfig subsumes the per-subsystem option structs (OptimizerOptions,
-// AnnealOptions, the --threads plumbing): every knob a full run needs is a
-// named key here, settable from a config file (`from_file`) or from CLI
-// flags (the CLI calls `set` per flag). Precedence is CLI > file >
-// defaults, implemented by ordering alone — load the file first, then
-// apply CLI overrides through the same set() path.
+// FlowConfig subsumes the per-subsystem option structs: every knob a full
+// run needs is a named key here, settable from a config file
+// (`from_file`) or from CLI flags (the CLI calls `set` per flag).
+// Precedence is CLI > file > defaults, implemented by ordering alone —
+// load the file first, then apply CLI overrides through the same set()
+// path. `threads` is the one parallelism knob: the Session's ThreadBudget
+// applies it at flow entry, and neither search touches the lane count.
+// The guard-band margins fill one ndr::SearchContext (search_context()),
+// which optimizer_options() and anneal_options() both embed.
 //
 // set() is the single parse point: it validates the value and returns a
 // typed Status (kInvalidArgument names the key), so a typo in a config
-// file and a typo on the command line produce the same diagnostic.
+// file and a typo on the command line produce the same diagnostic. A
+// rejected value leaves the config unchanged.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +23,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 #include "ndr/annealer.hpp"
 #include "ndr/optimizer.hpp"
 
@@ -52,19 +55,22 @@ struct FlowConfig {
   std::string checkpoint_path;
   int checkpoint_interval = 5000;
 
-  // Optimizer knobs (ndr::OptimizerOptions).
-  std::string scoring = "models";  ///< models | exact_net | full_sta.
-  int training_samples = 400;
+  // Guard bands shared by both searches (ndr::SearchContext::margins),
+  // each a fraction of its constraint in [0, 1).
   double slew_margin = 0.05;
   double uncertainty_margin = 0.05;
   double em_margin = 0.05;
   double skew_margin = 0.10;
+
+  // Optimizer knobs (ndr::OptimizerOptions).
+  std::string scoring = "models";  ///< models | exact_net | full_sta.
+  int training_samples = 400;
   int max_passes = 4;
   int max_repair_rounds = 8;
 
   /// Objective weight on switched capacitance (> 0). Scales the annealer's
-  /// Metropolis energy; the greedy objective is scale-invariant, so 1.0 is
-  /// the bitwise-neutral default. The DSE power axis.
+  /// Metropolis energy (AnnealOptions::power_weight); 1.0 is the
+  /// bitwise-neutral default. The DSE power axis.
   double power_weight = 1.0;
 
   /// Max-skew override in picoseconds (0 = keep the design's constraint).
@@ -79,13 +85,10 @@ struct FlowConfig {
   /// pointing this at the same seed file.
   std::string warm_start;
 
-  // Anneal knobs (ndr::AnnealOptions; margins above are shared).
+  // Anneal knobs (ndr::AnnealOptions; margins above are shared). Both
+  // temperature fractions must be > 0.
   double anneal_t_start_frac = 0.5;
   double anneal_t_end_frac = 0.005;
-  /// Batched exact-eval prewarm of the anneal memo (AnnealOptions::
-  /// prewarm). Results are bitwise identical either way; false measures
-  /// the lazy per-net path.
-  bool prewarm = true;
 
   // DSE (design-space exploration) sweep. `dse = true` turns the run into
   // a sweep over the axis lists below (empty axis = the scalar key's
@@ -121,7 +124,7 @@ struct FlowConfig {
   /// Sets one key (config-file and CLI flags share this path; hyphens
   /// normalize to underscores, so --metrics-out and `metrics_out = ...`
   /// are the same key). Returns kInvalidArgument for an unknown key or an
-  /// unparsable value.
+  /// unparsable or out-of-range value, and then changes nothing.
   common::Status set(const std::string& key, const std::string& value);
 
   /// Sets a list-valued key from already-split values (set() reaches this
@@ -139,11 +142,13 @@ struct FlowConfig {
   /// The keys set() accepts, sorted — usage text and tests.
   static std::vector<std::string> known_keys();
 
+  /// The guard bands both searches check moves under. The flow adds the
+  /// session's cancel token, geometry and memo transplant before handing
+  /// the context to the searches.
+  ndr::SearchContext search_context() const;
+  /// The per-search options, each embedding search_context().
   ndr::OptimizerOptions optimizer_options() const;
   ndr::AnnealOptions anneal_options() const;
-  common::ThreadBudget thread_budget() const {
-    return common::ThreadBudget(threads);
-  }
 
   /// `name` placed under results_dir (absolute paths pass through).
   std::string output_path(const std::string& name) const;

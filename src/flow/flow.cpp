@@ -172,6 +172,15 @@ common::Result<FlowResult> Flow::run() {
   const netlist::NetList& nets = session_.nets();
   const extract::GeometryCache* geometry = session_.geometry();
 
+  // One search context for both stages: the config's guard bands, the
+  // session's cancel token, and its geometry (the extract stage's or the
+  // DSE donor's) and memo transplant (DSE) — value-neutral channels.
+  ndr::SearchContext search = config.search_context();
+  search.cancel = session_.cancel_token();
+  search.geometry = geometry;
+  search.memo_in = session_.reuse().memo_in;
+  search.memo_out = session_.reuse().memo_out;
+
   common::Status s = stage("optimize", [&] {
     // The all-default / blanket-NDR rows are diagnostics: they never feed
     // the optimizer. A DSE warm point (donated prep) skips them — value-
@@ -191,16 +200,10 @@ common::Result<FlowResult> Flow::run() {
     }
     if (config.smart) {
       ndr::OptimizerOptions o = config.optimizer_options();
-      o.cancel = session_.cancel_token();
+      o.search = search;
+      // The last search harvests the warm rows: the annealer, when on.
+      if (config.anneal_iterations > 0) o.search.memo_out = nullptr;
       o.shared_predictor = session_.world().predictor;
-      // Borrow the session's geometry (the extract stage's, or the DSE
-      // donor's) and adopt transplantable memo rows (DSE); both channels
-      // are value-neutral.
-      o.shared_geometry = geometry;
-      o.memo_in = session_.reuse().memo_in;
-      if (config.anneal_iterations <= 0) {
-        o.memo_out = session_.reuse().memo_out;  // else the annealer's.
-      }
       if (!config.warm_start.empty()) {
         // Warm start is part of the config: the seed file is named by a
         // key, so a standalone rerun of this exact config replays the
@@ -222,10 +225,7 @@ common::Result<FlowResult> Flow::run() {
   if (config.smart && config.anneal_iterations > 0) {
     s = stage("anneal", [&] {
       ndr::AnnealOptions a = config.anneal_options();
-      a.cancel = session_.cancel_token();
-      a.shared_geometry = geometry;
-      a.memo_in = session_.reuse().memo_in;
-      a.memo_out = session_.reuse().memo_out;
+      a.search = search;
       if (!config.checkpoint_path.empty()) {
         const std::string path = config.output_path(config.checkpoint_path);
         const std::uint64_t fp = checkpoint_fingerprint(

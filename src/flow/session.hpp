@@ -85,8 +85,8 @@ class Session {
   const World& world() const { return world_; }
 
   /// This run's cooperative cancel token. Flow checks it between stages;
-  /// it is forwarded into the optimizer/annealer options, whose loops
-  /// poll it. Copy the token out (it is a shared handle) to cancel from
+  /// it is forwarded into the searches' shared ndr::SearchContext, whose
+  /// loops poll it. Copy the token out (it is a shared handle) to cancel from
   /// another thread.
   common::CancelToken& cancel_token() { return cancel_; }
   const common::CancelToken& cancel_token() const { return cancel_; }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/thread_pool.hpp"
 #include "ndr/assignment_state.hpp"
 #include "obs/trace.hpp"
 #include "workload/rng.hpp"
@@ -19,11 +18,9 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   AnnealResult result;
   result.assignment = start;
 
-  common::CancelBinding cancel_binding(options.cancel);
-  if (options.threads >= 0) common::set_thread_count(options.threads);
-  AssignmentState state(tree, design, tech, nets, options.analysis,
-                        options.geometry_budget_bytes,
-                        options.shared_geometry);
+  const SearchContext& search = options.search;
+  common::CancelBinding cancel_binding(search.cancel);
+  AssignmentState state(tree, design, tech, nets, {}, search.geometry);
   // The start and final full evaluations share the state's geometry cache:
   // the tree and congestion map are fixed, only rules move.
   const extract::GeometryCache* geometry = &state.geometry_cache();
@@ -31,13 +28,12 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   // fallback the uninterrupted run would have kept.
   const bool resuming = options.resume.has_value();
   const RuleAssignment& boot = resuming ? options.resume->assignment : start;
-  FlowEvaluation ev = evaluate(tree, design, tech, nets, boot,
-                               options.analysis, geometry);
+  FlowEvaluation ev = evaluate(tree, design, tech, nets, boot, {}, geometry);
   state.rebuild(boot, ev);
   // Memo transplant (DSE reuse), after the rebuild settles every net's
   // context stamp: value-neutral by the guard in import_memo, so the
   // trajectory is exactly the one a cold run would take.
-  if (options.memo_in != nullptr) state.import_memo(*options.memo_in);
+  if (search.memo_in != nullptr) state.import_memo(*search.memo_in);
   bool start_feasible;
   if (resuming) {
     result.start_cap = options.resume->start_cap;
@@ -55,10 +51,8 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   // lazily-warmed rows run one net per kernel call; warming up front fills
   // the SIMD lanes with same-shaped nets instead. Bitwise-identical cached
   // values mean the trajectory is unchanged.
-  if (options.prewarm && options.iterations > 0) state.warm_all_rows();
+  if (options.iterations > 0) state.warm_all_rows();
 
-  const MoveMargins margins{options.slew_margin, options.uncertainty_margin,
-                            options.em_margin, options.skew_margin};
   workload::Rng rng(options.seed * 0x9e3779b97f4a7c15ULL + 17);
 
   const int n_nets = nets.size();
@@ -96,7 +90,7 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
     best_cap = ck.best_cap;
   }
   for (int it = it0; it < options.iterations; ++it, temperature *= cooling) {
-    options.cancel.check();
+    search.cancel.check();
     SNDR_HISTOGRAM_OBSERVE("anneal.temperature", temperature);
     // The proposal body runs as an immediately-invoked closure so rejected
     // proposals (early returns) still fall through to the checkpoint hook
@@ -136,11 +130,11 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
       impact.xtalk = exact.xtalk_worst;
       impact.delay = exact.wire_delay_worst;
       if (exact.em_peak >
-          tech.clock_layer.em_jmax * (1.0 - options.em_margin)) {
+          tech.clock_layer.em_jmax * (1.0 - search.margins.em)) {
         ++result.rejected;
         return;
       }
-      if (!state.check_move(net_id, rule, impact, margins)) {
+      if (!state.check_move(net_id, rule, impact, search.margins)) {
         ++result.rejected;
         return;
       }
@@ -184,14 +178,14 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
 
   // Verify the best assignment exactly; fall back to the input if it does
   // not hold up (or if the input itself was infeasible, report honestly).
-  ev = evaluate(tree, design, tech, nets, best, options.analysis, geometry);
+  ev = evaluate(tree, design, tech, nets, best, {}, geometry);
   if (ev.feasible() || !start_feasible) {
     result.assignment = best;
     result.final_eval = std::move(ev);
   } else {
     result.assignment = start;
-    result.final_eval = evaluate(tree, design, tech, nets, start,
-                                 options.analysis, geometry);
+    result.final_eval = evaluate(tree, design, tech, nets, start, {},
+                                 geometry);
   }
   result.end_cap = result.final_eval.power.weighted_switched_cap;
   result.exact_cache_hits = state.exact_cache_hits();
@@ -200,7 +194,7 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   // Harvest the search's warm rows for the next DSE point (last writer in
   // the greedy→anneal sequence, so the donated rows reflect the final
   // context stamps).
-  if (options.memo_out != nullptr) state.export_memo(*options.memo_out);
+  if (search.memo_out != nullptr) state.export_memo(*search.memo_out);
   SNDR_COUNTER_ADD("anneal.proposed", result.proposed);
   SNDR_COUNTER_ADD("anneal.accepted", result.accepted);
   SNDR_COUNTER_ADD("anneal.rejected", result.rejected);

@@ -18,7 +18,7 @@
 // final best one, which a full evaluation verifies.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 
@@ -53,41 +53,27 @@ struct AnnealCheckpoint {
 };
 
 struct AnnealOptions {
+  /// Guard bands, borrowed geometry, memo transplant and cancel token,
+  /// shared with the greedy optimizer (search_context.hpp). The cancel
+  /// token is checked at the top of every iteration, so the loop unwinds
+  /// *after* the previous iteration's checkpoint hook ran: the last
+  /// snapshot written is one the uninterrupted run would have produced,
+  /// and resuming from it is bitwise identical to never cancelling.
+  SearchContext search;
+
   int iterations = 20000;
   /// Starting temperature as a fraction of the mean per-net switched cap;
   /// ends at `t_end_frac` of the same on a geometric schedule.
   double t_start_frac = 0.5;
   double t_end_frac = 0.005;
   std::uint64_t seed = 1;
-  /// Guard bands during move checking (the annealer inherits the greedy
-  /// result's margins by default).
-  double slew_margin = 0.05;
-  double uncertainty_margin = 0.05;
-  double em_margin = 0.05;
-  double skew_margin = 0.10;
-  /// Same semantics as OptimizerOptions::threads (-1 inherits global).
-  int threads = -1;
-  /// Prefetch every net's exact-eval memo row up front with cross-net
-  /// batched kernels (shape-bucketed lanes). Values are bitwise equal to
-  /// the lazy per-net path, so this changes WHEN the evaluation work
-  /// happens, never any result; disable to measure the lazy path.
-  bool prewarm = true;
-  /// Byte budget for the search's GeometryCache (0 = unbounded); same
-  /// semantics as OptimizerOptions::geometry_budget_bytes.
-  std::size_t geometry_budget_bytes = 0;
   /// Objective weight on switched capacitance: the Metropolis energy of a
   /// move is d_cap * power_weight, so weights < 1 accept uphill moves more
   /// readily (trading power for the other axes) and weights > 1 anneal
   /// harder on power. Exactly 1.0 is bitwise-neutral (IEEE x*1.0 == x).
-  /// Must be > 0. This is the DSE power axis.
+  /// Must be > 0. This is the DSE power axis; the greedy objective is pure
+  /// min-cap per net, which is scale-invariant, so only the annealer has it.
   double power_weight = 1.0;
-  /// Borrow an externally owned GeometryCache; same value-neutral contract
-  /// as OptimizerOptions::shared_geometry. Null = build here.
-  const extract::GeometryCache* shared_geometry = nullptr;
-  /// Cross-run memo transplant; same contract as
-  /// OptimizerOptions::memo_in / memo_out. Both may be null.
-  const MemoSnapshot* memo_in = nullptr;
-  MemoSnapshot* memo_out = nullptr;
   /// Checkpointing: every `checkpoint_interval` iterations (and at the
   /// last one) the loop hands a snapshot to `checkpoint_sink`. Both must
   /// be set for snapshots to flow; the default is none (zero overhead).
@@ -97,13 +83,6 @@ struct AnnealOptions {
   /// argument must still be the original start assignment — it remains the
   /// infeasibility fallback, exactly as in the uninterrupted run.
   std::optional<AnnealCheckpoint> resume;
-  /// Cooperative cancellation, checked at the top of every iteration. The
-  /// loop unwinds with common::Cancelled *after* the previous iteration's
-  /// checkpoint hook ran, so the last snapshot written is exactly one the
-  /// uninterrupted run would have produced — resuming from it and running
-  /// to completion is bitwise identical to never cancelling.
-  common::CancelToken cancel;
-  timing::AnalysisOptions analysis;
 };
 
 struct AnnealResult {

@@ -16,7 +16,6 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
                                  const tech::Technology& tech,
                                  const netlist::NetList& nets,
                                  const timing::AnalysisOptions& analysis,
-                                 std::size_t geometry_budget_bytes,
                                  const extract::GeometryCache* shared_geometry)
     : tree_(&tree),
       design_(&design),
@@ -26,8 +25,7 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
       geometry_own_(shared_geometry
                         ? nullptr
                         : std::make_unique<extract::GeometryCache>(
-                              tree, design, nets, geometry_budget_bytes,
-                              extract::ExtractOptions{})),
+                              tree, design, nets)),
       geometry_(shared_geometry ? shared_geometry : geometry_own_.get()),
       delta_(tree, design, tech, nets, analysis),
       usage_(&design.congestion) {

@@ -27,18 +27,11 @@
 #include "ndr/evaluation.hpp"
 #include "ndr/net_eval.hpp"
 #include "ndr/predictor.hpp"
+#include "ndr/search_context.hpp"
 #include "obs/metrics.hpp"
 #include "timing/delta_timing.hpp"
 
 namespace sndr::ndr {
-
-/// Guard bands used during move checking (fractions of each constraint).
-struct MoveMargins {
-  double slew = 0.0;
-  double uncertainty = 0.0;
-  double em = 0.0;
-  double skew = 0.0;
-};
 
 /// Portable snapshot of the exact-eval memo for cross-search transplant
 /// (the DSE sweep hands one search's warm rows to the next point). A row
@@ -57,16 +50,13 @@ struct MemoSnapshot {
 
 class AssignmentState {
  public:
-  /// `geometry_budget_bytes` caps the shared GeometryCache (0 = unbounded,
-  /// the historical eager mode); see OptimizerOptions::geometry_budget_bytes.
   /// `shared_geometry`, when non-null, borrows an externally owned cache
-  /// instead (value-neutral; see OptimizerOptions::shared_geometry) and
-  /// the budget argument is ignored.
+  /// (value-neutral; see SearchContext::geometry); null builds an unbounded
+  /// one here.
   AssignmentState(const netlist::ClockTree& tree,
                   const netlist::Design& design,
                   const tech::Technology& tech, const netlist::NetList& nets,
                   const timing::AnalysisOptions& analysis,
-                  std::size_t geometry_budget_bytes = 0,
                   const extract::GeometryCache* shared_geometry = nullptr);
 
   /// Reseeds every incremental accumulator from a full evaluation of

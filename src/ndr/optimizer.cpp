@@ -33,13 +33,12 @@ class Optimizer {
         tech_(tech),
         nets_(nets),
         opt_(opt),
-        margins_{opt.slew_margin, opt.uncertainty_margin, opt.em_margin,
-                 opt.skew_margin},
-        state_(tree, design, tech, nets, opt.analysis,
-               opt.geometry_budget_bytes, opt.shared_geometry) {
+        state_(tree, design, tech, nets, {}, opt.search.geometry) {
     // Transplanted rows are adopted only where the per-net context guard
     // holds, so they are bitwise what a cold eval would compute here.
-    if (opt_.memo_in != nullptr) state_.import_memo(*opt_.memo_in);
+    if (opt_.search.memo_in != nullptr) {
+      state_.import_memo(*opt_.search.memo_in);
+    }
   }
 
   SmartNdrResult run();
@@ -49,7 +48,7 @@ class Optimizer {
     ++stats_.full_evals;
     // Full evaluations share the state's geometry cache: the tree and
     // congestion map never change during a run, only the rule assignment.
-    return evaluate(tree_, design_, tech_, nets_, assignment, opt_.analysis,
+    return evaluate(tree_, design_, tech_, nets_, assignment, {},
                     &state_.geometry_cache());
   }
 
@@ -66,7 +65,6 @@ class Optimizer {
   const tech::Technology& tech_;
   const netlist::NetList& nets_;
   OptimizerOptions opt_;
-  MoveMargins margins_;
 
   AssignmentState state_;
   RuleAssignment assignment_;  ///< mirror of state_.assignment().
@@ -91,6 +89,7 @@ bool Optimizer::improve_net(int net_id) {
   if (opt_.scoring == Scoring::kFullSta) return improve_net_full_sta(net_id);
   const double cap_now = state_.net_cap(net_id);
   const NetSummary& summary = state_.summary(net_id);
+  const MoveMargins& margins = opt_.search.margins;
 
   // Candidate rules, cheapest switched cap first, strictly cheaper only.
   std::vector<std::pair<double, int>> cands;
@@ -105,7 +104,7 @@ bool Optimizer::improve_net(int net_id) {
     ++stats_.candidates_scored;
     if (opt_.scoring == Scoring::kModels && predictor_ready_) {
       const NetImpact impact = predictor_->predict(summary, r);
-      if (!state_.check_move(net_id, r, impact, margins_)) continue;
+      if (!state_.check_move(net_id, r, impact, margins)) continue;
       // Validate the winning candidate with the exact per-net engines.
       const NetExact exact = state_.exact_eval(net_id, r);
       ++stats_.exact_net_evals;
@@ -115,10 +114,10 @@ bool Optimizer::improve_net(int net_id) {
       verified.xtalk = exact.xtalk_worst;
       verified.delay = exact.wire_delay_worst;
       if (exact.em_peak >
-          tech_.clock_layer.em_jmax * (1.0 - margins_.em)) {
+          tech_.clock_layer.em_jmax * (1.0 - margins.em)) {
         continue;
       }
-      if (!state_.check_move(net_id, r, verified, margins_)) continue;
+      if (!state_.check_move(net_id, r, verified, margins)) continue;
       commit(net_id, r, exact);
     } else {
       // Exact scoring already is the validation: evaluate once and reuse
@@ -131,10 +130,10 @@ bool Optimizer::improve_net(int net_id) {
       impact.xtalk = exact.xtalk_worst;
       impact.delay = exact.wire_delay_worst;
       if (exact.em_peak >
-          tech_.clock_layer.em_jmax * (1.0 - margins_.em)) {
+          tech_.clock_layer.em_jmax * (1.0 - margins.em)) {
         continue;
       }
-      if (!state_.check_move(net_id, r, impact, margins_)) continue;
+      if (!state_.check_move(net_id, r, impact, margins)) continue;
       commit(net_id, r, exact);
     }
     return true;
@@ -175,7 +174,7 @@ void Optimizer::repair(FlowEvaluation& ev) {
   const netlist::ClockConstraints& c = design_.constraints;
   for (int round = 0; round < opt_.max_repair_rounds; ++round) {
     if (ev.feasible()) return;
-    opt_.cancel.check();
+    opt_.search.cancel.check();
     bool changed = false;
     const int blanket = tech_.rules.blanket_index();
 
@@ -305,8 +304,7 @@ SmartNdrResult Optimizer::run() {
   SNDR_TRACE_SPAN("optimize_smart_ndr");
   // Bind the token to this thread so the parallel primitives inside the
   // evaluation engines inherit it without signature changes.
-  common::CancelBinding cancel_binding(opt_.cancel);
-  if (opt_.threads >= 0) common::set_thread_count(opt_.threads);
+  common::CancelBinding cancel_binding(opt_.search.cancel);
   stats_.threads_used = common::thread_count();
   SNDR_GAUGE_SET("optimizer.threads",
                  static_cast<double>(stats_.threads_used));
@@ -331,7 +329,7 @@ SmartNdrResult Optimizer::run() {
   }
 
   if (opt_.scoring == Scoring::kModels) {
-    opt_.cancel.check();
+    opt_.search.cancel.check();
     if (opt_.shared_predictor) {
       // Training is deterministic in its inputs, so a cached predictor
       // scores — and therefore assigns — bitwise identically to one
@@ -340,8 +338,8 @@ SmartNdrResult Optimizer::run() {
     } else {
       const auto t0 = Clock::now();
       predictor_ = std::make_shared<const RuleImpactPredictor>(
-          RuleImpactPredictor::train(tree_, design_, tech_, nets_,
-                                     opt_.analysis, opt_.training_samples,
+          RuleImpactPredictor::train(tree_, design_, tech_, nets_, {},
+                                     opt_.training_samples,
                                      /*holdout_frac=*/0.2,
                                      &state_.geometry_cache()));
       stats_.train_seconds = seconds_since(t0);
@@ -378,11 +376,11 @@ SmartNdrResult Optimizer::run() {
   {
     SNDR_TRACE_SPAN("greedy_sweeps");
     for (int pass = 0; pass < opt_.max_passes; ++pass) {
-      opt_.cancel.check();
+      opt_.search.cancel.check();
       ++stats_.passes;
       int commits = 0;
       for (const int id : sweep) {
-        opt_.cancel.check();
+        opt_.search.cancel.check();
         if (improve_net(id)) ++commits;
       }
       if (commits == 0) break;
@@ -399,7 +397,9 @@ SmartNdrResult Optimizer::run() {
   stats_.exact_cache_hits = state_.exact_cache_hits();
   stats_.exact_cache_misses = state_.exact_cache_misses();
   state_.flush_metrics();
-  if (opt_.memo_out != nullptr) state_.export_memo(*opt_.memo_out);
+  if (opt_.search.memo_out != nullptr) {
+    state_.export_memo(*opt_.search.memo_out);
+  }
   SNDR_COUNTER_ADD("optimizer.commits", stats_.commits);
   SNDR_COUNTER_ADD("optimizer.candidates_scored", stats_.candidates_scored);
   SNDR_COUNTER_ADD("optimizer.exact_net_evals", stats_.exact_net_evals);

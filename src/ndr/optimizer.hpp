@@ -22,23 +22,17 @@
 // scoring, the slow flow the paper compares against.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "common/cancel.hpp"
 #include "ndr/evaluation.hpp"
 #include "ndr/net_eval.hpp"
 #include "ndr/predictor.hpp"
+#include "ndr/search_context.hpp"
 #include "obs/metrics.hpp"
 
-namespace sndr::extract {
-class GeometryCache;  // net_geometry.hpp
-}  // namespace sndr::extract
-
 namespace sndr::ndr {
-
-struct MemoSnapshot;  // assignment_state.hpp
 
 /// How candidate (net, rule) moves are scored before the commit validation.
 enum class Scoring {
@@ -49,28 +43,14 @@ enum class Scoring {
 };
 
 struct OptimizerOptions {
+  /// Guard bands, borrowed geometry, memo transplant and cancel token,
+  /// shared with the annealer (search_context.hpp). The cancel token is
+  /// checked between nets in the greedy sweeps, between passes and between
+  /// repair rounds.
+  SearchContext search;
+
   Scoring scoring = Scoring::kModels;
   int training_samples = 400;
-
-  /// Parallelism for the evaluation engine: -1 inherits the process-wide
-  /// setting (default: hardware concurrency), 0/1 force the serial
-  /// fallback, N uses N lanes. Applied via common::set_thread_count at
-  /// flow entry. Results are bit-identical at any value.
-  int threads = -1;
-
-  // Guard bands, as fractions of each constraint kept in reserve by the
-  // estimate-driven loop (the final exact verification uses the raw limits).
-  double slew_margin = 0.05;
-  double uncertainty_margin = 0.05;
-  double em_margin = 0.05;
-  double skew_margin = 0.10;
-
-  /// Byte budget for the shared GeometryCache (0 = unbounded). Under a
-  /// budget the cache LRU-evicts cold net geometries and rebuilds them on
-  /// demand; results stay bit-identical, only peak memory and the build
-  /// count change. See DESIGN.md "Memory budget".
-  std::size_t geometry_budget_bytes = 0;
-
   int max_passes = 4;          ///< greedy sweeps until quiescence.
   int max_repair_rounds = 8;
 
@@ -82,45 +62,12 @@ struct OptimizerOptions {
   RuleAssignment initial_assignment;
   std::vector<int> focus_nets;
 
-  /// Cooperative cancellation: checked between nets in the greedy sweeps,
-  /// between passes, and between repair rounds. On cancel the optimizer
-  /// unwinds with common::Cancelled (no partial result is returned); the
-  /// flow boundary classifies it as kCancelled. A default token is never
-  /// cancelled, so standalone callers pay one relaxed load per net.
-  common::CancelToken cancel;
-
   /// Pre-trained predictor to reuse instead of training in-run (the serve
   /// layer's SharedCache hands these out). Training is deterministic in
-  /// (tree, design, tech, nets, analysis, training_samples, geometry), so
-  /// a cache hit is bitwise-identical to training fresh. Ignored when
+  /// (tree, design, tech, nets, training_samples, geometry), so a cache
+  /// hit is bitwise-identical to training fresh. Ignored when
   /// scoring != kModels. Null = train here.
   std::shared_ptr<const RuleImpactPredictor> shared_predictor;
-
-  /// Objective weight on switched capacitance. The greedy objective is
-  /// pure min-cap per net, which is scale-invariant — this knob does NOT
-  /// change the greedy result; it exists so one FlowConfig carries the
-  /// weight to the annealer (where it scales the Metropolis energy) and
-  /// the DSE sweep can treat it as an axis. Must be > 0.
-  double power_weight = 1.0;
-
-  /// Borrow an externally owned GeometryCache instead of building one.
-  /// The cache is a pure function of (tree, design, nets, budget,
-  /// extract options), so sharing it across searches over the same tree is
-  /// value-neutral: results are bitwise identical to building fresh. The
-  /// pointer must outlive the run; geometry_budget_bytes is ignored when
-  /// set. Null = build here (the historical mode).
-  const extract::GeometryCache* shared_geometry = nullptr;
-
-  /// Cross-run memo transplant (DSE warm reuse). `memo_in` donates warm
-  /// exact-eval rows: a row is adopted only where the net's evaluation
-  /// context (today: driver resistance) is bitwise unchanged, so adopted
-  /// values equal what a cold eval would compute — value-neutral by the
-  /// exact_eval memo contract. `memo_out` receives this run's final warm
-  /// rows for the next point. Both may be null (standalone runs).
-  const MemoSnapshot* memo_in = nullptr;
-  MemoSnapshot* memo_out = nullptr;
-
-  timing::AnalysisOptions analysis;
 };
 
 struct OptimizerStats {
@@ -140,7 +87,7 @@ struct OptimizerStats {
     return obs::safe_ratio(exact_cache_hits,
                            exact_cache_hits + exact_cache_misses);
   }
-  int threads_used = 0;  ///< resolved lane count the flow ran with.
+  int threads_used = 0;  ///< process lane count the search ran with.
 };
 
 struct SmartNdrResult {

@@ -1,0 +1,60 @@
+// The inputs the greedy optimizer and the annealer share.
+//
+// Both searches check (net, rule) moves under the same guard bands, read
+// the same borrowed geometry, hand exact-eval memo rows between runs and
+// stop on the same cancel token. SearchContext holds exactly that, once:
+// OptimizerOptions and AnnealOptions each embed one as `.search`.
+// FlowConfig fills the margins; Flow::run adds the session's cancel
+// token, geometry and memo transplant, and passes the same context to both
+// stages (the DSE sweep axes reach both searches through it).
+#pragma once
+
+#include "common/cancel.hpp"
+
+namespace sndr::extract {
+class GeometryCache;  // net_geometry.hpp
+}  // namespace sndr::extract
+
+namespace sndr::ndr {
+
+struct MemoSnapshot;  // assignment_state.hpp
+
+/// Guard bands used during move checking, as fractions of each constraint
+/// kept in reserve by the estimate-driven loops (the final exact
+/// verification uses the raw limits). The defaults are the flow's.
+struct MoveMargins {
+  double slew = 0.05;
+  double uncertainty = 0.05;
+  double em = 0.05;
+  double skew = 0.10;
+};
+
+struct SearchContext {
+  MoveMargins margins;
+
+  /// Borrow an externally owned GeometryCache instead of building one.
+  /// The cache is a pure function of (tree, design, nets, budget, extract
+  /// options), so sharing it across searches over the same tree is
+  /// value-neutral: results are bitwise identical to building fresh. The
+  /// pointer must outlive the search. Null = the search builds an
+  /// unbounded cache of its own; a caller that wants a byte budget builds
+  /// the cache with that budget and passes it here (as the flow does).
+  const extract::GeometryCache* geometry = nullptr;
+
+  /// Cross-run memo transplant (DSE warm reuse). `memo_in` donates warm
+  /// exact-eval rows: a row is adopted only where the net's evaluation
+  /// context (today: driver resistance) is bitwise unchanged, so adopted
+  /// values equal what a cold eval would compute — value-neutral by the
+  /// exact_eval memo contract. `memo_out` receives the search's final warm
+  /// rows for the next point. Both may be null (standalone runs).
+  const MemoSnapshot* memo_in = nullptr;
+  MemoSnapshot* memo_out = nullptr;
+
+  /// Cooperative cancellation (each option struct says where its search
+  /// polls it). A cancelled search unwinds with common::Cancelled and
+  /// returns no partial result; the flow boundary classifies it as
+  /// kCancelled. A default token is never cancelled.
+  common::CancelToken cancel;
+};
+
+}  // namespace sndr::ndr

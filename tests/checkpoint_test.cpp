@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "extract/net_geometry.hpp"
 #include "flow/checkpoint.hpp"
 #include "flow/config.hpp"
 #include "flow/flow.hpp"
@@ -280,9 +281,11 @@ TEST_F(CheckpointResumeFixture, ResumeReproducesUninterruptedRunBitwise) {
   }
 
   // And a geometry budget on the resumed run still changes nothing.
+  const extract::GeometryCache budget(f.cts.tree, f.design, f.nets,
+                                      64 * 1024, {});
   ndr::AnnealOptions budget_opt = base_options();
   budget_opt.resume = snaps[0];
-  budget_opt.geometry_budget_bytes = 64 * 1024;
+  budget_opt.search.geometry = &budget;
   const ndr::AnnealResult budgeted = ndr::anneal_rules(
       f.cts.tree, f.design, f.tech, f.nets, blanket, budget_opt);
   expect_anneal_eq(ref, budgeted);

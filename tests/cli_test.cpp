@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "flow/config.hpp"
 
@@ -81,6 +82,24 @@ TEST(Cli, UnknownFlagIsAUsageError) {
   std::string out;
   EXPECT_EQ(run_cli("run --design " + design_path() + " --bogus 1", &out), 2);
   EXPECT_NE(out.find("--bogus"), std::string::npos);
+}
+
+TEST(Cli, OutOfRangeGuardBandsAndTemperaturesAreUsageErrors) {
+  // Guard bands must lie in [0, 1) and anneal temperatures be > 0; the
+  // run must stop at argument parsing, naming the offending key.
+  const std::pair<std::string, std::string> cases[] = {
+      {"--slew-margin 1.5", "slew-margin"},
+      {"--uncertainty-margin -3", "uncertainty-margin"},
+      {"--anneal 500 --anneal-t-start-frac 0", "anneal-t-start-frac"},
+      {"--anneal-t-end-frac -1", "anneal-t-end-frac"},
+  };
+  for (const auto& [flags, key] : cases) {
+    std::string out;
+    EXPECT_EQ(run_cli("run --design " + design_path() + " " + flags, &out),
+              2)
+        << flags;
+    EXPECT_NE(out.find(key), std::string::npos) << out;
+  }
 }
 
 TEST(Cli, MissingDesignFileExitsNotFound) {

@@ -148,7 +148,7 @@ TEST(DeltaTimingChurn, CongestedCheckMoveMatchesFreshRebuild) {
     impact.xtalk = exact.xtalk_worst;
     impact.delay = exact.wire_delay_worst;
 
-    AssignmentState fresh(f.cts.tree, f.design, f.tech, f.nets, aopt, 0,
+    AssignmentState fresh(f.cts.tree, f.design, f.tech, f.nets, aopt,
                           &state.geometry_cache());
     fresh.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
                               &state.geometry_cache()));

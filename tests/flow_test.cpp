@@ -15,11 +15,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "flow/config.hpp"
 #include "flow/flow.hpp"
 #include "flow/session.hpp"
 #include "io/design_io.hpp"
 #include "io/spef.hpp"
+#include "ndr/annealer.hpp"
 #include "ndr/optimizer.hpp"
 #include "obs/scope.hpp"
 #include "tech/buffer_lib.hpp"
@@ -126,6 +128,7 @@ TEST(FlowConfig, KnownKeysRoundTripThroughSet) {
     Status s = config.set(key, "1");
     if (!s.ok()) s = config.set(key, "models");  // enum: scoring.
     if (!s.ok()) s = config.set(key, "grid");    // enum: dse_mode.
+    if (!s.ok()) s = config.set(key, "0.5");     // guard bands: [0, 1).
     EXPECT_TRUE(s.ok()) << key << ": " << s.to_string();
   }
 }
@@ -141,48 +144,83 @@ TEST(FlowConfig, OutputPathResolvesUnderResultsDir) {
 
 TEST(FlowConfig, MapsToOptimizerAndAnnealOptions) {
   flow::FlowConfig config;
-  config.scoring = "exact_net";
-  config.training_samples = 123;
-  config.slew_margin = 0.07;
-  config.threads = 1;
-  ndr::OptimizerOptions opt = config.optimizer_options();
-  EXPECT_EQ(opt.scoring, ndr::Scoring::kExactNet);
-  EXPECT_EQ(opt.training_samples, 123);
-  EXPECT_DOUBLE_EQ(opt.slew_margin, 0.07);
+  ASSERT_TRUE(config.set("slew_margin", "0.07").ok());
+  ASSERT_TRUE(config.set("uncertainty_margin", "0.08").ok());
+  ASSERT_TRUE(config.set("em_margin", "0.02").ok());
+  ASSERT_TRUE(config.set("skew_margin", "0.15").ok());
+  ASSERT_TRUE(config.set("power_weight", "0.5").ok());
+  const ndr::OptimizerOptions opt = config.optimizer_options();
+  const ndr::AnnealOptions ann = config.anneal_options();
+  // One set of margin keys reaches both searches through the one context.
+  for (const ndr::MoveMargins& m :
+       {opt.search.margins, ann.search.margins}) {
+    EXPECT_EQ(m.slew, 0.07);
+    EXPECT_EQ(m.uncertainty, 0.08);
+    EXPECT_EQ(m.em, 0.02);
+    EXPECT_EQ(m.skew, 0.15);
+  }
+  EXPECT_EQ(ann.power_weight, 0.5);
 
-  config.scoring = "full_sta";
-  opt = config.optimizer_options();
-  EXPECT_EQ(opt.scoring, ndr::Scoring::kFullSta);
-
-  config.anneal_iterations = 500;
-  config.anneal_t_start_frac = 0.25;
-  ndr::AnnealOptions ann = config.anneal_options();
-  EXPECT_EQ(ann.iterations, 500);
-  EXPECT_DOUBLE_EQ(ann.t_start_frac, 0.25);
-  EXPECT_DOUBLE_EQ(ann.slew_margin, 0.07);  // shared margin flows through.
-}
-
-TEST(FlowConfig, PrewarmKeyWiresToAnnealOptions) {
-  flow::FlowConfig config;
-  EXPECT_TRUE(config.prewarm);  // batched prewarm is the default.
-  EXPECT_TRUE(config.anneal_options().prewarm);
-  ASSERT_TRUE(config.set("prewarm", "false").ok());
-  EXPECT_FALSE(config.anneal_options().prewarm);
-  // Same key via the flag spelling and a config file.
-  ASSERT_TRUE(config.set("prewarm", "true").ok());
-  EXPECT_TRUE(config.anneal_options().prewarm);
-  const std::string conf =
-      write_file("flow_test_prewarm.conf", "prewarm = false\n");
-  ASSERT_TRUE(config.from_file(conf).ok());
-  EXPECT_FALSE(config.anneal_options().prewarm);
-}
-
-TEST(FlowConfig, PrewarmRejectsBadValues) {
-  flow::FlowConfig config;
-  const Status s = config.set("prewarm", "maybe");
+  // `prewarm` is not a key (the batched prewarm always runs), and no known
+  // key is close enough to be offered in its place.
+  const Status s = config.set("prewarm", "false");
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("prewarm"), std::string::npos);
-  EXPECT_TRUE(config.prewarm);  // a rejected value must not half-apply.
+  EXPECT_NE(s.message().find("unknown option 'prewarm'"), std::string::npos)
+      << s.message();
+  EXPECT_EQ(s.message().find("did you mean"), std::string::npos)
+      << s.message();
+}
+
+TEST(FlowConfig, RejectsOutOfRangeMarginsAndTemperatures) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"slew_margin", "1.5"},          {"slew_margin", "1"},
+      {"uncertainty_margin", "-3"},    {"em_margin", "-0.01"},
+      {"skew_margin", "2"},            {"anneal_t_start_frac", "0"},
+      {"anneal_t_end_frac", "-1"},     {"dse_uncertainty_margin", "0.05,1.2"},
+      {"dse_uncertainty_margin", "-0.1"},
+  };
+  for (const auto& [key, value] : bad) {
+    flow::FlowConfig config;
+    const flow::FlowConfig before = config;
+    const Status s = config.set(key, value);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key << "=" << value;
+    EXPECT_NE(s.message().find(key), std::string::npos) << s.message();
+    // A rejected value must not half-apply.
+    EXPECT_EQ(config.slew_margin, before.slew_margin);
+    EXPECT_EQ(config.uncertainty_margin, before.uncertainty_margin);
+    EXPECT_EQ(config.em_margin, before.em_margin);
+    EXPECT_EQ(config.skew_margin, before.skew_margin);
+    EXPECT_EQ(config.anneal_t_start_frac, before.anneal_t_start_frac);
+    EXPECT_EQ(config.anneal_t_end_frac, before.anneal_t_end_frac);
+    EXPECT_EQ(config.dse_uncertainty_margin, before.dse_uncertainty_margin);
+  }
+  // The edges of the valid ranges are accepted.
+  flow::FlowConfig config;
+  EXPECT_TRUE(config.set("slew_margin", "0").ok());
+  EXPECT_TRUE(config.set("skew_margin", "0.999").ok());
+  EXPECT_TRUE(config.set("anneal_t_end_frac", "1e-9").ok());
+  EXPECT_TRUE(config.set("dse_uncertainty_margin", "0,0.5").ok());
+}
+
+TEST(FlowConfig, SearchesLeaveTheGlobalThreadCountAlone) {
+  // Only the Session's ThreadBudget applies FlowConfig::threads; a search
+  // mutating the process-wide pool would race other jobs' parallel
+  // regions.
+  struct Restore {
+    ~Restore() { common::set_thread_count(-1); }
+  } restore;
+  common::set_thread_count(3);
+  flow::FlowConfig config;
+  config.threads = 1;
+  config.anneal_iterations = 200;
+  const test::Flow f = test::small_flow();
+  const ndr::SmartNdrResult greedy = ndr::optimize_smart_ndr(
+      f.cts.tree, f.design, f.tech, f.nets, config.optimizer_options());
+  EXPECT_EQ(common::thread_count(), 3);
+  EXPECT_EQ(greedy.stats.threads_used, 3);
+  ndr::anneal_rules(f.cts.tree, f.design, f.tech, f.nets, greedy.assignment,
+                    config.anneal_options());
+  EXPECT_EQ(common::thread_count(), 3);
 }
 
 // ---- Typed loader boundaries ----------------------------------------------

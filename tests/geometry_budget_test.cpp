@@ -185,24 +185,30 @@ TEST(GeometryBudget, CornersBitwiseIdenticalUnderBudget) {
 }
 
 TEST(GeometryBudget, OptimizeBitwiseIdenticalUnderBudget) {
+  struct ThreadGuard {
+    ~ThreadGuard() { common::set_thread_count(-1); }
+  } guard;
   const test::Flow f = test::small_flow();
-  ndr::OptimizerOptions opts;
-  opts.threads = 1;
+  common::set_thread_count(1);
   const ndr::SmartNdrResult ref =
-      ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opts);
+      ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets);
 
-  // Size the budget off the unbounded search's own footprint.
+  // Size the budget off the unbounded search's own footprint; the search
+  // borrows a cache built under it.
   const GeometryCache probe(f.cts.tree, f.design, f.nets);
-  opts.geometry_budget_bytes = heavy_eviction_budget(probe);
   for (const int threads : {1, 8}) {
-    opts.threads = threads;
+    common::set_thread_count(threads);
+    const GeometryCache budgeted(f.cts.tree, f.design, f.nets,
+                                 heavy_eviction_budget(probe), {});
+    ndr::OptimizerOptions opts;
+    opts.search.geometry = &budgeted;
     const ndr::SmartNdrResult got =
         ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opts);
     EXPECT_EQ(ref.assignment, got.assignment);
     expect_eval_eq(ref.final_eval, got.final_eval);
     EXPECT_EQ(ref.rule_histogram, got.rule_histogram);
+    EXPECT_GT(budgeted.evictions(), 0);
   }
-  common::set_thread_count(-1);
 }
 
 }  // namespace

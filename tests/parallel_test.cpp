@@ -197,13 +197,13 @@ TEST_F(ParallelFlowFixture, SmartNdrBitIdenticalAcrossThreadCounts) {
   // End-to-end determinism: training, scoring, and signoff all run through
   // the parallel engine, and the committed assignment must not depend on
   // the thread count.
-  ndr::OptimizerOptions opt;
-  opt.threads = 1;
+  ThreadGuard guard;
+  common::set_thread_count(1);
   const ndr::SmartNdrResult serial =
-      ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);
-  opt.threads = 8;
+      ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets);
+  common::set_thread_count(8);
   const ndr::SmartNdrResult parallel =
-      ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);
+      ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets);
   EXPECT_EQ(serial.assignment, parallel.assignment);
   EXPECT_EQ(serial.final_eval.power.total_power,
             parallel.final_eval.power.total_power);

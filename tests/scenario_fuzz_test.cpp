@@ -32,6 +32,7 @@
 
 #include "common/thread_pool.hpp"
 #include "dse/explorer.hpp"
+#include "extract/net_geometry.hpp"
 #include "flow/checkpoint.hpp"
 #include "fuzz_util.hpp"
 #include "ndr/assignment_state.hpp"
@@ -111,19 +112,19 @@ TEST(ScenarioFuzz, OptimizeThreadAndBudgetInvariance) {
     SCOPED_TRACE(s.label());
     const workload::DomainWorkload w = fuzz::build(s, default_tech());
 
-    ndr::OptimizerOptions base = exact_options();
-    base.threads = 1;
+    common::set_thread_count(1);
     const ndr::SmartNdrResult a = ndr::optimize_smart_ndr(
-        w.tree, w.design, default_tech(), w.nets, base);
+        w.tree, w.design, default_tech(), w.nets, exact_options());
 
-    ndr::OptimizerOptions threaded = exact_options();
-    threaded.threads = 8;
+    common::set_thread_count(8);
     const ndr::SmartNdrResult b = ndr::optimize_smart_ndr(
-        w.tree, w.design, default_tech(), w.nets, threaded);
+        w.tree, w.design, default_tech(), w.nets, exact_options());
 
+    // 32 KiB forces LRU eviction.
+    const extract::GeometryCache budget(w.tree, w.design, w.nets, 32 * 1024,
+                                        {});
     ndr::OptimizerOptions budgeted = exact_options();
-    budgeted.threads = 8;
-    budgeted.geometry_budget_bytes = 32 * 1024;  // forces LRU eviction.
+    budgeted.search.geometry = &budget;
     const ndr::SmartNdrResult c = ndr::optimize_smart_ndr(
         w.tree, w.design, default_tech(), w.nets, budgeted);
 
@@ -146,13 +147,15 @@ TEST(ScenarioFuzz, AnnealThreadAndBudgetInvariance) {
 
     ndr::AnnealOptions base;
     base.iterations = 250;
-    base.threads = 1;
+    common::set_thread_count(1);
     const ndr::AnnealResult a = ndr::anneal_rules(
         w.tree, w.design, default_tech(), w.nets, blanket, base);
 
+    const extract::GeometryCache budget(w.tree, w.design, w.nets, 32 * 1024,
+                                        {});
     ndr::AnnealOptions alt = base;
-    alt.threads = 8;
-    alt.geometry_budget_bytes = 32 * 1024;
+    alt.search.geometry = &budget;
+    common::set_thread_count(8);
     const ndr::AnnealResult b = ndr::anneal_rules(
         w.tree, w.design, default_tech(), w.nets, blanket, alt);
 
@@ -225,10 +228,9 @@ TEST(ScenarioFuzz, SearchMovesMatchFreshRebuild) {
     };
     for (const int threads : {1, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      ndr::OptimizerOptions o = exact_options();
-      o.threads = threads;
+      common::set_thread_count(threads);
       const ndr::SmartNdrResult greedy = ndr::optimize_smart_ndr(
-          w.tree, w.design, default_tech(), w.nets, o);
+          w.tree, w.design, default_tech(), w.nets, exact_options());
 
       ndr::AssignmentState state(w.tree, w.design, default_tech(), w.nets,
                                  timing::AnalysisOptions{});
@@ -240,7 +242,6 @@ TEST(ScenarioFuzz, SearchMovesMatchFreshRebuild) {
 
       ndr::AnnealOptions a;
       a.iterations = 200;
-      a.threads = threads;
       a.checkpoint_interval = 1;
       std::vector<ndr::RuleAssignment> trajectory;
       a.checkpoint_sink = [&trajectory](const ndr::AnnealCheckpoint& ck) {

@@ -65,7 +65,7 @@ inline void expect_matches_fresh_rebuild(const ndr::AssignmentState& state) {
       state.tree(), state.design(), state.tech(), state.nets(),
       state.assignment(), state.analysis(), &state.geometry_cache());
   ndr::AssignmentState ref(state.tree(), state.design(), state.tech(),
-                           state.nets(), state.analysis(), 0,
+                           state.nets(), state.analysis(),
                            &state.geometry_cache());
   ref.rebuild(state.assignment(), fresh);
   expect_bitwise_eq(snapshot(state), snapshot(ref));

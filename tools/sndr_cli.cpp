@@ -165,15 +165,16 @@ void print_usage(std::ostream& os) {
       "  --trace-out f: write the stage spans as Chrome trace JSON\n"
       "               (load in chrome://tracing or Perfetto).\n"
       "\n"
-      "optimizer keys (same --flag / config-key duality):\n"
-      "  --scoring models|exact_net|full_sta, --training-samples N,\n"
+      "search keys (same --flag / config-key duality):\n"
       "  --slew-margin F, --uncertainty-margin F, --em-margin F,\n"
-      "  --skew-margin F, --max-passes N, --max-repair-rounds N.\n"
+      "  --skew-margin F: guard bands both the optimizer and the annealer\n"
+      "  check moves under, each a fraction in [0, 1) of its constraint.\n"
+      "optimizer keys:\n"
+      "  --scoring models|exact_net|full_sta, --training-samples N,\n"
+      "  --max-passes N, --max-repair-rounds N.\n"
       "anneal keys:\n"
-      "  --anneal-t-start-frac F, --anneal-t-end-frac F, --prewarm BOOL\n"
-      "  (batched exact-eval prewarm of the anneal memo, default true;\n"
-      "  results are bitwise identical either way — false measures the\n"
-      "  lazy path).\n"
+      "  --anneal-t-start-frac F, --anneal-t-end-frac F (> 0; start and\n"
+      "  end temperature as fractions of the mean per-net switched cap).\n"
       "sweep keys (sndr dse; also usable on run for a single point):\n"
       "  --power-weight F: objective weight on switched cap (> 0; 1.0 is\n"
       "               the bitwise-neutral default). The DSE power axis.\n"
