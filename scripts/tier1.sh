@@ -20,9 +20,11 @@ ctest --test-dir "$repo/build" -j "$jobs" --output-on-failure
 
 # The determinism contract end to end: `sndr run` stdout must be
 # byte-identical at 1 vs all lanes, under a tight geometry budget, through
-# the annealer at both lane counts, and with non-default guard bands plus
-# a weighted anneal (the margins both searches share, under real
-# parallelism). Files land in the build tree.
+# the annealer at both lane counts (and all lanes under a tight budget:
+# skew refinement on a budgeted cache, searches starting from the flow's
+# evaluations), and with non-default guard bands plus a weighted anneal
+# (the margins both searches share, under real parallelism). Files land in
+# the build tree.
 echo "== tier1: CLI byte-identity (threads, memory budget, anneal, margins) =="
 work="$repo/build/identity"
 mkdir -p "$work"
@@ -35,6 +37,8 @@ run --threads "$(nproc)" >"$work/tN.txt"
 run --threads 1 --memory-budget 64k >"$work/budget.txt"
 run --threads 1 --anneal 4000 >"$work/anneal1.txt"
 run --threads "$(nproc)" --anneal 4000 >"$work/annealN.txt"
+run --threads "$(nproc)" --anneal 4000 --memory-budget 64k \
+  >"$work/annealNbudget.txt"
 margins=(--anneal 4000 --uncertainty-margin 0.08 --skew-margin 0.15
   --power-weight 0.5)
 run --threads 1 "${margins[@]}" >"$work/margins1.txt"
@@ -42,6 +46,7 @@ run --threads "$(nproc)" "${margins[@]}" >"$work/marginsN.txt"
 cmp "$work/t1.txt" "$work/tN.txt"
 cmp "$work/t1.txt" "$work/budget.txt"
 cmp "$work/anneal1.txt" "$work/annealN.txt"
+cmp "$work/anneal1.txt" "$work/annealNbudget.txt"
 cmp "$work/margins1.txt" "$work/marginsN.txt"
 
 echo "== tier1: ThreadSanitizer build + parallel/obs/flow tests =="
@@ -80,9 +85,12 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
   --target manifest_golden_test --target net_batch_test \
   --target geometry_budget_test --target scale_smoke_test \
   --target scenario_fuzz_test --target assignment_state_test \
-  --target pairwise_sum_test
+  --target pairwise_sum_test --target refine_test
 "$repo/build-asan/tests/extract_test"
 "$repo/build-asan/tests/extract_cache_test"
+# Skew refinement: per-net cache refresh and re-materialization into
+# reused parasitics buffers, in both cache modes.
+"$repo/build-asan/tests/refine_test"
 # Scale smoke: a 10k-net generated tree plus budgeted caches under heavy
 # LRU eviction — ASan guards the pinned-entry and rebuild-in-place paths.
 "$repo/build-asan/tests/geometry_budget_test"
@@ -108,8 +116,10 @@ cmake --build "$repo/build-ubsan" -j "$jobs" --target flow_test \
   --target io_test --target design_io_test --target batch_kernel_test \
   --target delta_timing_test --target checkpoint_test \
   --target scenario_fuzz_test --target assignment_state_test \
-  --target pairwise_sum_test
+  --target pairwise_sum_test --target refine_test
 "$repo/build-ubsan/tests/flow_test"
+# Refinement's stale-net bookkeeping and per-net cache refresh indexing.
+"$repo/build-ubsan/tests/refine_test"
 "$repo/build-ubsan/tests/io_test"
 "$repo/build-ubsan/tests/design_io_test"
 # Checkpoint text parser (hexfloat round-trips, fingerprint mixing).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "geom/segment.hpp"
@@ -328,10 +326,6 @@ struct Embedder {
 
     n.unbuf_len = std::max(len_a + emb[li].unbuf_len,
                            len_b + emb[ri].unbuf_len);
-    if (getenv("SNDR_CTS_DBG") && n.unbuf_len > opt.max_unbuffered_len) {
-      fprintf(stderr, "unbuf overrun: len_a=%.0f ua=%.0f len_b=%.0f ub=%.0f d=%.0f\n",
-              len_a, emb[li].unbuf_len, len_b, emb[ri].unbuf_len, d);
-    }
     const double merged_cap = ca + cb + c * (len_a + len_b);
     if (merged_cap > opt.max_unbuffered_cap ||
         n.unbuf_len > opt.max_unbuffered_len) {

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "extract/extractor.hpp"
-#include "netlist/clock_nets.hpp"
 
 namespace sndr::cts {
 
@@ -44,24 +44,43 @@ SubtreeLatency subtree_latency(const netlist::ClockTree& tree,
 RefineResult refine_skew(netlist::ClockTree& tree,
                          const netlist::Design& design,
                          const tech::Technology& tech,
+                         const netlist::NetList& nets,
+                         extract::GeometryCache& geometry,
                          const RefineOptions& options) {
+  if (geometry.net_count() != nets.size()) {
+    throw std::invalid_argument(
+        "refine_skew: geometry cache covers a different net list");
+  }
   RefineResult result;
   const int rule_idx = options.planning_rule >= 0
                            ? options.planning_rule
                            : tech.rules.blanket_index();
-  const extract::Extractor extractor(tech, design);
+  const tech::RoutingRule& rule = tech.rules[rule_idx];
   const double skew_goal =
       options.target_fraction * design.constraints.max_skew;
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const netlist::NetList nets = netlist::build_nets(tree);
-    const auto parasitics = extractor.extract_all(
-        tree, nets,
-        std::vector<int>(static_cast<std::size_t>(nets.size()), rule_idx));
+  std::vector<extract::NetParasitics> parasitics =
+      extract::Extractor(tech, design)
+          .extract_all(tree, nets,
+                       std::vector<int>(static_cast<std::size_t>(nets.size()),
+                                        rule_idx),
+                       &geometry);
+  // Nets loaded by a buffer the previous pass resized: the only parasitics
+  // a resize changes (the buffer's input cap).
+  std::vector<int> stale;
+
+  // Pass `max_iterations` only measures what the last sizing pass left.
+  for (int iter = 0;; ++iter) {
+    for (const int net : stale) {
+      geometry.refresh_load_cells(net);
+      extract::materialize(*geometry.pinned(net), tech, rule,
+                           parasitics[static_cast<std::size_t>(net)]);
+    }
     const timing::TimingReport rep = timing::analyze(
         tree, design, tech, nets, parasitics, options.analysis);
-    if (iter == 0) result.initial_skew = rep.skew();
     result.final_skew = rep.skew();
+    if (iter == options.max_iterations) break;
+    if (iter == 0) result.initial_skew = rep.skew();
     result.iterations = iter;
     if (rep.skew() <= skew_goal) break;
 
@@ -73,7 +92,7 @@ RefineResult refine_skew(netlist::ClockTree& tree,
     // Top-down: each buffer corrects the residual error of its subtree that
     // ancestors have not already corrected.
     std::vector<double> corrected(tree.size(), 0.0);
-    int resizes_this_iter = 0;
+    stale.clear();
     for (const int id : tree.topological_order()) {
       netlist::TreeNode n = tree.node(id);
       if (n.parent >= 0) corrected[id] = corrected[n.parent];
@@ -111,22 +130,24 @@ RefineResult refine_skew(netlist::ClockTree& tree,
             (tech.buffers[best].drive_res - cur.drive_res) * load;
         tree.set_cell(id, best);
         corrected[id] += delta;
-        ++resizes_this_iter;
+        stale.push_back(nets.net_of_edge[id]);
         ++result.resizes;
       }
     }
-    if (resizes_this_iter == 0) break;
+    if (stale.empty()) break;
+    std::sort(stale.begin(), stale.end());
+    stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
   }
-
-  // Final measurement if we resized on the last pass.
-  const netlist::NetList nets = netlist::build_nets(tree);
-  const auto parasitics = extractor.extract_all(
-      tree, nets,
-      std::vector<int>(static_cast<std::size_t>(nets.size()), rule_idx));
-  result.final_skew =
-      timing::analyze(tree, design, tech, nets, parasitics, options.analysis)
-          .skew();
   return result;
+}
+
+RefineResult refine_skew(netlist::ClockTree& tree,
+                         const netlist::Design& design,
+                         const tech::Technology& tech,
+                         const RefineOptions& options) {
+  const netlist::NetList nets = netlist::build_nets(tree);
+  extract::GeometryCache geometry(tree, design, nets);
+  return refine_skew(tree, design, tech, nets, geometry, options);
 }
 
 }  // namespace sndr::cts

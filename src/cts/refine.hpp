@@ -11,8 +11,18 @@
 // ancestors already corrected), so one iteration removes the systematic
 // component and 2-4 iterations typically reach the sizing quantization
 // floor.
+//
+// Cost: the tree is extracted once, from a GeometryCache over its net list.
+// A resize changes only the `buffer_cell` of one load record, in the net
+// the buffer loads, never a routed wire, so after each sizing pass only
+// those nets are refreshed in the cache and re-materialized. Each pass
+// then runs one full `analyze`. The closing measurement runs only when the
+// last pass resized something. The flow hands in the session's net list
+// and cache, which the later stages reuse.
 #pragma once
 
+#include "extract/net_geometry.hpp"
+#include "netlist/clock_nets.hpp"
 #include "netlist/clock_tree.hpp"
 #include "netlist/design.hpp"
 #include "tech/technology.hpp"
@@ -40,7 +50,18 @@ struct RefineResult {
 };
 
 /// Refines buffer sizes in place. The tree remains valid; only buffer cells
-/// change (no topology or routing edits).
+/// change (no topology or routing edits). `nets` must be
+/// build_nets(tree) and `geometry` a cache over (tree, design, nets), in
+/// either budget mode; on return the cache is up to date with the resized
+/// cells (refresh_load_cells), bitwise equal to one built fresh.
+RefineResult refine_skew(netlist::ClockTree& tree,
+                         const netlist::Design& design,
+                         const tech::Technology& tech,
+                         const netlist::NetList& nets,
+                         extract::GeometryCache& geometry,
+                         const RefineOptions& options = {});
+
+/// The same refinement with its own net list and unbounded cache.
 RefineResult refine_skew(netlist::ClockTree& tree,
                          const netlist::Design& design,
                          const tech::Technology& tech,

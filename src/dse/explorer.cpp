@@ -442,14 +442,19 @@ std::vector<int> pareto_front(const std::vector<PointResult>& points) {
   std::vector<int> front;
   for (const PointResult& p : points) {
     if (!p.feasible) continue;
-    bool dominated = false;
+    bool dropped = false;
     for (const PointResult& q : points) {
-      if (q.feasible && q.id != p.id && dominates(q, p)) {
-        dominated = true;
+      if (!q.feasible || q.id == p.id) continue;
+      // A point with exactly p's objectives and a lower id stands for both.
+      const bool earlier_tie =
+          q.id < p.id && q.total_power == p.total_power && q.skew == p.skew &&
+          q.settings.uncertainty_margin == p.settings.uncertainty_margin;
+      if (earlier_tie || dominates(q, p)) {
+        dropped = true;
         break;
       }
     }
-    if (!dominated) front.push_back(p.id);
+    if (!dropped) front.push_back(p.id);
   }
   std::sort(front.begin(), front.end(), [&points](int x, int y) {
     const PointResult& a = points[static_cast<std::size_t>(x)];

@@ -134,6 +134,7 @@ struct ExploreOptions {
 bool dominates(const PointResult& a, const PointResult& b);
 
 /// Ids of the non-dominated feasible points, sorted by (power, skew, id).
+/// Points with equal (power, skew, guardband) collapse to the lowest id.
 std::vector<int> pareto_front(const std::vector<PointResult>& points);
 
 /// Runs the sweep `base` describes (base.dse_mode, base.dse_* axes).

@@ -211,6 +211,27 @@ void GeometryCache::invalidate() {
   resident_bytes_ = 0;
 }
 
+void GeometryCache::refresh_load_cells(int net_id) {
+  const Net& net = nets_->nets.at(static_cast<std::size_t>(net_id));
+  const auto refresh = [&](NetGeometry& g) {
+    for (std::size_t li = 0; li < net.loads.size(); ++li) {
+      const netlist::TreeNode& n = tree_->node(net.loads[li]);
+      if (n.kind == NodeKind::kBuffer) g.loads[li].buffer_cell = n.cell;
+    }
+  };
+  if (!budgeted()) {
+    refresh(geoms_.at(static_cast<std::size_t>(net_id)));
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  Slot& s = slots_.at(static_cast<std::size_t>(net_id));
+  if (s.building) {
+    throw std::logic_error(
+        "GeometryCache::refresh_load_cells: entry is building");
+  }
+  if (s.resident) refresh(s.geom);
+}
+
 void GeometryCache::build_all() {
   SNDR_TRACE_SPAN("geometry_build_all");
   geoms_.resize(nets_->size());

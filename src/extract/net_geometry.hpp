@@ -10,7 +10,11 @@
 // heap allocation beyond warming up the caller's output buffers.
 //
 // Invalidation contract: a NetGeometry is stale after a tree edit (routing,
-// buffering, topology) or a congestion-map change. Rule changes and corner
+// buffer insertion, topology) or a congestion-map change. A buffer resize
+// (ClockTree::set_cell) is not such an edit: it changes only the
+// `buffer_cell` of one load record, in the net that buffer loads
+// (NetList::net_of_edge), and GeometryCache::refresh_load_cells(net)
+// brings that one entry up to date without a walk. Rule changes and corner
 // derating do NOT invalidate it — one GeometryCache serves every rule and
 // every derated-technology clone. Results are bit-identical to fresh
 // Extractor::extract_net output (which itself runs build + materialize).
@@ -105,7 +109,8 @@ std::size_t geometry_bytes(const NetGeometry& geom);
 
 /// Per-net geometry for a whole net list. Share one instance across rules,
 /// corners, and evaluation call sites; rebuild via invalidate() after a
-/// tree edit or congestion change.
+/// tree edit or congestion change, refresh one net via
+/// refresh_load_cells() after a buffer resize.
 ///
 /// Two modes, chosen at construction:
 ///
@@ -190,6 +195,14 @@ class GeometryCache {
   /// change). Unbounded: eager re-walk. Budgeted: entries rebuild lazily;
   /// no pin may be outstanding.
   void invalidate();
+
+  /// Re-reads the buffer cells of `net_id`'s loads from the tree (call
+  /// after set_cell on a buffer that net loads). Unbounded: updates the
+  /// entry in place. Budgeted: updates it if resident; an evicted entry
+  /// rebuilds lazily from the current tree anyway. No walk, so builds()
+  /// is unchanged. The entry must not be read concurrently, or be
+  /// building.
+  void refresh_load_cells(int net_id);
 
   /// Total per-net geometry builds since construction.
   std::int64_t builds() const {

@@ -114,31 +114,42 @@ common::Status Flow::prepare() {
     });
     if (!s.ok()) return s;
     s = stage("route", [this] {
-      route::reroute_for_congestion(session_.build_cts().tree,
-                                    session_.design().congestion);
-      cts::refine_skew(session_.build_cts().tree, session_.design(),
-                       session_.technology());
+      netlist::ClockTree& tree = session_.build_cts().tree;
+      route::reroute_for_congestion(tree, session_.design().congestion);
+      // The routed tree's net list and the run's one geometry cache, built
+      // here so skew refinement extracts from them; refinement only
+      // resizes buffers, which it refreshes in the cache, so the nets and
+      // extract stages keep both as they are.
+      session_.nets() = netlist::build_nets(tree);
+      auto geometry = std::make_unique<extract::GeometryCache>(
+          tree, session_.design(), session_.nets(),
+          session_.config().memory_budget_bytes, extract::ExtractOptions{});
+      cts::refine_skew(tree, session_.design(), session_.technology(),
+                       session_.nets(), *geometry);
+      session_.set_geometry(std::move(geometry));
       return common::Status::Ok();
     });
     if (!s.ok()) return s;
   }
 
-  s = stage("nets", [this] {
-    session_.nets() = session_.reuse().nets != nullptr
-                          ? *session_.reuse().nets
-                          : netlist::build_nets(session_.cts().tree);
+  s = stage("nets", [this, shared_prep] {
+    if (session_.reuse().nets != nullptr) {
+      session_.nets() = *session_.reuse().nets;
+    } else if (shared_prep) {
+      session_.nets() = netlist::build_nets(session_.cts().tree);
+    }
     return common::Status::Ok();
   });
   if (!s.ok()) return s;
 
   s = stage("extract", [this] {
-    // A borrowed cache (DSE reuse hooks) already covers this tree — the
-    // geometry is a pure function of (tree, design, nets), so skipping
-    // the rebuild is value-neutral and Session::geometry() serves the
-    // borrowed one.
-    if (session_.reuse().geometry != nullptr) return common::Status::Ok();
-    // The one geometry cache of the run: the optimizer, the annealer and
-    // every evaluation borrow it. It honors the flow-wide memory budget.
+    // The route stage's cache, or a borrowed one (DSE reuse hooks), already
+    // covers this tree — the geometry is a pure function of (tree, design,
+    // nets), so Session::geometry() serves it as is. A borrowed tree with
+    // no borrowed cache builds one here. It is the one geometry cache of
+    // the run: the optimizer, the annealer and every evaluation borrow it,
+    // and it honors the flow-wide memory budget.
+    if (session_.geometry() != nullptr) return common::Status::Ok();
     session_.set_geometry(std::make_unique<extract::GeometryCache>(
         session_.cts().tree, session_.design(), session_.nets(),
         session_.config().memory_budget_bytes, extract::ExtractOptions{}));
@@ -214,6 +225,10 @@ common::Result<FlowResult> Flow::run() {
                                               tech.rules.size()));
         if (!seed.ok()) return seed.status();
         o.initial_assignment = std::move(seed).value();
+      } else if (baseline_rows) {
+        // Greedy starts from the blanket assignment the table row has
+        // just evaluated.
+        o.search.start_eval = &result.blanket_eval;
       }
       result.smart = ndr::optimize_smart_ndr(tree, design, tech, nets, o);
       add_eval_row(result.table, "smart-NDR", result.smart->final_eval);
@@ -246,6 +261,8 @@ common::Result<FlowResult> Flow::run() {
           }
         };
       }
+      // A fresh anneal starts from greedy's result, already signed off.
+      if (!a.resume) a.search.start_eval = &result.smart->final_eval;
       result.anneal = ndr::anneal_rules(tree, design, tech, nets,
                                         result.smart->assignment, a);
       add_eval_row(result.table, "smart+anneal", result.anneal->final_eval);

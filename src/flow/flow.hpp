@@ -6,10 +6,11 @@
 // Each stage runs under the session's obs scope with a trace span and a
 // wall-clock record; the stage table lands in the run manifest ("stages"
 // array, schema sndr.run_manifest/2) written by the report stage, so every
-// run leaves a stage-by-stage execution record. Stage order and bodies
-// match the pre-Flow CLI exactly (synthesize, reroute_for_congestion,
-// refine_skew, build_nets, evaluate, optimize, anneal) — results are
-// bit-identical with the old `sndr run`.
+// run leaves a stage-by-stage execution record. The route stage reroutes,
+// builds the net list and the run's one geometry cache, and refines skew
+// against both; the nets and extract stages then keep them (they build
+// only for a borrowed tree). Each whole-tree artifact is built once, and
+// each search starts from an evaluation the flow already holds.
 //
 // run() is an error boundary (DESIGN.md §9): stage failures come back as
 // a typed Status (load surfaces the loader's kNotFound/kParseError;

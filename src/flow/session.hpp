@@ -108,10 +108,10 @@ class Session {
   netlist::NetList& nets() { return nets_; }
   const netlist::NetList& nets() const { return nets_; }
 
-  /// The shared per-session geometry cache; built by Flow's extract stage
-  /// (null before that), or borrowed through the reuse hooks (which then
-  /// take precedence — the extract stage skips its build). Reset to cover
-  /// tree/congestion edits.
+  /// The shared per-session geometry cache; built by Flow's route stage
+  /// (the extract stage for a borrowed tree; null before that), or
+  /// borrowed through the reuse hooks (which then take precedence — the
+  /// extract stage skips its build). Reset to cover tree/congestion edits.
   const extract::GeometryCache* geometry() const {
     return reuse_.geometry != nullptr ? reuse_.geometry : geometry_.get();
   }

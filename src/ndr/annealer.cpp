@@ -1,6 +1,7 @@
 #include "ndr/annealer.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "ndr/assignment_state.hpp"
 #include "obs/trace.hpp"
@@ -28,8 +29,20 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   // fallback the uninterrupted run would have kept.
   const bool resuming = options.resume.has_value();
   const RuleAssignment& boot = resuming ? options.resume->assignment : start;
-  FlowEvaluation ev = evaluate(tree, design, tech, nets, boot, {}, geometry);
-  state.rebuild(boot, ev);
+  // The caller's evaluation of `start` stands in for evaluating it here,
+  // both at boot and for the fallback.
+  const FlowEvaluation* start_eval = search.start_eval;
+  if (start_eval != nullptr && start_eval->assignment != start) {
+    throw std::invalid_argument(
+        "anneal_rules: start_eval is not of the start assignment");
+  }
+  FlowEvaluation ev;
+  const FlowEvaluation* boot_eval = resuming ? nullptr : start_eval;
+  if (boot_eval == nullptr) {
+    ev = evaluate(tree, design, tech, nets, boot, {}, geometry);
+    boot_eval = &ev;
+  }
+  state.rebuild(boot, *boot_eval);
   // Memo transplant (DSE reuse), after the rebuild settles every net's
   // context stamp: value-neutral by the guard in import_memo, so the
   // trajectory is exactly the one a cold run would take.
@@ -43,7 +56,7 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
     // weights are exactly 1.0 without clock domains, keeping caps (and
     // checkpoints) bitwise identical to the single-domain world.
     result.start_cap = state.total_energy();
-    start_feasible = ev.feasible();
+    start_feasible = boot_eval->feasible();
   }
 
   // Prefetch every memo row with cross-net batched kernels before the
@@ -184,8 +197,10 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
     result.final_eval = std::move(ev);
   } else {
     result.assignment = start;
-    result.final_eval = evaluate(tree, design, tech, nets, start, {},
-                                 geometry);
+    result.final_eval = start_eval != nullptr
+                            ? *start_eval
+                            : evaluate(tree, design, tech, nets, start, {},
+                                       geometry);
   }
   result.end_cap = result.final_eval.power.weighted_switched_cap;
   result.exact_cache_hits = state.exact_cache_hits();

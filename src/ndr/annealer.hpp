@@ -14,7 +14,8 @@
 // Infeasible moves are never accepted, so every intermediate state remains
 // signoff-clean under the guard bands. The incremental state is bitwise
 // equal to a full analysis (AssignmentState::apply_move), so the loop runs
-// whole-tree extraction and timing only on the start assignment and on the
+// whole-tree extraction and timing only on the start assignment (unless
+// the caller hands in its evaluation, SearchContext::start_eval) and on the
 // final best one, which a full evaluation verifies.
 #pragma once
 

@@ -319,12 +319,23 @@ SmartNdrResult Optimizer::run() {
     assignment_ = assign_all(nets_, tech_.rules.blanket_index());
   }
 
-  FlowEvaluation ev = full_eval(assignment_);
-  state_.rebuild(assignment_, ev);
-  blanket_was_feasible_ = ev.feasible();
-  if (!ev.feasible()) {
+  // The caller's evaluation of the start is read in place; it is copied
+  // only if a repair has to edit it.
+  FlowEvaluation ev;
+  const FlowEvaluation* start = opt_.search.start_eval;
+  if (start == nullptr) {
+    ev = full_eval(assignment_);
+    start = &ev;
+  } else if (start->assignment != assignment_) {
+    throw std::invalid_argument(
+        "optimize_smart_ndr: start_eval is not of the start assignment");
+  }
+  state_.rebuild(assignment_, *start);
+  blanket_was_feasible_ = start->feasible();
+  if (!blanket_was_feasible_) {
     // The conventional starting point itself violates (e.g. EM at high
     // frequency wants 3W on trunks): repair first.
+    if (start != &ev) ev = *start;
     repair(ev);
   }
 

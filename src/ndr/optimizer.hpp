@@ -17,7 +17,8 @@
 // capacitance and EM bounds); a commit is validated with an exact per-net
 // re-extraction and applied to the incremental state, which stays bitwise
 // equal to a full analysis (AssignmentState::apply_move). Full extraction
-// and timing run only at the start, after a repair, and on the final
+// and timing run only at the start (unless the caller hands in its
+// evaluation, SearchContext::start_eval), after a repair, and on the final
 // assignment. `Scoring::kExactNet` degenerates to exact re-extraction
 // scoring, the slow flow the paper compares against.
 #pragma once

@@ -6,7 +6,8 @@
 // OptimizerOptions and AnnealOptions each embed one as `.search`.
 // FlowConfig fills the margins; Flow::run adds the session's cancel
 // token, geometry and memo transplant, and passes the same context to both
-// stages (the DSE sweep axes reach both searches through it).
+// stages (the DSE sweep axes reach both searches through it), each with
+// its own already-evaluated start.
 #pragma once
 
 #include "common/cancel.hpp"
@@ -17,7 +18,8 @@ class GeometryCache;  // net_geometry.hpp
 
 namespace sndr::ndr {
 
-struct MemoSnapshot;  // assignment_state.hpp
+struct MemoSnapshot;    // assignment_state.hpp
+struct FlowEvaluation;  // evaluation.hpp
 
 /// Guard bands used during move checking, as fractions of each constraint
 /// kept in reserve by the estimate-driven loops (the final exact
@@ -49,6 +51,15 @@ struct SearchContext {
   /// rows for the next point. Both may be null (standalone runs).
   const MemoSnapshot* memo_in = nullptr;
   MemoSnapshot* memo_out = nullptr;
+
+  /// The caller's evaluate() of the search's start assignment (the flow
+  /// hands greedy its blanket-NDR row and the annealer greedy's final
+  /// signoff), used in place of the search's own start evaluation. It must
+  /// come from evaluate() over the same tree, design and technology, so
+  /// reusing it is value-neutral. A search whose start assignment differs
+  /// from `start_eval->assignment` throws std::invalid_argument. Borrowed;
+  /// null = the search evaluates its start itself.
+  const FlowEvaluation* start_eval = nullptr;
 
   /// Cooperative cancellation (each option struct says where its search
   /// polls it). A cancelled search unwinds with common::Cancelled and

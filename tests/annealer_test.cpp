@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "ndr/smart_ndr.hpp"
 #include "test_util.hpp"
@@ -113,6 +114,58 @@ TEST_F(AnnealerFixture, ZeroEvalHitRateIsZeroNotNaN) {
   EXPECT_FALSE(std::isnan(sa.exact_cache_hit_rate()));
   EXPECT_EQ(AnnealResult{}.exact_cache_hit_rate(), 0.0);
   EXPECT_EQ(OptimizerStats{}.exact_cache_hit_rate(), 0.0);
+}
+
+// A borrowed start evaluation replaces each search's own: the results
+// are bitwise those of a search that evaluates its start itself, with one
+// full evaluation fewer each.
+TEST_F(AnnealerFixture, BorrowedStartEvalIsValueNeutral) {
+  const FlowEvaluation blanket_eval =
+      evaluate(f.cts.tree, f.design, f.tech, f.nets,
+               assign_all(f.nets, f.tech.rules.blanket_index()));
+  const SmartNdrResult own =
+      optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets);
+  OptimizerOptions o;
+  o.search.start_eval = &blanket_eval;
+  const SmartNdrResult borrowed =
+      optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, o);
+  EXPECT_EQ(borrowed.assignment, own.assignment);
+  EXPECT_EQ(borrowed.final_eval.power.total_power,
+            own.final_eval.power.total_power);
+  EXPECT_EQ(borrowed.stats.commits, own.stats.commits);
+  EXPECT_EQ(borrowed.stats.full_evals, own.stats.full_evals - 1);
+
+  AnnealOptions a;
+  a.iterations = 2000;
+  const AnnealResult sa_own = anneal_rules(f.cts.tree, f.design, f.tech,
+                                           f.nets, own.assignment, a);
+  a.search.start_eval = &own.final_eval;
+  const AnnealResult sa_borrowed = anneal_rules(
+      f.cts.tree, f.design, f.tech, f.nets, own.assignment, a);
+  EXPECT_EQ(sa_borrowed.assignment, sa_own.assignment);
+  EXPECT_EQ(sa_borrowed.start_cap, sa_own.start_cap);
+  EXPECT_EQ(sa_borrowed.end_cap, sa_own.end_cap);
+  EXPECT_EQ(sa_borrowed.accepted, sa_own.accepted);
+  EXPECT_EQ(sa_borrowed.final_eval.power.total_power,
+            sa_own.final_eval.power.total_power);
+}
+
+TEST_F(AnnealerFixture, MismatchedStartEvalThrows) {
+  const RuleAssignment blanket =
+      assign_all(f.nets, f.tech.rules.blanket_index());
+  const FlowEvaluation default_eval = evaluate(
+      f.cts.tree, f.design, f.tech, f.nets, assign_all(f.nets, 0));
+  // Greedy starts from the blanket, not from the all-default assignment.
+  OptimizerOptions o;
+  o.search.start_eval = &default_eval;
+  EXPECT_THROW(optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, o),
+               std::invalid_argument);
+  AnnealOptions a;
+  a.iterations = 10;
+  a.search.start_eval = &default_eval;
+  EXPECT_THROW(
+      anneal_rules(f.cts.tree, f.design, f.tech, f.nets, blanket, a),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -206,6 +206,23 @@ TEST(DseDominance, FrontExcludesDominatedAndInfeasible) {
   EXPECT_EQ(front, (std::vector<int>{2, 1}));  // sorted by power.
 }
 
+// Points that tie on every objective are one trade-off: the front keeps
+// the lowest id of each tie group, whatever order the ids arrive in, and
+// an infeasible twin never claims the slot.
+TEST(DseDominance, FrontCollapsesExactTiesToLowestId) {
+  std::vector<dse::PointResult> pts;
+  pts.push_back(make_point(0, 3.0, 1.0, 0.05));
+  pts.push_back(make_point(1, 1.0, 4.0, 0.05, false));  // infeasible twin.
+  pts.push_back(make_point(2, 2.0, 2.0, 0.05));
+  pts.push_back(make_point(3, 1.0, 4.0, 0.05));
+  pts.push_back(make_point(4, 2.0, 2.0, 0.05));  // ties 2.
+  pts.push_back(make_point(5, 1.0, 4.0, 0.05));  // ties 3.
+  pts.push_back(make_point(6, 2.0, 2.0, 0.10));  // more guardband: no tie.
+  pts.push_back(make_point(7, 3.0, 1.0, 0.05));  // ties 0.
+  const std::vector<int> front = dse::pareto_front(pts);
+  EXPECT_EQ(front, (std::vector<int>{3, 6, 0}));
+}
+
 // ---- the sweep ------------------------------------------------------------
 
 TEST(DseSweep, GridCoversAxesAndEmitsArtifacts) {

@@ -386,17 +386,38 @@ TEST(Flow, RunsAllStagesInOrder) {
   EXPECT_EQ(result.final_assignment(), &result.smart->assignment);
 }
 
-// A greedy-only run evaluates the full tree four times: the all-default
-// and blanket table rows, the optimizer's start and its final signoff. The
-// extract stage builds the one geometry cache every consumer borrows.
-TEST(Flow, GreedyRunEvaluatesFourTimesAndBuildsGeometryOnce) {
+// A greedy-only run evaluates the full tree three times: the all-default
+// and blanket table rows, and the optimizer's final signoff (greedy starts
+// from the blanket row's evaluation). The route stage builds the one
+// geometry cache that skew refinement and every later consumer extract
+// from, so no net is ever walked outside it.
+TEST(Flow, GreedyRunEvaluatesThreeTimesAndBuildsGeometryOnce) {
   flow::FlowResult result;
   auto session = run_small_flow(48, 1, result);
   ASSERT_TRUE(result.smart.has_value());
   const auto snap = session->obs_scope().metrics().snapshot();
-  EXPECT_EQ(snap.counter("ndr.evaluations"), 4);
-  EXPECT_EQ(result.smart->stats.full_evals, 2);
+  EXPECT_EQ(snap.counter("ndr.evaluations"), 3);
+  EXPECT_EQ(result.smart->stats.full_evals, 1);
   EXPECT_EQ(snap.counter("extract.geometry.builds"), session->nets().size());
+  EXPECT_EQ(snap.counter("extract.nets_fresh_walks"), 0);
+}
+
+// With the annealer on, it starts from greedy's signed-off result: the
+// run adds only the annealer's final evaluation.
+TEST(Flow, AnnealRunEvaluatesFourTimes) {
+  flow::FlowConfig config = small_run_config();
+  config.anneal_iterations = 500;
+  flow::Session session(config);
+  session.set_design(test::small_design(48, 1));
+  flow::Flow f(session);
+  common::Result<flow::FlowResult> r = f.run();
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  ASSERT_TRUE(r.value().anneal.has_value());
+  const auto snap = session.obs_scope().metrics().snapshot();
+  EXPECT_EQ(snap.counter("ndr.evaluations"), 4);
+  EXPECT_EQ(r.value().smart->stats.full_evals, 1);
+  EXPECT_EQ(snap.counter("extract.geometry.builds"), session.nets().size());
+  EXPECT_EQ(snap.counter("extract.nets_fresh_walks"), 0);
 }
 
 TEST(Flow, CancelledSessionReturnsTypedCancelledStatus) {

@@ -555,16 +555,31 @@ TEST(ScenarioFuzz, DseFrontNeverContainsDominatedPoints) {
             << " dominated by " << q.id;
       }
     }
-    // Completeness: a feasible point off the front must be dominated.
+    // Completeness: a feasible point off the front must be dominated, or
+    // tie a lower-id feasible point on every objective (ties collapse to
+    // the lowest id, so no two front points tie).
+    const auto ties = [](const dse::PointResult& a,
+                         const dse::PointResult& b) {
+      return a.total_power == b.total_power && a.skew == b.skew &&
+             a.settings.uncertainty_margin == b.settings.uncertainty_margin;
+    };
     for (const dse::PointResult& p : points) {
       if (!p.feasible || on_front[static_cast<std::size_t>(p.id)]) continue;
-      bool dominated = false;
+      bool dropped = false;
       for (const dse::PointResult& q : points) {
-        if (q.feasible && dse::dominates(q, p)) dominated = true;
+        if (q.feasible &&
+            (dse::dominates(q, p) || (q.id < p.id && ties(q, p)))) {
+          dropped = true;
+        }
       }
-      EXPECT_TRUE(dominated)
+      EXPECT_TRUE(dropped)
           << "seed=" << seed << ": feasible point " << p.id
           << " missing from the front yet dominated by nobody";
+    }
+    for (std::size_t k = 0; k + 1 < front.size(); ++k) {
+      EXPECT_FALSE(ties(points[static_cast<std::size_t>(front[k])],
+                        points[static_cast<std::size_t>(front[k + 1])]))
+          << "seed=" << seed << ": tied points on the front";
     }
     // Deterministic emission order: (power, skew, id) ascending.
     for (std::size_t k = 0; k + 1 < front.size(); ++k) {
