@@ -386,8 +386,9 @@ void record_rule_sweep(std::vector<bench::RuntimeRecord>& records) {
   std::vector<ndr::NetExact> row(static_cast<std::size_t>(n_rules));
   const double batch_s = best_of_5([&] {
     for (const netlist::Net& net : f.nets.nets) {
-      ndr::evaluate_net_exact_all_rules(cache.geometry(net.id), wide,
-                                        driver_res, freq, arena, row.data());
+      const extract::NetGeometry* geom = &cache.geometry(net.id);
+      ndr::evaluate_nets_exact_all_rules(&geom, &driver_res, 1, wide, freq,
+                                         arena, row.data());
       benchmark::DoNotOptimize(row);
     }
   });
@@ -617,6 +618,7 @@ void record_thread_ladder() {
   const extract::Extractor ex(f.tech, f.design);
   const std::vector<int> rules(f.nets.size(), f.tech.rules.blanket_index());
   const auto par = ex.extract_all(f.cts.tree, f.nets, rules);
+  const extract::GeometryCache cache(f.cts.tree, f.design, f.nets);
 
   std::vector<bench::RuntimeRecord> records;
   record_two_phase_kernels(records);
@@ -655,7 +657,7 @@ void record_thread_ladder() {
     });
     time_stage("predictor_train", threads, [&] {
       ndr::RuleImpactPredictor::train(f.cts.tree, f.design, f.tech, f.nets,
-                                      timing::AnalysisOptions{});
+                                      cache, timing::AnalysisOptions{});
     });
   }
   common::set_thread_count(-1);

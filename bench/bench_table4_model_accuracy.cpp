@@ -20,8 +20,9 @@ int main() {
     if (spec.num_sinks > 10000) continue;  // larger designs add no new info.
     const Flow f = build_flow(spec);
     const timing::AnalysisOptions aopt;
+    const extract::GeometryCache cache(f.cts.tree, f.design, f.nets);
     const ndr::RuleImpactPredictor pred = ndr::RuleImpactPredictor::train(
-        f.cts.tree, f.design, f.tech, f.nets, aopt, 400);
+        f.cts.tree, f.design, f.tech, f.nets, cache, aopt, 400);
     const ndr::TrainReport& rep = pred.report();
     for (int m = 0; m < 4; ++m) {
       double mae = 0.0;

@@ -22,10 +22,10 @@ ctest --test-dir "$repo/build" -j "$jobs" --output-on-failure
 # byte-identical at 1 vs all lanes, under a tight geometry budget, through
 # the annealer at both lane counts (and all lanes under a tight budget:
 # skew refinement on a budgeted cache, searches starting from the flow's
-# evaluations), and with non-default guard bands plus a weighted anneal
-# (the margins both searches share, under real parallelism). Files land in
-# the build tree.
-echo "== tier1: CLI byte-identity (threads, memory budget, anneal, margins) =="
+# evaluations), with non-default guard bands plus a weighted anneal (the
+# margins both searches share, under real parallelism), and with corner
+# signoff. Files land in the build tree.
+echo "== tier1: CLI byte-identity (threads, memory budget, anneal, margins, corners) =="
 work="$repo/build/identity"
 mkdir -p "$work"
 sndr="$repo/build/tools/sndr"
@@ -43,18 +43,24 @@ margins=(--anneal 4000 --uncertainty-margin 0.08 --skew-margin 0.15
   --power-weight 0.5)
 run --threads 1 "${margins[@]}" >"$work/margins1.txt"
 run --threads "$(nproc)" "${margins[@]}" >"$work/marginsN.txt"
+# Corner signoff: derated-corner lanes of one batched materialize per net,
+# under parallel_for.
+run --threads 1 --corners >"$work/corners1.txt"
+run --threads "$(nproc)" --corners >"$work/cornersN.txt"
 cmp "$work/t1.txt" "$work/tN.txt"
 cmp "$work/t1.txt" "$work/budget.txt"
 cmp "$work/anneal1.txt" "$work/annealN.txt"
 cmp "$work/anneal1.txt" "$work/annealNbudget.txt"
 cmp "$work/margins1.txt" "$work/marginsN.txt"
+cmp "$work/corners1.txt" "$work/cornersN.txt"
 
 echo "== tier1: ThreadSanitizer build + parallel/obs/flow tests =="
 cmake -B "$repo/build-tsan" -S "$repo" -DSNDR_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
   --target obs_test --target manifest_golden_test --target flow_test \
   --target delta_timing_test --target net_batch_test \
-  --target scenario_fuzz_test --target serve_test --target dse_test
+  --target scenario_fuzz_test --target serve_test --target dse_test \
+  --target batch_kernel_test
 "$repo/build-tsan/tests/parallel_test"
 "$repo/build-tsan/tests/obs_test"
 "$repo/build-tsan/tests/manifest_golden_test"
@@ -71,6 +77,8 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
 # Parallel warm_rows fills disjoint memo rows; churn pins 1-vs-8 threads.
 "$repo/build-tsan/tests/delta_timing_test"
 "$repo/build-tsan/tests/net_batch_test"
+# Corner signoff's batched materialize and memo-row fills at 1 vs 8 threads.
+"$repo/build-tsan/tests/batch_kernel_test"
 # Property fuzz at reduced depth: every scenario runs the 1-vs-8-thread
 # bitwise contracts, so a handful of scenarios under TSan covers the
 # multi-domain evaluate/optimize/anneal paths (SNDR_FUZZ_ITERS dials it;

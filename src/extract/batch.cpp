@@ -1,100 +1,10 @@
 #include "extract/batch.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 
 namespace sndr::extract {
-
-void materialize_batch(const NetGeometry& geom, const EvalLane* lanes,
-                       int n_lanes, common::Arena& arena,
-                       BatchParasitics& out) {
-  const int n = geom.rc_size();
-  const int L = n_lanes;
-  out.nodes = n;
-  out.lanes = L;
-  const std::int64_t plane = static_cast<std::int64_t>(n) * L;
-  out.res = arena.alloc_zeroed<double>(plane);
-  out.cap_gnd = arena.alloc_zeroed<double>(plane);
-  out.cap_cpl = arena.alloc_zeroed<double>(plane);
-  out.wire_cap_gnd = arena.alloc_zeroed<double>(L);
-  out.wire_cap_cpl = arena.alloc_zeroed<double>(L);
-  out.load_cap = arena.alloc_zeroed<double>(L);
-
-  // Lane-independent topology: node i+1 hangs off piece i's parent.
-  std::int32_t* parent = arena.alloc<std::int32_t>(n);
-  double* wire_len = arena.alloc<double>(n);
-  parent[0] = -1;
-  wire_len[0] = 0.0;
-  for (int i = 0; i < geom.pieces(); ++i) {
-    parent[i + 1] = geom.piece_parent[i];
-    wire_len[i + 1] = geom.piece_len[i];
-  }
-  out.parent = parent;
-  out.wire_len = wire_len;
-
-  // Per-lane per-um coefficients, exactly as the scalar materialize derives
-  // them from (tech, rule).
-  double* res_per_um = arena.alloc<double>(L);
-  double* cgnd_per_um = arena.alloc<double>(L);
-  double* ccpl_side_per_um = arena.alloc<double>(L);
-  for (int l = 0; l < L; ++l) {
-    const tech::MetalLayer& layer = lanes[l].tech->clock_layer;
-    const tech::RoutingRule& rule = *lanes[l].rule;
-    res_per_um[l] = tech::wire_res_per_um(layer, rule);
-    cgnd_per_um[l] = tech::wire_cap_gnd_per_um(layer, rule);
-    ccpl_side_per_um[l] = tech::wire_cap_couple_per_um(layer, rule);
-  }
-
-  // One pass over the pieces, lanes innermost. Per lane this performs the
-  // scalar materialize piece loop's operations in the scalar order — lanes
-  // are independent, so interleaving them changes nothing per lane. The
-  // planes are distinct arena carvings; __restrict__ tells the
-  // auto-vectorizer so.
-  double* __restrict__ res = out.res;
-  double* __restrict__ cap_gnd = out.cap_gnd;
-  double* __restrict__ cap_cpl = out.cap_cpl;
-  double* __restrict__ wcg = out.wire_cap_gnd;
-  double* __restrict__ wcc = out.wire_cap_cpl;
-  for (int i = 0; i < geom.pieces(); ++i) {
-    const double piece_len = geom.piece_len[i];
-    const double occ = geom.piece_occ[i];
-    const std::int64_t prow = static_cast<std::int64_t>(geom.piece_parent[i]) * L;
-    const std::int64_t arow = static_cast<std::int64_t>(i + 1) * L;
-    for (int l = 0; l < L; ++l) {
-      const double cg = cgnd_per_um[l] * piece_len;
-      const double cc = 2.0 * occ * ccpl_side_per_um[l] * piece_len;
-      cap_gnd[prow + l] += 0.5 * cg;
-      cap_cpl[prow + l] += 0.5 * cc;
-      res[arow + l] = res_per_um[l] * piece_len;
-      cap_gnd[arow + l] += 0.5 * cg;
-      cap_cpl[arow + l] += 0.5 * cc;
-      wcg[l] += cg;
-      wcc[l] += cc;
-    }
-  }
-  // Accumulated in the same per-piece order during the geometry build.
-  out.wirelength = geom.wirelength;
-
-  for (const NetGeometry::Load& load : geom.loads) {
-    const std::int64_t row = static_cast<std::int64_t>(load.rc_index) * L;
-    for (int l = 0; l < L; ++l) {
-      const double cap = load.buffer_cell >= 0
-                             ? lanes[l].tech->buffers[load.buffer_cell].input_cap
-                             : load.sink_cap;
-      cap_gnd[row + l] += cap;
-      out.load_cap[l] += cap;
-    }
-  }
-}
-
-void materialize_batch(const NetGeometry& geom, const tech::Technology& tech,
-                       const tech::RuleSet& rules, common::Arena& arena,
-                       BatchParasitics& out) {
-  const int L = rules.size();
-  EvalLane* lanes = arena.alloc<EvalLane>(static_cast<std::size_t>(L));
-  for (int l = 0; l < L; ++l) lanes[l] = {&tech, &rules[l]};
-  materialize_batch(geom, lanes, L, arena, out);
-}
 
 namespace {
 
@@ -136,14 +46,13 @@ void materialize_nets_batch(const NetLane* lanes, int n_lanes,
 
   // Topology is shared; edge lengths are per lane (different nets).
   std::int32_t* parent = arena.alloc<std::int32_t>(n);
-  double* wire_len_lane = arena.alloc_zeroed<double>(plane);
+  double* wire_len = arena.alloc_zeroed<double>(plane);
   parent[0] = -1;
   for (int i = 0; i < shape.pieces(); ++i) {
     parent[i + 1] = shape.piece_parent[i];
   }
   out.parent = parent;
-  out.wire_len = nullptr;
-  out.wire_len_lane = wire_len_lane;
+  out.wire_len = wire_len;
 
   double* res_per_um = arena.alloc<double>(L);
   double* cgnd_per_um = arena.alloc<double>(L);
@@ -180,10 +89,9 @@ void materialize_nets_batch(const NetLane* lanes, int n_lanes,
       cap_cpl[arow + l] += 0.5 * cc;
       wcg[l] += cg;
       wcc[l] += cc;
-      wire_len_lane[arow + l] = piece_len;
+      wire_len[arow + l] = piece_len;
     }
   }
-  out.wirelength = 0.0;  // lane-dependent; no cross-net consumer needs it.
 
   for (std::size_t li = 0; li < shape.loads.size(); ++li) {
     const std::int64_t row =
@@ -225,6 +133,26 @@ NetShapeBuckets bucket_nets_by_shape(const GeometryCache& cache) {
   return out;
 }
 
+std::vector<std::vector<int>> plan_net_batches(const NetShapeBuckets& buckets,
+                                               const std::vector<int>& net_ids,
+                                               int n_rules) {
+  constexpr int kLanes = 32;
+  const std::size_t max_nets =
+      static_cast<std::size_t>(std::max(1, kLanes / std::max(1, n_rules)));
+  std::vector<std::vector<int>> per_group(buckets.groups.size());
+  for (std::size_t k = 0; k < net_ids.size(); ++k) {
+    per_group[buckets.group_of[net_ids[k]]].push_back(static_cast<int>(k));
+  }
+  std::vector<std::vector<int>> batches;
+  for (const std::vector<int>& group : per_group) {
+    for (std::size_t at = 0; at < group.size(); at += max_nets) {
+      const std::size_t end = std::min(group.size(), at + max_nets);
+      batches.emplace_back(group.begin() + at, group.begin() + end);
+    }
+  }
+  return batches;
+}
+
 void scatter_lane(const NetGeometry& geom, const BatchParasitics& batch,
                   int lane, NetParasitics& out) {
   const int n = batch.nodes;
@@ -238,10 +166,12 @@ void scatter_lane(const NetGeometry& geom, const BatchParasitics& batch,
     nd.cap_gnd = batch.cap_gnd[static_cast<std::int64_t>(i) * L + lane];
     nd.cap_cpl = batch.cap_cpl[static_cast<std::int64_t>(i) * L + lane];
     nd.tree_node = geom.node_tree_node[i];
-    nd.wire_len = batch.wire_len[i];
+    nd.wire_len = batch.wire_len[static_cast<std::int64_t>(i) * L + lane];
     nd.occupancy = i > 0 ? geom.piece_occ[i - 1] : 0.0;
   }
-  out.wirelength = batch.wirelength;
+  // Accumulated in the scalar materialize's per-piece order during the
+  // geometry build.
+  out.wirelength = geom.wirelength;
   out.wire_cap_gnd = batch.wire_cap_gnd[lane];
   out.wire_cap_cpl = batch.wire_cap_cpl[lane];
   out.load_cap = batch.load_cap[lane];
@@ -334,24 +264,6 @@ void rc_moments_batch(int nodes, int lanes,
                     res[row + l] * (subtree[row + l] + m1[row + l] * down[row + l]);
     }
   }
-}
-
-void moments_batch(const NetGeometry& geom, const EvalLane* lanes,
-                   int n_lanes, const double* driver_res,
-                   const double* miller, common::Arena& arena,
-                   BatchParasitics& par, BatchMoments& out) {
-  materialize_batch(geom, lanes, n_lanes, arena, par);
-  const std::int64_t plane =
-      static_cast<std::int64_t>(par.nodes) * par.lanes;
-  out.nodes = par.nodes;
-  out.lanes = par.lanes;
-  out.down = arena.alloc<double>(plane);
-  out.subtree = arena.alloc<double>(plane);
-  out.m1 = arena.alloc<double>(plane);
-  out.m2 = arena.alloc<double>(plane);
-  rc_moments_batch(par.nodes, par.lanes, par.parent, par.res, par.cap_gnd,
-                   par.cap_cpl, driver_res, miller, out.down, out.subtree,
-                   out.m1, out.m2);
 }
 
 }  // namespace sndr::extract

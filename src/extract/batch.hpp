@@ -1,25 +1,27 @@
-// Rule-batched electrical phase of two-phase extraction.
+// Lane-batched electrical phase of two-phase extraction.
 //
-// The optimizer's candidate sweep, the annealer's memo warm-up, and corner
-// analysis all evaluate the SAME NetGeometry under several electrical
-// contexts (rules, or derated technology clones). The scalar path walks the
-// piece arrays once per context; the batched path here walks them once
-// TOTAL, with the context loop innermost over contiguous lanes — the planes
-// are laid out node-major × lane-minor (plane[node * lanes + lane]), so the
-// inner loop is a unit-stride streak the compiler auto-vectorizes.
+// The optimizer's rule sweep and memo warm-up, predictor labelling and
+// corner signoff all score NetGeometry under several electrical contexts.
+// One batch is a list of lanes, each a (net geometry, technology, rule)
+// triple over SAME-SHAPED geometries (see bucket_nets_by_shape): a rule
+// sweep is R lanes on one geometry, corner signoff is C derated technology
+// clones on one geometry, a warm-row prefetch is nets × rules. The kernels
+// walk the shared piece topology once with the lane loop innermost; the
+// planes are laid out node-major × lane-minor (plane[node * lanes + lane]),
+// so the inner loop is a unit-stride streak the compiler auto-vectorizes.
 //
 // Determinism contract (non-negotiable, inherited from PR 1/2): for every
 // lane, the sequence of floating-point operations applied to that lane's
 // values is EXACTLY the scalar kernel's sequence — the batch only
 // interleaves independent lanes, it never reassociates within one. Batched
 // results are therefore bit-identical to running materialize() /
-// rc_moments() per rule, which remain the reference implementation (and
-// the path used for single-context evaluation, where batching buys
-// nothing). tests/batch_kernel_test.cpp pins this per (rule, corner).
+// rc_moments() per lane, which remain the reference implementation.
+// tests/batch_kernel_test.cpp and tests/net_batch_test.cpp pin this per
+// (net, rule, corner).
 //
 // All scratch comes from a caller-provided common::Arena: plane pointers
 // returned here are valid until the arena is reset (typically once per
-// net), so a warm per-thread arena makes the whole batched evaluation
+// batch), so a warm per-thread arena makes the whole batched evaluation
 // allocation-free.
 #pragma once
 
@@ -31,18 +33,23 @@
 
 namespace sndr::extract {
 
-/// One lane of a batched evaluation: an electrical context to score the
-/// shared geometry under. The rule sweep uses one technology × R rules;
-/// corner analysis uses C derated technology clones × the assigned rule.
-struct EvalLane {
+/// One lane of a batched evaluation: a (net geometry, electrical context)
+/// pair. All lanes of one call must share the same geometry SHAPE —
+/// identical piece_parent arrays and identical load rc_index arrays (see
+/// bucket_nets_by_shape) — so the RC kernels can run off one shared parent
+/// array while piece lengths, occupancies, and load caps stay per lane.
+/// Lanes may repeat a geometry: a one-net rule sweep or corner batch is a
+/// batch whose lanes all point at the same net.
+struct NetLane {
+  const NetGeometry* geom = nullptr;
   const tech::Technology* tech = nullptr;
   const tech::RoutingRule* rule = nullptr;
 };
 
-/// Per-lane R/C planes of one net, node-major × lane-minor. Node 0 is the
+/// Per-lane R/C planes of one batch, node-major × lane-minor. Node 0 is the
 /// driver (res row zero), node i+1 corresponds to geometry piece i — the
 /// same indexing as the scalar RcTree. Plane storage lives in the arena
-/// passed to materialize_batch; the struct itself is just the view.
+/// passed to materialize_nets_batch; the struct itself is just the view.
 struct BatchParasitics {
   int nodes = 0;
   int lanes = 0;
@@ -51,75 +58,41 @@ struct BatchParasitics {
   double* res = nullptr;
   double* cap_gnd = nullptr;
   double* cap_cpl = nullptr;
+  const double* wire_len = nullptr;  ///< um of the parent edge, 0 at node 0.
 
-  // [nodes] lane-independent topology/provenance (arena copies so kernels
-  // never touch the NetGeometry vectors).
-  const std::int32_t* parent = nullptr;  ///< parent node, -1 for node 0.
-  const double* wire_len = nullptr;      ///< um of the parent edge, 0 at 0.
-
-  /// [nodes × lanes] per-lane edge lengths, set only by the cross-net
-  /// materialize (materialize_nets_batch), where lanes are different nets
-  /// and piece lengths differ per lane; `wire_len` is null there. Exactly
-  /// one of wire_len / wire_len_lane is non-null after a materialize.
-  const double* wire_len_lane = nullptr;
+  /// [nodes] shared topology (an arena copy so kernels never touch the
+  /// NetGeometry vectors): parent node, -1 for node 0.
+  const std::int32_t* parent = nullptr;
 
   // [lanes] totals, same accumulation order as the scalar materialize.
   double* wire_cap_gnd = nullptr;
   double* wire_cap_cpl = nullptr;
   double* load_cap = nullptr;
 
-  double wirelength = 0.0;  ///< um, lane-independent.
-
   std::int64_t at(int node, int lane) const {
     return static_cast<std::int64_t>(node) * lanes + lane;
   }
 };
 
-/// Electrical phase for all lanes in one pass over the pieces (inner loop
-/// over lanes). Per lane bit-identical to materialize(geom, lane.tech,
-/// lane.rule, out). Plane storage is carved from `arena` (which must
-/// outlive the use of `out`; nothing is reset here).
-void materialize_batch(const NetGeometry& geom, const EvalLane* lanes,
-                       int n_lanes, common::Arena& arena,
-                       BatchParasitics& out);
-
-/// Rule-sweep convenience: one lane per rule of `rules` under `tech`.
-void materialize_batch(const NetGeometry& geom, const tech::Technology& tech,
-                       const tech::RuleSet& rules, common::Arena& arena,
-                       BatchParasitics& out);
-
-/// Copies one lane out into scalar NetParasitics (bit-identical to a scalar
-/// materialize of that lane's context). Used by corner analysis to feed the
-/// per-corner whole-tree evaluators from the shared batch planes.
-void scatter_lane(const NetGeometry& geom, const BatchParasitics& batch,
-                  int lane, NetParasitics& out);
-
-/// One lane of a CROSS-NET batched evaluation: a (net geometry, electrical
-/// context) pair. All lanes of one call must share the same geometry SHAPE —
-/// identical piece_parent arrays and identical load rc_index arrays (see
-/// bucket_nets_by_shape) — so the RC kernels can run off one shared parent
-/// array while piece lengths, occupancies, and load caps stay per lane.
-/// This is how single-rule sweeps over many nets fill the SIMD lanes that
-/// the per-net rule sweep fills with rules.
-struct NetLane {
-  const NetGeometry* geom = nullptr;
-  const tech::Technology* tech = nullptr;
-  const tech::RoutingRule* rule = nullptr;
-};
-
-/// Cross-net electrical phase: one pass over the shared piece topology with
-/// the lane loop innermost, per lane bit-identical to materialize(
-/// *lanes[l].geom, *lanes[l].tech, *lanes[l].rule, out). Because piece
-/// lengths differ per lane, `out.wire_len` stays null and the per-lane
-/// lengths land in `out.wire_len_lane` ([nodes × lanes]). All lanes must be
-/// shape-compatible (asserted in debug builds).
+/// Electrical phase for all lanes in one pass over the shared piece
+/// topology, lane loop innermost; per lane bit-identical to materialize(
+/// *lanes[l].geom, *lanes[l].tech, *lanes[l].rule, out). Plane storage is
+/// carved from `arena` (which must outlive the use of `out`; nothing is
+/// reset here). All lanes must be shape-compatible (asserted in debug
+/// builds).
 void materialize_nets_batch(const NetLane* lanes, int n_lanes,
                             common::Arena& arena, BatchParasitics& out);
+
+/// Copies one lane out into scalar NetParasitics, bit-identical to a scalar
+/// materialize of that lane; `geom` is the lane's geometry. Used by corner
+/// signoff to feed the per-corner whole-tree evaluators from one batch.
+void scatter_lane(const NetGeometry& geom, const BatchParasitics& batch,
+                  int lane, NetParasitics& out);
 
 /// Partition of a net list into same-shape groups: `groups[g]` lists the
 /// net ids whose geometries share piece topology and load attach indices
 /// (first-seen order, both across and within groups), `group_of[net]` is
-/// the owning group. Nets in one group can ride one cross-net batch.
+/// the owning group. Nets in one group can ride one batch.
 struct NetShapeBuckets {
   std::vector<std::vector<int>> groups;
   std::vector<int> group_of;
@@ -128,22 +101,17 @@ struct NetShapeBuckets {
 /// Buckets every net of `cache` by geometry shape signature (piece count,
 /// piece_parent array, loads' rc_index array — exact equality). Symmetric
 /// clock trees collapse into a handful of buckets; degenerate shapes fall
-/// into singleton groups and simply run with one lane.
+/// into singleton groups and simply run with one net.
 NetShapeBuckets bucket_nets_by_shape(const GeometryCache& cache);
 
-/// Per-lane moment planes ([nodes × lanes] each), arena-backed.
-struct BatchMoments {
-  int nodes = 0;
-  int lanes = 0;
-  double* down = nullptr;     ///< downstream cap (Miller-weighted).
-  double* m1 = nullptr;       ///< Elmore delay per node.
-  double* m2 = nullptr;       ///< circuit second moment per node.
-  double* subtree = nullptr;  ///< fused-kernel accumulator (see rc_tree.hpp).
-
-  std::int64_t at(int node, int lane) const {
-    return static_cast<std::int64_t>(node) * lanes + lane;
-  }
-};
+/// Deterministic batch plan for scoring `net_ids` under `n_rules` rules
+/// each: ids are grouped by shape bucket (group order, then input order)
+/// and each group is chunked so one batch carries at most 32 lanes
+/// (nets × rules), and at least one net. Batches hold POSITIONS into
+/// `net_ids`. The plan depends only on its inputs, never on thread count.
+std::vector<std::vector<int>> plan_net_batches(const NetShapeBuckets& buckets,
+                                               const std::vector<int>& net_ids,
+                                               int n_rules);
 
 // Low-level plane kernels. `parent` is the per-node parent array
 // (parent[0] == -1) and all planes are node-major × lane-minor with the
@@ -169,12 +137,5 @@ void rc_moments_batch(int nodes, int lanes, const std::int32_t* parent,
                       const double* cap_cpl, const double* driver_res,
                       const double* miller, double* down, double* subtree,
                       double* m1, double* m2);
-
-/// materialize_batch + rc_moments_batch in one call: the "score every rule"
-/// fast path. Moment planes are carved from the same arena.
-void moments_batch(const NetGeometry& geom, const EvalLane* lanes,
-                   int n_lanes, const double* driver_res,
-                   const double* miller, common::Arena& arena,
-                   BatchParasitics& par, BatchMoments& out);
 
 }  // namespace sndr::extract

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -55,6 +56,7 @@ bool parse_byte_size(const std::string& v, std::size_t& out) {
   std::istringstream is(v.substr(0, end));
   std::uint64_t n = 0;
   if (!(is >> n) || !is.eof()) return false;
+  if (n > std::numeric_limits<std::size_t>::max() / mult) return false;
   out = static_cast<std::size_t>(n) * mult;
   return true;
 }
@@ -97,7 +99,7 @@ const std::map<std::string, Setter>& setters() {
          return parse_u64(v, c.seed);
        }},
       {"threads", [](FlowConfig& c, const std::string& v) {
-         return parse_int(v, c.threads);
+         return parse_int(v, c.threads) && c.threads >= 0;
        }},
       {"memory_budget", [](FlowConfig& c, const std::string& v) {
          return parse_byte_size(v, c.memory_budget_bytes);

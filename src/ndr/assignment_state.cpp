@@ -313,25 +313,8 @@ void AssignmentState::warm_rows(const std::vector<int>& net_ids) const {
   cold.erase(std::unique(cold.begin(), cold.end()), cold.end());
   if (cold.empty()) return;
 
-  // Deterministic batch plan: group cold nets by geometry shape, then chunk
-  // each group so one kernel call carries ~32 lanes (nets × rules). The
-  // plan depends only on the cold set, never on the thread count.
-  const int max_nets = std::max(1, 32 / std::max(1, n_rules_));
-  std::vector<std::vector<int>> batches;
-  {
-    std::vector<std::vector<int>> per_group(shape_buckets_.groups.size());
-    for (const int id : cold) {
-      per_group[shape_buckets_.group_of[id]].push_back(id);
-    }
-    for (const std::vector<int>& group : per_group) {
-      for (std::size_t at = 0; at < group.size();
-           at += static_cast<std::size_t>(max_nets)) {
-        const std::size_t end =
-            std::min(group.size(), at + static_cast<std::size_t>(max_nets));
-        batches.emplace_back(group.begin() + at, group.begin() + end);
-      }
-    }
-  }
+  const std::vector<std::vector<int>> batches =
+      extract::plan_net_batches(shape_buckets_, cold, n_rules_);
 
   // Each batch fills the memo rows of disjoint nets, so workers never
   // touch the same cache slot; values are bitwise equal to the lazy
@@ -339,42 +322,12 @@ void AssignmentState::warm_rows(const std::vector<int>& net_ids) const {
   common::parallel_for(
       static_cast<std::int64_t>(batches.size()), /*grain=*/1,
       [&](std::int64_t b) {
-        const std::vector<int>& ids = batches[static_cast<std::size_t>(b)];
-        thread_local common::Arena arena;
-        thread_local std::vector<const extract::NetGeometry*> geoms;
-        thread_local std::vector<double> dres;
-        thread_local std::vector<NetExact> out;
-        geoms.resize(ids.size());
-        dres.resize(ids.size());
-        out.resize(ids.size() * static_cast<std::size_t>(n_rules_));
-        // The whole batch stays pinned for the kernel call (budgeted
-        // geometry caches evict only unpinned entries).
-        std::vector<extract::GeometryCache::Pinned> pins;
-        pins.reserve(ids.size());
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          pins.push_back(geometry_->pinned(ids[i]));
-          geoms[i] = pins.back().get();
-          dres[i] = nets_state_[ids[i]].summary.driver_res;
+        thread_local std::vector<int> ids;
+        ids.clear();
+        for (const int k : batches[static_cast<std::size_t>(b)]) {
+          ids.push_back(cold[static_cast<std::size_t>(k)]);
         }
-        evaluate_nets_exact_all_rules(geoms.data(), dres.data(),
-                                      static_cast<int>(ids.size()), *tech_,
-                                      design_->constraints.clock_freq, arena,
-                                      out.data());
-        if (geometry_->budgeted()) arena.shrink_to(geometry_->budget_bytes());
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          const int id = ids[i];
-          const std::uint64_t gen = ctx_gen_[id];
-          for (int r = 0; r < n_rules_; ++r) {
-            ExactCacheEntry& er =
-                exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r];
-            er.exact = out[i * static_cast<std::size_t>(n_rules_) +
-                           static_cast<std::size_t>(r)];
-            // Clock-domain RMS scaling, applied at memo-fill time (see
-            // exact_eval); x * 1.0 keeps the neutral case bit-identical.
-            er.exact.em_peak *= net_em_scale_[id];
-            er.gen = gen;
-          }
-        }
+        fill_rows(ids.data(), static_cast<int>(ids.size()));
       });
 
   cache_misses_ += static_cast<std::int64_t>(cold.size());
@@ -461,37 +414,52 @@ NetExact AssignmentState::exact_eval(int net_id, int rule_idx) const {
     return e.exact;
   }
   ++cache_misses_;
-  // Miss path: the batched kernels score EVERY rule of the set in one
-  // fused pass over the cached geometry (cheaper than two scalar evals),
-  // so a miss warms the whole (net, ×rules) memo row — every later rule
-  // query on this net under the same context is a hit. One miss is
-  // counted per row fill; per-rule results are bit-identical to the
-  // scalar evaluate_net_exact, which tests/batch_kernel_test.cpp pins.
-  thread_local common::Arena arena;
-  thread_local std::vector<NetExact> row;
-  row.resize(static_cast<std::size_t>(n_rules_));
-  {
-    const extract::GeometryCache::Pinned pin = geometry_->pinned(net_id);
-    evaluate_net_exact_all_rules(*pin, *tech_,
-                                 nets_state_[net_id].summary.driver_res,
-                                 design_->constraints.clock_freq, arena,
-                                 row.data());
-  }
-  if (geometry_->budgeted()) arena.shrink_to(geometry_->budget_bytes());
-  const std::uint64_t gen = ctx_gen_[net_id];
-  for (int r = 0; r < n_rules_; ++r) {
-    ExactCacheEntry& er =
-        exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + r];
-    er.exact = row[static_cast<std::size_t>(r)];
-    // The kernels evaluate EM at the root clock rate; the net's domain
-    // scale is applied here, once, as the row is memoized — so every
-    // consumer (greedy feasibility, annealer vetoes, repair) sees the
-    // same scaled density analyze_em reports. Neutral scale == 1.0 keeps
-    // the single-domain world bit-identical.
-    er.exact.em_peak *= net_em_scale_[net_id];
-    er.gen = gen;
-  }
+  // Miss path: one batched pass scores EVERY rule of the set over the
+  // cached geometry (cheaper than two scalar evals), so a miss warms the
+  // whole (net, ×rules) memo row and is counted once. Per-rule results are
+  // bit-identical to the scalar evaluate_net_exact, which
+  // tests/batch_kernel_test.cpp pins.
+  fill_rows(&net_id, 1);
   return e.exact;
+}
+
+void AssignmentState::fill_rows(const int* ids, int n) const {
+  thread_local common::Arena arena;
+  thread_local std::vector<const extract::NetGeometry*> geoms;
+  thread_local std::vector<double> dres;
+  thread_local std::vector<NetExact> out;
+  // The whole batch stays pinned for the kernel call (budgeted geometry
+  // caches evict only unpinned entries).
+  thread_local std::vector<extract::GeometryCache::Pinned> pins;
+  geoms.resize(static_cast<std::size_t>(n));
+  dres.resize(static_cast<std::size_t>(n));
+  out.resize(static_cast<std::size_t>(n) * n_rules_);
+  for (int i = 0; i < n; ++i) {
+    pins.push_back(geometry_->pinned(ids[i]));
+    geoms[i] = pins.back().get();
+    dres[i] = nets_state_[ids[i]].summary.driver_res;
+  }
+  evaluate_nets_exact_all_rules(geoms.data(), dres.data(), n, *tech_,
+                                design_->constraints.clock_freq, arena,
+                                out.data());
+  pins.clear();
+  if (geometry_->budgeted()) arena.shrink_to(geometry_->budget_bytes());
+  for (int i = 0; i < n; ++i) {
+    const int id = ids[i];
+    const std::uint64_t gen = ctx_gen_[id];
+    for (int r = 0; r < n_rules_; ++r) {
+      ExactCacheEntry& er =
+          exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r];
+      er.exact = out[static_cast<std::size_t>(i) * n_rules_ + r];
+      // The kernels evaluate EM at the root clock rate; the net's domain
+      // scale is applied here, once, as the row is memoized — so every
+      // consumer (greedy feasibility, annealer vetoes, repair) sees the
+      // same scaled density analyze_em reports. Neutral scale == 1.0 keeps
+      // the single-domain world bit-identical.
+      er.exact.em_peak *= net_em_scale_[id];
+      er.gen = gen;
+    }
+  }
 }
 
 }  // namespace sndr::ndr

@@ -125,7 +125,7 @@ class AssignmentState {
   /// scalar metrics with `par` left empty (no caller consumes the
   /// parasitics; the cache stays a few doubles per entry instead of a
   /// full RC tree). A miss warms the WHOLE rule row: the batched kernels
-  /// (evaluate_net_exact_all_rules) score every rule in one fused pass
+  /// (evaluate_nets_exact_all_rules, one net) score every rule in one pass
   /// over the shared GeometryCache — no geometry walk, no congestion
   /// query, no allocation past a warm per-thread arena — and one miss is
   /// counted per row fill, so hit rates read as "rows already warm".
@@ -216,11 +216,6 @@ class AssignmentState {
     return nets_state_[net_id].wire_delay;
   }
 
-  /// Same-shape net groups shared by warm_rows and the predictor.
-  const extract::NetShapeBuckets& shape_buckets() const {
-    return shape_buckets_;
-  }
-
  private:
   struct NetState {
     NetSummary summary;
@@ -234,6 +229,11 @@ class AssignmentState {
 
   /// Recomputes path_var_/path_xtalk_[net_id] from its parent's prefix.
   void update_path_prefix(int net_id);
+
+  /// Scores every rule of the `n` same-shaped nets `ids` in one batch and
+  /// memoizes their rows under the current context stamps. Safe to run
+  /// concurrently on disjoint nets (per-thread scratch).
+  void fill_rows(const int* ids, int n) const;
 
   const netlist::ClockTree* tree_;
   const netlist::Design* design_;

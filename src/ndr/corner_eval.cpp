@@ -79,9 +79,9 @@ MultiCornerReport evaluate_corners(
   }
 
   // Extraction is hoisted out of the per-corner evaluations: the derated
-  // clones are just extra lanes of the batched materialize, so every net's
-  // piece arrays are walked once TOTAL instead of once per corner, and
-  // each lane is scattered into that corner's parasitics slot —
+  // clones are lanes of one batched materialize over the net's geometry, so
+  // every net's piece arrays are walked once TOTAL instead of once per
+  // corner, and each lane is scattered into that corner's parasitics slot —
   // bit-identical to the extract_all each corner used to run (pinned by
   // tests/batch_kernel_test.cpp).
   std::vector<std::vector<extract::NetParasitics>> corner_par(
@@ -95,17 +95,17 @@ MultiCornerReport evaluate_corners(
                        /*est_us_per_item=*/1.0 * n_corners,
                        [&](std::int64_t i) {
     const netlist::Net& net = nets.nets[static_cast<std::size_t>(i)];
-    thread_local common::Arena arena;
-    arena.reset();
-    extract::EvalLane* lanes =
-        arena.alloc<extract::EvalLane>(static_cast<std::size_t>(n_corners));
-    for (int c = 0; c < n_corners; ++c) {
-      lanes[c] = {&cornered[c], &cornered[c].rules[assignment[net.id]]};
-    }
     const extract::GeometryCache::Pinned pin = geometry->pinned(net.id);
     const extract::NetGeometry& geom = *pin;
+    thread_local common::Arena arena;
+    arena.reset();
+    extract::NetLane* lanes =
+        arena.alloc<extract::NetLane>(static_cast<std::size_t>(n_corners));
+    for (int c = 0; c < n_corners; ++c) {
+      lanes[c] = {&geom, &cornered[c], &cornered[c].rules[assignment[net.id]]};
+    }
     extract::BatchParasitics bp;
-    extract::materialize_batch(geom, lanes, n_corners, arena, bp);
+    extract::materialize_nets_batch(lanes, n_corners, arena, bp);
     for (int c = 0; c < n_corners; ++c) {
       extract::scatter_lane(geom, bp, c, corner_par[c][i]);
     }

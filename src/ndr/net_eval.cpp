@@ -105,16 +105,19 @@ NetExact evaluate_net_exact(const extract::NetGeometry& geom,
   return out;
 }
 
-void evaluate_net_exact_batch(const extract::NetGeometry& geom,
-                              const extract::EvalLane* lanes, int n_lanes,
-                              const double* driver_res, double freq,
-                              common::Arena& arena, NetExact* out) {
+void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
+                               const double* driver_res, double freq,
+                               common::Arena& arena, NetExact* out) {
   const int L = n_lanes;
   extract::BatchParasitics bp;
-  extract::materialize_batch(geom, lanes, L, arena, bp);
+  extract::materialize_nets_batch(lanes, L, arena, bp);
   const int n = bp.nodes;
   const std::int64_t plane = static_cast<std::int64_t>(n) * L;
-  const int n_loads = static_cast<int>(geom.loads.size());
+  // Load attach indices are part of the shared shape; counts/rows come from
+  // lane 0, per-lane caps already landed in the planes.
+  const extract::NetGeometry& shape = *lanes[0].geom;
+  const int n_loads = static_cast<int>(shape.loads.size());
+  const double* __restrict__ wire_len = bp.wire_len;
 
   // Per-lane technology constants, hoisted exactly as the scalar kernels
   // hoist them (same values, so same per-lane arithmetic).
@@ -149,14 +152,16 @@ void evaluate_net_exact_batch(const extract::NetGeometry& geom,
 
   // EM: downstream sweep at the power Miller factor, then the worst
   // piece-current scan in node order (the scalar net_peak_current_density
-  // loop, lanes innermost).
+  // loop, lanes innermost). Wire lengths differ per lane, so its skip of
+  // non-wire nodes is a per-(node, lane) test; each lane still performs
+  // the scalar loop's operations on exactly its own wire nodes.
   double* __restrict__ down_power = arena.alloc<double>(plane);
   extract::rc_downstream_batch(n, L, bp.parent, bp.cap_gnd, bp.cap_cpl,
                                miller_power, down_power);
   for (int i = 0; i < n; ++i) {
-    if (bp.wire_len[i] <= 0.0) continue;
     const std::int64_t row = static_cast<std::int64_t>(i) * L;
     for (int l = 0; l < L; ++l) {
+      if (wire_len[row + l] <= 0.0) continue;
       const double i_avg = em_fv[l] * down_power[row + l];
       const double i_rms = em_crest[l] * i_avg;
       out[l].em_peak = std::max(out[l].em_peak, i_rms / width[l]);
@@ -173,7 +178,7 @@ void evaluate_net_exact_batch(const extract::NetGeometry& geom,
   double* delay_sum = arena.alloc_zeroed<double>(L);
   for (int li = 0; li < n_loads; ++li) {
     const std::int64_t row =
-        static_cast<std::int64_t>(geom.loads[li].rc_index) * L;
+        static_cast<std::int64_t>(shape.loads[li].rc_index) * L;
     for (int l = 0; l < L; ++l) {
       out[l].step_slew_worst = std::max(
           out[l].step_slew_worst, timing::step_slew(m1[row + l], m2[row + l]));
@@ -203,195 +208,12 @@ void evaluate_net_exact_batch(const extract::NetGeometry& geom,
   double* x_pert = arena.alloc<double>(static_cast<std::int64_t>(n_loads) * L);
 
   // Width +1 sigma: R scales W/(W+dW); area cap grows by c_area*dW per um.
-  for (int i = 0; i < n; ++i) {
-    const std::int64_t row = static_cast<std::int64_t>(i) * L;
-    const double wl = bp.wire_len[i];
-    if (wl <= 0.0) {
-      for (int l = 0; l < L; ++l) {
-        pert_res[row + l] = b_res[row + l];
-        pert_cap[row + l] = b_cgnd[row + l];
-      }
-    } else {
-      for (int l = 0; l < L; ++l) {
-        pert_res[row + l] = b_res[row + l] * w_factor[l];
-        pert_cap[row + l] = b_cgnd[row + l] + w_coef[l] * wl;
-      }
-    }
-  }
-  extract::rc_elmore_batch(n, L, bp.parent, pert_res, pert_cap, bp.cap_cpl,
-                           driver_res, miller_one, pdown, pm1);
-  for (int li = 0; li < n_loads; ++li) {
-    const std::int64_t row =
-        static_cast<std::int64_t>(geom.loads[li].rc_index) * L;
-    for (int l = 0; l < L; ++l) w_pert[li * L + l] = pm1[row + l];
-  }
-
-  // Thickness +1 sigma: R scales 1/(1+dT) (kept as a per-node division,
-  // like the scalar path); coupling scales (1+dT).
-  for (int i = 0; i < n; ++i) {
-    const std::int64_t row = static_cast<std::int64_t>(i) * L;
-    if (bp.wire_len[i] <= 0.0) {
-      for (int l = 0; l < L; ++l) {
-        pert_res[row + l] = b_res[row + l];
-        pert_cap[row + l] = b_ccpl[row + l];
-      }
-    } else {
-      for (int l = 0; l < L; ++l) {
-        pert_res[row + l] = b_res[row + l] / t_scale[l];
-        pert_cap[row + l] = b_ccpl[row + l] * t_scale[l];
-      }
-    }
-  }
-  extract::rc_elmore_batch(n, L, bp.parent, pert_res, bp.cap_gnd, pert_cap,
-                           driver_res, miller_one, pdown, pm1);
-  for (int li = 0; li < n_loads; ++li) {
-    const std::int64_t row =
-        static_cast<std::int64_t>(geom.loads[li].rc_index) * L;
-    for (int l = 0; l < L; ++l) t_pert[li * L + l] = pm1[row + l];
-  }
-
-  // Crosstalk: nominal planes at the delay Miller factor.
-  extract::rc_elmore_batch(n, L, bp.parent, bp.res, bp.cap_gnd, bp.cap_cpl,
-                           driver_res, miller_delay, pdown, pm1);
-  for (int li = 0; li < n_loads; ++li) {
-    const std::int64_t row =
-        static_cast<std::int64_t>(geom.loads[li].rc_index) * L;
-    for (int l = 0; l < L; ++l) x_pert[li * L + l] = pm1[row + l];
-  }
-
-  for (int li = 0; li < n_loads; ++li) {
-    const std::int64_t row =
-        static_cast<std::int64_t>(geom.loads[li].rc_index) * L;
-    for (int l = 0; l < L; ++l) {
-      const double base = m1[row + l];
-      const double dw = w_pert[li * L + l] - base;
-      const double dt = t_pert[li * L + l] - base;
-      out[l].sigma_worst =
-          std::max(out[l].sigma_worst, std::sqrt(dw * dw + dt * dt));
-      out[l].xtalk_worst =
-          std::max(out[l].xtalk_worst,
-                   activity[l] * std::max(0.0, x_pert[li * L + l] - base));
-    }
-  }
-}
-
-void evaluate_net_exact_all_rules(const extract::NetGeometry& geom,
-                                  const tech::Technology& tech,
-                                  double driver_res, double freq,
-                                  common::Arena& arena, NetExact* out) {
-  arena.reset();
-  const int L = tech.rules.size();
-  extract::EvalLane* lanes =
-      arena.alloc<extract::EvalLane>(static_cast<std::size_t>(L));
-  double* dres = arena.alloc<double>(static_cast<std::size_t>(L));
-  for (int l = 0; l < L; ++l) {
-    lanes[l] = {&tech, &tech.rules[l]};
-    dres[l] = driver_res;
-  }
-  evaluate_net_exact_batch(geom, lanes, L, dres, freq, arena, out);
-  common::note_arena_highwater(arena);
-}
-
-void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
-                               const double* driver_res, double freq,
-                               common::Arena& arena, NetExact* out) {
-  const int L = n_lanes;
-  extract::BatchParasitics bp;
-  extract::materialize_nets_batch(lanes, L, arena, bp);
-  const int n = bp.nodes;
-  const std::int64_t plane = static_cast<std::int64_t>(n) * L;
-  // Load attach indices are part of the shared shape; counts/rows come from
-  // lane 0, per-lane caps already landed in the planes.
-  const extract::NetGeometry& shape = *lanes[0].geom;
-  const int n_loads = static_cast<int>(shape.loads.size());
-  const double* __restrict__ wl_lane = bp.wire_len_lane;
-
-  double* miller_one = arena.alloc<double>(L);
-  double* miller_power = arena.alloc<double>(L);
-  double* miller_delay = arena.alloc<double>(L);
-  double* em_fv = arena.alloc<double>(L);
-  double* em_crest = arena.alloc<double>(L);
-  double* width = arena.alloc<double>(L);
-  double* w_factor = arena.alloc<double>(L);
-  double* w_coef = arena.alloc<double>(L);
-  double* t_scale = arena.alloc<double>(L);
-  double* activity = arena.alloc<double>(L);
-  for (int l = 0; l < L; ++l) {
-    const tech::Technology& tech = *lanes[l].tech;
-    const tech::MetalLayer& layer = tech.clock_layer;
-    miller_one[l] = 1.0;
-    miller_power[l] = tech.miller_power;
-    miller_delay[l] = tech.miller_delay;
-    em_fv[l] = freq * tech.vdd;
-    em_crest[l] = tech.em_crest_factor;
-    width[l] = layer.min_width * lanes[l].rule->width_mult;
-    w_factor[l] = width[l] / (width[l] + layer.sigma_width);
-    w_coef[l] = layer.c_area * layer.sigma_width;
-    t_scale[l] = 1.0 + layer.sigma_thickness;
-    activity[l] = tech.aggressor_activity;
-
-    out[l] = NetExact{};
-    out[l].cap_switched = bp.wire_cap_gnd[l] + bp.load_cap[l] +
-                          miller_power[l] * bp.wire_cap_cpl[l];
-  }
-
-  // EM sweep. Wire lengths differ per lane here, so the uniform per-node
-  // skip of the single-net batch becomes a per-(node, lane) test; each lane
-  // still performs the scalar loop's operations on exactly its own wire
-  // nodes, in node order.
-  double* __restrict__ down_power = arena.alloc<double>(plane);
-  extract::rc_downstream_batch(n, L, bp.parent, bp.cap_gnd, bp.cap_cpl,
-                               miller_power, down_power);
+  // Non-wire (node, lane) cells keep base values (a copy, no FP op — the
+  // scalar path's `continue`).
   for (int i = 0; i < n; ++i) {
     const std::int64_t row = static_cast<std::int64_t>(i) * L;
     for (int l = 0; l < L; ++l) {
-      if (wl_lane[row + l] <= 0.0) continue;
-      const double i_avg = em_fv[l] * down_power[row + l];
-      const double i_rms = em_crest[l] * i_avg;
-      out[l].em_peak = std::max(out[l].em_peak, i_rms / width[l]);
-    }
-  }
-
-  double* __restrict__ down = arena.alloc<double>(plane);
-  double* __restrict__ subtree = arena.alloc<double>(plane);
-  double* __restrict__ m1 = arena.alloc<double>(plane);
-  double* __restrict__ m2 = arena.alloc<double>(plane);
-  extract::rc_moments_batch(n, L, bp.parent, bp.res, bp.cap_gnd, bp.cap_cpl,
-                            driver_res, miller_one, down, subtree, m1, m2);
-  double* delay_sum = arena.alloc_zeroed<double>(L);
-  for (int li = 0; li < n_loads; ++li) {
-    const std::int64_t row =
-        static_cast<std::int64_t>(shape.loads[li].rc_index) * L;
-    for (int l = 0; l < L; ++l) {
-      out[l].step_slew_worst = std::max(
-          out[l].step_slew_worst, timing::step_slew(m1[row + l], m2[row + l]));
-      const double d = timing::delay_d2m(m1[row + l], m2[row + l]);
-      delay_sum[l] += d;
-      out[l].wire_delay_worst = std::max(out[l].wire_delay_worst, d);
-    }
-  }
-  for (int l = 0; l < L; ++l) {
-    out[l].wire_delay_mean =
-        n_loads == 0 ? 0.0 : delay_sum[l] / static_cast<double>(n_loads);
-  }
-
-  double* __restrict__ pert_res = arena.alloc<double>(plane);
-  double* __restrict__ pert_cap = arena.alloc<double>(plane);
-  double* __restrict__ pdown = arena.alloc<double>(plane);
-  double* __restrict__ pm1 = arena.alloc<double>(plane);
-  const double* __restrict__ b_res = bp.res;
-  const double* __restrict__ b_cgnd = bp.cap_gnd;
-  const double* __restrict__ b_ccpl = bp.cap_cpl;
-  double* w_pert = arena.alloc<double>(static_cast<std::int64_t>(n_loads) * L);
-  double* t_pert = arena.alloc<double>(static_cast<std::int64_t>(n_loads) * L);
-  double* x_pert = arena.alloc<double>(static_cast<std::int64_t>(n_loads) * L);
-
-  // Width +1 sigma, per-(node, lane) skip: non-wire rows keep base values
-  // (a copy, no FP op — the scalar path's `continue`).
-  for (int i = 0; i < n; ++i) {
-    const std::int64_t row = static_cast<std::int64_t>(i) * L;
-    for (int l = 0; l < L; ++l) {
-      const double wl = wl_lane[row + l];
+      const double wl = wire_len[row + l];
       if (wl <= 0.0) {
         pert_res[row + l] = b_res[row + l];
         pert_cap[row + l] = b_cgnd[row + l];
@@ -409,11 +231,12 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
     for (int l = 0; l < L; ++l) w_pert[li * L + l] = pm1[row + l];
   }
 
-  // Thickness +1 sigma, same per-(node, lane) structure.
+  // Thickness +1 sigma: R scales 1/(1+dT) (kept as a per-node division,
+  // like the scalar path); coupling scales (1+dT).
   for (int i = 0; i < n; ++i) {
     const std::int64_t row = static_cast<std::int64_t>(i) * L;
     for (int l = 0; l < L; ++l) {
-      if (wl_lane[row + l] <= 0.0) {
+      if (wire_len[row + l] <= 0.0) {
         pert_res[row + l] = b_res[row + l];
         pert_cap[row + l] = b_ccpl[row + l];
       } else {
@@ -430,6 +253,7 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
     for (int l = 0; l < L; ++l) t_pert[li * L + l] = pm1[row + l];
   }
 
+  // Crosstalk: nominal planes at the delay Miller factor.
   extract::rc_elmore_batch(n, L, bp.parent, bp.res, bp.cap_gnd, bp.cap_cpl,
                            driver_res, miller_delay, pdown, pm1);
   for (int li = 0; li < n_loads; ++li) {

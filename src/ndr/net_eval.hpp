@@ -10,6 +10,12 @@
 //  * worst step slew, process sigma, crosstalk delta — exact via per-net
 //    re-extraction (used to label model training data and to validate
 //    commits), or predicted by the learned models (used for fast scoring).
+//
+// Exact evaluation has two forms that agree bit for bit: the scalar
+// evaluate_net_exact (one net, one rule), which is the reference the tests
+// compare against, and the lane-batched evaluate_nets_exact_* (any mix of
+// same-shaped nets, technologies and rules in one pass), which the
+// optimizer, the annealer's memo and predictor labelling run.
 #pragma once
 
 #include "common/arena.hpp"
@@ -95,47 +101,25 @@ NetExact evaluate_net_exact(const extract::NetGeometry& geom,
                             const tech::RoutingRule& rule, double driver_res,
                             double freq, NetEvalScratch& scratch);
 
-/// Batched exact evaluation: scores the shared geometry under `n_lanes`
-/// electrical contexts — (tech, rule) pairs with per-lane driver
-/// resistance — in one fused pass (materialize_batch + one EM sweep + one
-/// moment solve + three perturbed Elmore solves, lane loop innermost).
-/// out[l] is bit-identical to the scalar scratch overload called with
-/// lane l's context, `par` left empty. All scratch is carved from `arena`
-/// WITHOUT resetting it (so callers may keep lane arrays there); the
-/// caller resets the arena once per net.
-void evaluate_net_exact_batch(const extract::NetGeometry& geom,
-                              const extract::EvalLane* lanes, int n_lanes,
-                              const double* driver_res, double freq,
-                              common::Arena& arena, NetExact* out);
-
-/// Rule-sweep entry point: resets `arena`, then evaluates the net under
-/// EVERY rule of `tech` at the given driver resistance. `out` must hold
-/// tech.rules.size() entries; out[r] corresponds to tech.rules[r]. This is
-/// what AssignmentState uses to warm a whole memo row on first miss and
-/// what the bench compares against the scalar per-rule sweep.
-void evaluate_net_exact_all_rules(const extract::NetGeometry& geom,
-                                  const tech::Technology& tech,
-                                  double driver_res, double freq,
-                                  common::Arena& arena, NetExact* out);
-
-/// CROSS-NET batched exact evaluation: lanes are (net geometry, rule) pairs
-/// over SAME-SHAPED nets (see extract::bucket_nets_by_shape), with per-lane
-/// driver resistance. out[l] is bit-identical to the scalar scratch
-/// overload called with lane l's net and context — piece lengths differ per
-/// lane, so the uniform wire-length skips of the single-net batch become
-/// per-(node, lane) conditionals, which preserves each lane's scalar FP
-/// sequence exactly. Arena is NOT reset (mirrors evaluate_net_exact_batch).
+/// Batched exact evaluation: lanes are (net geometry, tech, rule) triples
+/// over SAME-SHAPED nets (see extract::bucket_nets_by_shape) with per-lane
+/// driver resistance, scored in one fused pass (materialize_nets_batch +
+/// one EM sweep + one moment solve + three perturbed Elmore solves, lane
+/// loop innermost). out[l] is bit-identical to the scalar scratch overload
+/// called with lane l's net and context, `par` left empty. All scratch is
+/// carved from `arena` WITHOUT resetting it (so callers may keep lane
+/// arrays there).
 void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
                                const double* driver_res, double freq,
                                common::Arena& arena, NetExact* out);
 
-/// Multi-net rule-sweep entry point: resets `arena`, then evaluates each of
-/// the `n_nets` same-shaped geometries under EVERY rule of `tech` in one
-/// cross-net batch (lanes net-outer × rule-inner). out[i * R + r] is
-/// geoms[i] under tech.rules[r], bit-identical to
-/// evaluate_net_exact_all_rules(*geoms[i], ...). This is how warm-row
-/// prefetches, greedy sweeps, and predictor labeling fill the SIMD lanes
-/// that a single net's rule sweep leaves mostly empty.
+/// Rule-sweep entry point: resets `arena`, then evaluates each of the
+/// `n_nets` same-shaped geometries under EVERY rule of `tech` in one batch
+/// (lanes net-outer × rule-inner). out[i * R + r] is geoms[i] under
+/// tech.rules[r], bit-identical to the scalar evaluate_net_exact. With one
+/// net this is the memo-row fill of an AssignmentState miss; with several
+/// it is how warm-row prefetches and predictor labelling fill the SIMD
+/// lanes that one net's rule sweep leaves mostly empty.
 void evaluate_nets_exact_all_rules(const extract::NetGeometry* const* geoms,
                                    const double* driver_res, int n_nets,
                                    const tech::Technology& tech, double freq,

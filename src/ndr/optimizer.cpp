@@ -349,10 +349,9 @@ SmartNdrResult Optimizer::run() {
     } else {
       const auto t0 = Clock::now();
       predictor_ = std::make_shared<const RuleImpactPredictor>(
-          RuleImpactPredictor::train(tree_, design_, tech_, nets_, {},
-                                     opt_.training_samples,
-                                     /*holdout_frac=*/0.2,
-                                     &state_.geometry_cache()));
+          RuleImpactPredictor::train(tree_, design_, tech_, nets_,
+                                     state_.geometry_cache(), {},
+                                     opt_.training_samples));
       stats_.train_seconds = seconds_since(t0);
     }
     predictor_ready_ = true;

@@ -39,8 +39,9 @@ std::vector<double> net_feature_vector(const NetSummary& s) {
 RuleImpactPredictor RuleImpactPredictor::train(
     const netlist::ClockTree& tree, const netlist::Design& design,
     const tech::Technology& tech, const netlist::NetList& nets,
+    const extract::GeometryCache& geometry,
     const timing::AnalysisOptions& options, int max_samples,
-    double holdout_frac, const extract::GeometryCache* geometry) {
+    double holdout_frac) {
   SNDR_TRACE_SPAN("predictor_train");
   RuleImpactPredictor pred;
   const int n_rules = tech.rules.size();
@@ -92,93 +93,48 @@ RuleImpactPredictor RuleImpactPredictor::train(
   SNDR_COUNTER_ADD("predictor.holdout_samples",
                    pred.report_.holdout_samples);
 
-  // Exact labels for every (sample, rule): net-outer, so one batched pass
-  // per net scores ALL rules from the same geometry — the dominant training
-  // cost drops from R evaluations per sample to one. Per (sample, rule) the
-  // labels are bit-identical to the historical rule-outer scalar loop
-  // (batched kernels replay the scalar op order per lane), so the fitted
-  // models and the quality report are identical too.
+  // Exact labels for every (sample, rule) from the cached geometry, in
+  // cross-net batches: sample slots are grouped by geometry shape so one
+  // kernel call labels several same-shaped nets under every rule (lanes =
+  // nets × rules). Per (sample, rule) the labels are bit-identical to the
+  // scalar evaluate_net_exact (the batch replays each lane's scalar op
+  // order), so the fitted models and the quality report are too.
   std::vector<std::vector<std::array<double, 4>>> labels(
       static_cast<std::size_t>(n_rules));
   for (auto& l : labels) l.resize(sample_ids.size());
-  if (geometry != nullptr) {
-    // Label from pre-built geometry with CROSS-NET batches: sample slots
-    // are grouped by geometry shape so one kernel call labels several
-    // same-shaped nets at once (lanes = nets × rules) instead of one net's
-    // rules. Labels stay bit-identical to the per-net path — the batch
-    // replays each lane's scalar op order — so the fitted models and the
-    // quality report are unchanged; only the lane occupancy improves.
-    const extract::NetShapeBuckets buckets =
-        extract::bucket_nets_by_shape(*geometry);
-    const int max_nets = std::max(1, 32 / std::max(1, n_rules));
-    std::vector<std::vector<int>> batches;  // of sample slots.
-    {
-      std::vector<std::vector<int>> per_group(buckets.groups.size());
-      for (std::size_t i = 0; i < sample_ids.size(); ++i) {
-        per_group[buckets.group_of[sample_ids[i]]].push_back(
-            static_cast<int>(i));
-      }
-      for (const std::vector<int>& group : per_group) {
-        for (std::size_t at = 0; at < group.size();
-             at += static_cast<std::size_t>(max_nets)) {
-          const std::size_t end =
-              std::min(group.size(), at + static_cast<std::size_t>(max_nets));
-          batches.emplace_back(group.begin() + at, group.begin() + end);
+  const std::vector<std::vector<int>> batches = extract::plan_net_batches(
+      extract::bucket_nets_by_shape(geometry), sample_ids, n_rules);
+  common::parallel_for(
+      static_cast<std::int64_t>(batches.size()), /*grain=*/1,
+      [&](std::int64_t b) {
+        const std::vector<int>& slots = batches[static_cast<std::size_t>(b)];
+        thread_local common::Arena arena;
+        thread_local std::vector<const extract::NetGeometry*> geoms;
+        thread_local std::vector<double> dres;
+        thread_local std::vector<NetExact> out;
+        geoms.resize(slots.size());
+        dres.resize(slots.size());
+        out.resize(slots.size() * static_cast<std::size_t>(n_rules));
+        std::vector<extract::GeometryCache::Pinned> pins;
+        pins.reserve(slots.size());
+        for (std::size_t k = 0; k < slots.size(); ++k) {
+          pins.push_back(geometry.pinned(sample_ids[slots[k]]));
+          geoms[k] = pins.back().get();
+          dres[k] = summaries[slots[k]].driver_res;
         }
-      }
-    }
-    common::parallel_for(
-        static_cast<std::int64_t>(batches.size()), /*grain=*/1,
-        [&](std::int64_t b) {
-          const std::vector<int>& slots = batches[static_cast<std::size_t>(b)];
-          thread_local common::Arena arena;
-          thread_local std::vector<const extract::NetGeometry*> geoms;
-          thread_local std::vector<double> dres;
-          thread_local std::vector<NetExact> out;
-          geoms.resize(slots.size());
-          dres.resize(slots.size());
-          out.resize(slots.size() * static_cast<std::size_t>(n_rules));
-          std::vector<extract::GeometryCache::Pinned> pins;
-          pins.reserve(slots.size());
-          for (std::size_t k = 0; k < slots.size(); ++k) {
-            pins.push_back(geometry->pinned(sample_ids[slots[k]]));
-            geoms[k] = pins.back().get();
-            dres[k] = summaries[slots[k]].driver_res;
-          }
-          evaluate_nets_exact_all_rules(geoms.data(), dres.data(),
-                                        static_cast<int>(slots.size()), tech,
-                                        freq, arena, out.data());
-          for (std::size_t k = 0; k < slots.size(); ++k) {
-            for (int r = 0; r < n_rules; ++r) {
-              const NetExact& exact =
-                  out[k * static_cast<std::size_t>(n_rules) +
-                      static_cast<std::size_t>(r)];
-              labels[r][slots[k]] = {exact.step_slew_worst, exact.sigma_worst,
-                                     exact.xtalk_worst,
-                                     exact.wire_delay_worst};
-            }
-          }
-        });
-  } else {
-    common::parallel_for(
-        static_cast<std::int64_t>(sample_ids.size()), /*grain=*/4,
-        /*est_us_per_item=*/10.0, [&](std::int64_t i) {
-          thread_local common::Arena arena;
-          thread_local std::vector<NetExact> row;
-          row.resize(static_cast<std::size_t>(n_rules));
-          // One fresh geometry walk per sample (instead of one per
-          // (sample, rule) — the walk is rule-independent).
-          const extract::NetGeometry geom = extract::build_net_geometry(
-              tree, design, nets[sample_ids[i]]);
-          evaluate_net_exact_all_rules(geom, tech, summaries[i].driver_res,
-                                       freq, arena, row.data());
+        evaluate_nets_exact_all_rules(geoms.data(), dres.data(),
+                                      static_cast<int>(slots.size()), tech,
+                                      freq, arena, out.data());
+        for (std::size_t k = 0; k < slots.size(); ++k) {
           for (int r = 0; r < n_rules; ++r) {
-            const NetExact& exact = row[static_cast<std::size_t>(r)];
-            labels[r][i] = {exact.step_slew_worst, exact.sigma_worst,
-                            exact.xtalk_worst, exact.wire_delay_worst};
+            const NetExact& exact =
+                out[k * static_cast<std::size_t>(n_rules) +
+                    static_cast<std::size_t>(r)];
+            labels[r][slots[k]] = {exact.step_slew_worst, exact.sigma_worst,
+                                   exact.xtalk_worst, exact.wire_delay_worst};
           }
-        });
-  }
+        }
+      });
 
   for (int r = 0; r < n_rules; ++r) {
     for (int m = 0; m < 4; ++m) {

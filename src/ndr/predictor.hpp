@@ -54,18 +54,16 @@ class RuleImpactPredictor {
   /// net depth so root trunks and leaf nets are both represented.
   /// `holdout_frac` of samples are withheld for the accuracy report.
   /// Labeling is the dominant cost — one exact per-(sample, rule)
-  /// evaluation each — so pass a `geometry` cache for the same tree to
-  /// label from pre-built geometry instead of re-walking every sample
-  /// (bit-identical labels either way).
+  /// evaluation each — and reads the pre-built `geometry` of the same
+  /// tree and net list.
   static RuleImpactPredictor train(const netlist::ClockTree& tree,
                                    const netlist::Design& design,
                                    const tech::Technology& tech,
                                    const netlist::NetList& nets,
+                                   const extract::GeometryCache& geometry,
                                    const timing::AnalysisOptions& options,
                                    int max_samples = 400,
-                                   double holdout_frac = 0.2,
-                                   const extract::GeometryCache* geometry =
-                                       nullptr);
+                                   double holdout_frac = 0.2);
 
   NetImpact predict(const NetSummary& s, int rule) const;
 

@@ -1,8 +1,9 @@
-// Bit-identity contract of the batched rule-sweep kernels (extract/batch.hpp,
-// ndr/net_eval.hpp): every lane of the batched materialize / moments / exact
-// evaluation must equal the scalar reference path bit for bit — across every
-// rule, every process corner, at 1 and 8 threads — with all scratch carved
-// from a common::Arena that is reused (reset, not reallocated) across nets.
+// Bit-identity contract of the batched kernels (extract/batch.hpp,
+// ndr/net_eval.hpp) on one-geometry batches: every lane of the batched
+// materialize / moments / exact evaluation must equal the scalar reference
+// path bit for bit — across every rule, every process corner, at 1 and 8
+// threads — with all scratch carved from a common::Arena that is reused
+// (reset, not reallocated) across nets.
 // This is what lets the optimizer's memo warm whole rule rows and the corner
 // signoff share one extraction batch without any tolerance-based checking.
 #include <gtest/gtest.h>
@@ -74,13 +75,16 @@ TEST_F(BatchKernelFixture, MaterializeLanesBitIdenticalToScalarPerRule) {
   common::Arena arena;
   extract::NetParasitics scalar;
   extract::NetParasitics scattered;
+  const int R = f.tech.rules.size();
+  std::vector<extract::NetLane> lanes(static_cast<std::size_t>(R));
   for (const netlist::Net& net : f.nets.nets) {
     const extract::NetGeometry& geom = cache.geometry(net.id);
+    for (int r = 0; r < R; ++r) lanes[r] = {&geom, &f.tech, &f.tech.rules[r]};
     arena.reset();
     extract::BatchParasitics bp;
-    extract::materialize_batch(geom, f.tech, f.tech.rules, arena, bp);
-    ASSERT_EQ(bp.lanes, f.tech.rules.size());
-    for (int r = 0; r < f.tech.rules.size(); ++r) {
+    extract::materialize_nets_batch(lanes.data(), R, arena, bp);
+    ASSERT_EQ(bp.lanes, R);
+    for (int r = 0; r < R; ++r) {
       extract::materialize(geom, f.tech, f.tech.rules[r], scalar);
       extract::scatter_lane(geom, bp, r, scattered);
       expect_parasitics_identical(scattered, scalar);
@@ -93,31 +97,42 @@ TEST_F(BatchKernelFixture, MomentsLanesBitIdenticalToScalarFusedKernel) {
   extract::NetParasitics scalar;
   extract::RcMoments scalar_moments;
   const double driver_res = 140.0;
+  const int L = f.tech.rules.size();
+  std::vector<extract::NetLane> lanes(static_cast<std::size_t>(L));
+  const std::vector<double> dres(static_cast<std::size_t>(L), driver_res);
+  const std::vector<double> miller(static_cast<std::size_t>(L), 1.0);
   for (const netlist::Net& net : f.nets.nets) {
     const extract::NetGeometry& geom = cache.geometry(net.id);
-    const int L = f.tech.rules.size();
+    for (int l = 0; l < L; ++l) lanes[l] = {&geom, &f.tech, &f.tech.rules[l]};
     arena.reset();
-    extract::EvalLane* lanes =
-        arena.alloc<extract::EvalLane>(static_cast<std::size_t>(L));
-    double* dres = arena.alloc<double>(static_cast<std::size_t>(L));
-    double* miller = arena.alloc<double>(static_cast<std::size_t>(L));
-    for (int l = 0; l < L; ++l) {
-      lanes[l] = {&f.tech, &f.tech.rules[l]};
-      dres[l] = driver_res;
-      miller[l] = 1.0;
-    }
     extract::BatchParasitics bp;
-    extract::BatchMoments bm;
-    extract::moments_batch(geom, lanes, L, dres, miller, arena, bp, bm);
+    extract::materialize_nets_batch(lanes.data(), L, arena, bp);
+    const std::int64_t plane = static_cast<std::int64_t>(bp.nodes) * L;
+    double* down = arena.alloc<double>(plane);
+    double* subtree = arena.alloc<double>(plane);
+    double* m1 = arena.alloc<double>(plane);
+    double* m2 = arena.alloc<double>(plane);
+    extract::rc_moments_batch(bp.nodes, L, bp.parent, bp.res, bp.cap_gnd,
+                              bp.cap_cpl, dres.data(), miller.data(), down,
+                              subtree, m1, m2);
     for (int r = 0; r < L; ++r) {
       extract::materialize(geom, f.tech, f.tech.rules[r], scalar);
       scalar.rc.moments(driver_res, 1.0, scalar_moments);
-      for (int i = 0; i < bm.nodes; ++i) {
-        EXPECT_EQ(bm.m1[bm.at(i, r)], scalar_moments.m1[i]);
-        EXPECT_EQ(bm.m2[bm.at(i, r)], scalar_moments.m2[i]);
+      for (int i = 0; i < bp.nodes; ++i) {
+        EXPECT_EQ(m1[bp.at(i, r)], scalar_moments.m1[i]);
+        EXPECT_EQ(m2[bp.at(i, r)], scalar_moments.m2[i]);
       }
     }
   }
+}
+
+/// One net's rule sweep through the batched entry point: a one-net batch.
+void sweep_one_net(const extract::NetGeometry& geom,
+                   const tech::Technology& tech, double driver_res,
+                   double freq, common::Arena& arena, ndr::NetExact* out) {
+  const extract::NetGeometry* geoms[] = {&geom};
+  ndr::evaluate_nets_exact_all_rules(geoms, &driver_res, 1, tech, freq,
+                                     arena, out);
 }
 
 TEST_F(BatchKernelFixture, ExactAllRulesBitIdenticalToScalarSweep) {
@@ -129,8 +144,7 @@ TEST_F(BatchKernelFixture, ExactAllRulesBitIdenticalToScalarSweep) {
   const double freq = f.design.constraints.clock_freq;
   for (const netlist::Net& net : f.nets.nets) {
     const extract::NetGeometry& geom = cache.geometry(net.id);
-    ndr::evaluate_net_exact_all_rules(geom, f.tech, driver_res, freq, arena,
-                                      row.data());
+    sweep_one_net(geom, f.tech, driver_res, freq, arena, row.data());
     for (int r = 0; r < f.tech.rules.size(); ++r) {
       const ndr::NetExact scalar = ndr::evaluate_net_exact(
           geom, f.tech, f.tech.rules[r], driver_res, freq, scratch);
@@ -151,18 +165,15 @@ TEST_F(BatchKernelFixture, ArenaReuseLeavesEarlierResultsReproducible) {
   std::vector<ndr::NetExact> first(static_cast<std::size_t>(n_rules));
   std::vector<ndr::NetExact> again(static_cast<std::size_t>(n_rules));
   const extract::NetGeometry& geom0 = cache.geometry(f.nets[0].id);
-  ndr::evaluate_net_exact_all_rules(geom0, f.tech, driver_res, freq, arena,
-                                    first.data());
+  sweep_one_net(geom0, f.tech, driver_res, freq, arena, first.data());
   const std::size_t grown = arena.capacity();
   std::vector<ndr::NetExact> scratch_row(static_cast<std::size_t>(n_rules));
   for (const netlist::Net& net : f.nets.nets) {
-    ndr::evaluate_net_exact_all_rules(cache.geometry(net.id), f.tech,
-                                      driver_res, freq, arena,
-                                      scratch_row.data());
+    sweep_one_net(cache.geometry(net.id), f.tech, driver_res, freq, arena,
+                  scratch_row.data());
   }
   EXPECT_GE(arena.capacity(), grown);
-  ndr::evaluate_net_exact_all_rules(geom0, f.tech, driver_res, freq, arena,
-                                    again.data());
+  sweep_one_net(geom0, f.tech, driver_res, freq, arena, again.data());
   for (int r = 0; r < n_rules; ++r) {
     expect_exact_identical(again[static_cast<std::size_t>(r)],
                            first[static_cast<std::size_t>(r)]);
@@ -171,8 +182,9 @@ TEST_F(BatchKernelFixture, ArenaReuseLeavesEarlierResultsReproducible) {
 
 TEST_F(BatchKernelFixture, CornerLanesBitIdenticalToPerCornerExtraction) {
   // The corner-signoff batch: lanes are derated technology clones with the
-  // net's assigned rule. Each scattered lane must equal the parasitics the
-  // per-corner extract_all used to produce.
+  // net's assigned rule, all on the net's geometry. Each scattered lane
+  // must equal the parasitics the per-corner extract_all used to produce.
+  // A second batch mixes every corner with every rule.
   const auto corners = tech::standard_corners();
   const auto assignment =
       ndr::assign_all(f.nets, f.tech.rules.blanket_index());
@@ -183,22 +195,29 @@ TEST_F(BatchKernelFixture, CornerLanesBitIdenticalToPerCornerExtraction) {
   common::Arena arena;
   extract::NetParasitics scattered;
   extract::NetParasitics scalar;
+  std::vector<extract::NetLane> lanes;
   for (const netlist::Net& net : f.nets.nets) {
     const extract::NetGeometry& geom = cache.geometry(net.id);
-    arena.reset();
-    const int C = static_cast<int>(corners.size());
-    extract::EvalLane* lanes =
-        arena.alloc<extract::EvalLane>(static_cast<std::size_t>(C));
-    for (int c = 0; c < C; ++c) {
-      lanes[c] = {&cornered[c], &cornered[c].rules[assignment[net.id]]};
-    }
-    extract::BatchParasitics bp;
-    extract::materialize_batch(geom, lanes, C, arena, bp);
-    for (int c = 0; c < C; ++c) {
-      extract::materialize(geom, cornered[c],
-                           cornered[c].rules[assignment[net.id]], scalar);
-      extract::scatter_lane(geom, bp, c, scattered);
-      expect_parasitics_identical(scattered, scalar);
+    for (const bool mix_rules : {false, true}) {
+      lanes.clear();
+      for (const tech::Technology& t : cornered) {
+        if (!mix_rules) {
+          lanes.push_back({&geom, &t, &t.rules[assignment[net.id]]});
+          continue;
+        }
+        for (int r = 0; r < t.rules.size(); ++r) {
+          lanes.push_back({&geom, &t, &t.rules[r]});
+        }
+      }
+      const int L = static_cast<int>(lanes.size());
+      arena.reset();
+      extract::BatchParasitics bp;
+      extract::materialize_nets_batch(lanes.data(), L, arena, bp);
+      for (int l = 0; l < L; ++l) {
+        extract::materialize(geom, *lanes[l].tech, *lanes[l].rule, scalar);
+        extract::scatter_lane(geom, bp, l, scattered);
+        expect_parasitics_identical(scattered, scalar);
+      }
     }
   }
 }

@@ -79,6 +79,15 @@ TEST(FlowConfig, RejectsUnknownKeysAndBadValues) {
   EXPECT_NE(s.message().find("bogus"), std::string::npos);
   EXPECT_EQ(config.set("threads", "abc").code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(config.set("threads", "-7").code(),
+            StatusCode::kInvalidArgument);
+  // Sizes that overflow std::size_t once scaled by their suffix.
+  EXPECT_EQ(config.set("memory_budget", "17179869184G").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(config.set("memory_budget", "18014398509481985K").code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(config.set("memory_budget", "17179869183G").ok());
+  EXPECT_EQ(config.memory_budget_bytes, std::size_t{17179869183} << 30);
   EXPECT_EQ(config.set("scoring", "psychic").code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(config.set("smart", "maybe").code(),

@@ -175,8 +175,9 @@ TEST_F(NetEvalFixture, ExactEvalConsistentWithRuleDirection) {
 TEST(Predictor, HoldoutQualityIsHigh) {
   const test::Flow f = test::small_flow(512, 7);
   const timing::AnalysisOptions aopt;
+  const extract::GeometryCache cache(f.cts.tree, f.design, f.nets);
   const RuleImpactPredictor pred = RuleImpactPredictor::train(
-      f.cts.tree, f.design, f.tech, f.nets, aopt, 200);
+      f.cts.tree, f.design, f.tech, f.nets, cache, aopt, 200);
   const TrainReport& rep = pred.report();
   EXPECT_GT(rep.train_samples, 50);
   EXPECT_GT(rep.holdout_samples, 10);
@@ -194,8 +195,9 @@ TEST(Predictor, HoldoutQualityIsHigh) {
 TEST(Predictor, PredictionsNonNegative) {
   const test::Flow f = test::small_flow(128, 3);
   const timing::AnalysisOptions aopt;
+  const extract::GeometryCache cache(f.cts.tree, f.design, f.nets);
   const RuleImpactPredictor pred = RuleImpactPredictor::train(
-      f.cts.tree, f.design, f.tech, f.nets, aopt, 100);
+      f.cts.tree, f.design, f.tech, f.nets, cache, aopt, 100);
   for (const auto& net : f.nets.nets) {
     const NetSummary s =
         summarize_net(f.cts.tree, f.design, f.tech, net, aopt);

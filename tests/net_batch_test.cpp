@@ -1,7 +1,7 @@
-// Cross-net lane batching (PR 6): shape buckets partition the net list
-// into groups whose geometries share piece topology, and the multi-net
-// batched kernels return results bitwise identical to the scalar per-net
-// path — lane interleaving changes throughput, never values.
+// Cross-net lane batching: shape buckets partition the net list into
+// groups whose geometries share piece topology, and the multi-net batched
+// kernels return results bitwise identical to the scalar per-net path —
+// lane interleaving changes throughput, never values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "extract/net_geometry.hpp"
 #include "ndr/assignment_state.hpp"
 #include "ndr/smart_ndr.hpp"
+#include "tech/corners.hpp"
 #include "test_util.hpp"
 #include "timing/variation.hpp"
 
@@ -70,27 +71,29 @@ TEST(NetBatch, CrossNetAllRulesBitwiseMatchesScalar) {
   const int R = f.tech.rules.size();
 
   common::Arena arena;
-  common::Arena scalar_arena;
-  std::vector<NetExact> want(static_cast<std::size_t>(R));
+  NetEvalScratch scratch;
   for (const std::vector<int>& group : buckets.groups) {
-    const int n = std::min<int>(static_cast<int>(group.size()), 8);
-    std::vector<const extract::NetGeometry*> geoms(n);
-    std::vector<double> dres(n);
-    for (int i = 0; i < n; ++i) {
-      geoms[i] = &cache.geometry(group[i]);
-      dres[i] = timing::net_driver_res(f.cts.tree, f.tech, f.nets[group[i]],
-                                       aopt);
-    }
-    std::vector<NetExact> got(static_cast<std::size_t>(n * R));
-    evaluate_nets_exact_all_rules(geoms.data(), dres.data(), n, f.tech, freq,
-                                  arena, got.data());
-    for (int i = 0; i < n; ++i) {
-      SCOPED_TRACE("net " + std::to_string(group[i]));
-      evaluate_net_exact_all_rules(*geoms[i], f.tech, dres[i], freq,
-                                   scalar_arena, want.data());
-      for (int r = 0; r < R; ++r) {
-        SCOPED_TRACE("rule " + std::to_string(r));
-        expect_exact_eq(got[static_cast<std::size_t>(i * R + r)], want[r]);
+    // A one-net batch (the memo-row miss) and a multi-net batch per group.
+    for (const int cap : {1, 8}) {
+      const int n = std::min<int>(static_cast<int>(group.size()), cap);
+      std::vector<const extract::NetGeometry*> geoms(n);
+      std::vector<double> dres(n);
+      for (int i = 0; i < n; ++i) {
+        geoms[i] = &cache.geometry(group[i]);
+        dres[i] = timing::net_driver_res(f.cts.tree, f.tech,
+                                         f.nets[group[i]], aopt);
+      }
+      std::vector<NetExact> got(static_cast<std::size_t>(n * R));
+      evaluate_nets_exact_all_rules(geoms.data(), dres.data(), n, f.tech,
+                                    freq, arena, got.data());
+      for (int i = 0; i < n; ++i) {
+        SCOPED_TRACE("net " + std::to_string(group[i]));
+        for (int r = 0; r < R; ++r) {
+          SCOPED_TRACE("rule " + std::to_string(r));
+          const NetExact want = evaluate_net_exact(
+              *geoms[i], f.tech, f.tech.rules[r], dres[i], freq, scratch);
+          expect_exact_eq(got[static_cast<std::size_t>(i * R + r)], want);
+        }
       }
     }
   }
@@ -106,33 +109,44 @@ TEST(NetBatch, MixedRuleLanesMatchScalarScratchOverload) {
   const int R = f.tech.rules.size();
 
   // The largest group, with a DIFFERENT rule per lane: lanes are
-  // (net, rule) pairs, not a uniform rule sweep.
+  // (net, rule) pairs, not a uniform rule sweep. A second batch also
+  // gives every lane a different process corner.
   const std::vector<int>& group = *std::max_element(
       buckets.groups.begin(), buckets.groups.end(),
       [](const auto& a, const auto& b) { return a.size() < b.size(); });
   const int n = std::min<int>(static_cast<int>(group.size()), 6);
   ASSERT_GE(n, 2) << "flow too small to exercise cross-net lanes";
+  std::vector<tech::Technology> cornered;
+  for (const tech::Corner& c : tech::standard_corners()) {
+    cornered.push_back(tech::apply_corner(f.tech, c));
+  }
+  const int C = static_cast<int>(cornered.size());
 
-  std::vector<extract::NetLane> lanes(n);
   std::vector<double> dres(n);
   for (int i = 0; i < n; ++i) {
-    lanes[i] = {&cache.geometry(group[i]), &f.tech, &f.tech.rules[i % R]};
     dres[i] = timing::net_driver_res(f.cts.tree, f.tech, f.nets[group[i]],
                                      aopt);
   }
   common::Arena arena;
-  arena.reset();
-  std::vector<NetExact> got(static_cast<std::size_t>(n));
-  evaluate_nets_exact_batch(lanes.data(), n, dres.data(), freq, arena,
-                            got.data());
-
   NetEvalScratch scratch;
-  for (int i = 0; i < n; ++i) {
-    SCOPED_TRACE("lane " + std::to_string(i));
-    const NetExact want =
-        evaluate_net_exact(cache.geometry(group[i]), f.tech,
-                           f.tech.rules[i % R], dres[i], freq, scratch);
-    expect_exact_eq(got[static_cast<std::size_t>(i)], want);
+  for (const bool mix_corners : {false, true}) {
+    SCOPED_TRACE(mix_corners ? "corners x rules" : "rules");
+    std::vector<extract::NetLane> lanes(n);
+    for (int i = 0; i < n; ++i) {
+      const tech::Technology& t = mix_corners ? cornered[i % C] : f.tech;
+      lanes[i] = {&cache.geometry(group[i]), &t, &t.rules[i % R]};
+    }
+    arena.reset();
+    std::vector<NetExact> got(static_cast<std::size_t>(n));
+    evaluate_nets_exact_batch(lanes.data(), n, dres.data(), freq, arena,
+                              got.data());
+    for (int i = 0; i < n; ++i) {
+      SCOPED_TRACE("lane " + std::to_string(i));
+      const NetExact want =
+          evaluate_net_exact(*lanes[i].geom, *lanes[i].tech, *lanes[i].rule,
+                             dres[i], freq, scratch);
+      expect_exact_eq(got[static_cast<std::size_t>(i)], want);
+    }
   }
 }
 
