@@ -7,6 +7,8 @@
 # generated tree and heavy LRU eviction under a byte budget), then an
 # UndefinedBehaviorSanitizer
 # build running the flow/io layers (parsers and typed error boundaries).
+# A DSE leg checks that a sweep's artifacts do not depend on the lane
+# count, and the ASan leg also runs the durable-file parser tests.
 # Run from anywhere inside the repo.
 set -euo pipefail
 
@@ -54,6 +56,26 @@ cmp "$work/anneal1.txt" "$work/annealNbudget.txt"
 cmp "$work/margins1.txt" "$work/marginsN.txt"
 cmp "$work/corners1.txt" "$work/cornersN.txt"
 
+# DSE standalone identity: a 3x5 annealing grid must write the same sweep
+# log, front, CSV and warm-start seeds at 1 vs all lanes. Each sweep starts
+# from an empty directory (a leftover sweep.ck would resume instead).
+echo "== tier1: DSE sweep byte-identity (threads) =="
+sweep() {
+  rm -rf "${work:?}/$1"
+  "$sndr" dse --design "$work/d.txt" --results-dir "$work" --dse-out "$1" \
+    --anneal 4000 --dse-power-weight 0.5,1,2 \
+    --dse-max-skew 35,40,45,50,60 --threads "$2" >/dev/null
+}
+sweep dse1 1
+sweep dseN "$(nproc)"
+for f in sweep.ck pareto.csv front.json; do
+  cmp "$work/dse1/$f" "$work/dseN/$f"
+done
+diff <(cd "$work/dse1" && ls point_*.seed) <(cd "$work/dseN" && ls point_*.seed)
+for f in "$work"/dse1/point_*.seed; do
+  cmp "$f" "$work/dseN/${f##*/}"
+done
+
 echo "== tier1: ThreadSanitizer build + parallel/obs/flow tests =="
 cmake -B "$repo/build-tsan" -S "$repo" -DSNDR_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
@@ -93,7 +115,8 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
   --target manifest_golden_test --target net_batch_test \
   --target geometry_budget_test --target scale_smoke_test \
   --target scenario_fuzz_test --target assignment_state_test \
-  --target pairwise_sum_test --target refine_test
+  --target pairwise_sum_test --target refine_test --target checkpoint_test \
+  --target dse_test
 "$repo/build-asan/tests/extract_test"
 "$repo/build-asan/tests/extract_cache_test"
 # Skew refinement: per-net cache refresh and re-materialization into
@@ -117,6 +140,10 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
 # domain workload generator allocate hard; ASan guards their reuse paths.
 SNDR_FUZZ_ITERS="${SNDR_FUZZ_ITERS_ASAN:-4}" \
   "$repo/build-asan/tests/scenario_fuzz_test"
+# External-file parsers: anneal checkpoints, warm-start seeds and the DSE
+# sweep log, including truncated and corrupted files.
+"$repo/build-asan/tests/checkpoint_test"
+"$repo/build-asan/tests/dse_test"
 
 echo "== tier1: UndefinedBehaviorSanitizer build + flow/io tests =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DSNDR_SANITIZE=undefined >/dev/null

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "common/cancel.hpp"
 #include "obs/metrics.hpp"
@@ -190,33 +189,19 @@ namespace {
 
 constexpr double kDefaultParallelMinUs = 2000.0;
 
-double resolve_parallel_min_us() {
-  if (const char* env = std::getenv("SNDR_PARALLEL_MIN_US")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && v >= 0.0) return v;
-  }
-  return kDefaultParallelMinUs;
-}
-
-/// < 0 is the "unresolved" sentinel; relaxed atomics keep concurrent reads
-/// from pool workers race-free (the value is a pure tuning knob — a stale
-/// read only changes *when* a loop goes parallel, never its results).
-std::atomic<double> g_parallel_min_us{-1.0};
+/// Relaxed atomics keep concurrent reads from pool workers race-free (the
+/// value is a pure tuning knob — a stale read only changes *when* a loop
+/// goes parallel, never its results).
+std::atomic<double> g_parallel_min_us{kDefaultParallelMinUs};
 
 }  // namespace
 
 double parallel_min_us() {
-  double v = g_parallel_min_us.load(std::memory_order_relaxed);
-  if (v < 0.0) {
-    v = resolve_parallel_min_us();
-    g_parallel_min_us.store(v, std::memory_order_relaxed);
-  }
-  return v;
+  return g_parallel_min_us.load(std::memory_order_relaxed);
 }
 
 void set_parallel_min_us(double us) {
-  g_parallel_min_us.store(us < 0.0 ? resolve_parallel_min_us() : us,
+  g_parallel_min_us.store(us < 0.0 ? kDefaultParallelMinUs : us,
                           std::memory_order_relaxed);
 }
 

@@ -89,13 +89,12 @@ int thread_count();
 /// cost-annotated parallel_for/parallel_reduce overloads go parallel.
 /// Committed bench data (BENCH_runtime.json) shows per-net loops of a few
 /// hundred µs total running *slower* at 2-4 threads than serial on small
-/// boxes — dispatch overhead dominates. Default 2000 µs; the
-/// SNDR_PARALLEL_MIN_US environment variable overrides it at startup.
+/// boxes — dispatch overhead dominates. Fixed at 2000 µs.
 double parallel_min_us();
 
-/// Overrides parallel_min_us() (for tests/tuning); us < 0 restores the
-/// env/default resolution. 0 disables the gate (everything may go
-/// parallel). Do not call while a parallel region is executing.
+/// Test hook: overrides parallel_min_us(); us < 0 restores the 2000 µs
+/// constant. 0 disables the gate (everything may go parallel). Do not
+/// call while a parallel region is executing.
 void set_parallel_min_us(double us);
 
 /// The shared pool sized to thread_count(), or nullptr in serial mode.

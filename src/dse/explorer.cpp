@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,6 +12,7 @@
 #include "flow/checkpoint.hpp"
 #include "flow/flow.hpp"
 #include "flow/session.hpp"
+#include "io/durable.hpp"
 #include "ndr/assignment_state.hpp"
 #include "obs/scope.hpp"
 
@@ -20,26 +20,16 @@ namespace sndr::dse {
 
 namespace {
 
+using io::expect_key;
+using io::hexfloat;
+using io::no_extra;
+using io::read_hexfloat;
+
 constexpr const char* kSweepSchema = "sndr.dse_sweep/2";
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-/// istream operator>> does not accept hexfloat; strtod does.
-bool read_hexfloat(std::istream& is, double& out) {
-  std::string tok;
-  if (!(is >> tok)) return false;
-  char* end = nullptr;
-  out = std::strtod(tok.c_str(), &end);
-  return end != tok.c_str() && *end == '\0';
 }
 
 /// Shortest-round-trip decimal for the human-facing artifacts (the
@@ -76,41 +66,39 @@ Axes axes_from(const flow::FlowConfig& base) {
 /// resume — thread count and memory budget are deliberately excluded
 /// (value-neutral by the reuse contract).
 std::uint64_t sweep_fingerprint(const flow::FlowConfig& base, const Axes& a) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  io::Fnv1a h;
+  // One u64 per character (not one byte): the stored fingerprints of
+  // existing sweep logs depend on it.
   const auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) mix(static_cast<unsigned char>(c));
+    h.u64(s.size());
+    for (const char c : s) h.u64(static_cast<unsigned char>(c));
   };
-  const auto mix_double = [&](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
+  const auto mix_double = [&](double d) {
+    h.u64(std::bit_cast<std::uint64_t>(d));
+  };
   const auto mix_axis = [&](const std::vector<double>& axis) {
-    mix(axis.size());
+    h.u64(axis.size());
     for (const double d : axis) mix_double(d);
   };
   mix_str(base.design_path);
   mix_str(base.tech_path);
-  mix(base.seed);
-  mix(static_cast<std::uint64_t>(base.anneal_iterations));
+  h.u64(base.seed);
+  h.u64(static_cast<std::uint64_t>(base.anneal_iterations));
   mix_str(base.scoring);
-  mix(static_cast<std::uint64_t>(base.training_samples));
+  h.u64(static_cast<std::uint64_t>(base.training_samples));
   mix_double(base.slew_margin);
   mix_double(base.em_margin);
   mix_double(base.skew_margin);
-  mix(static_cast<std::uint64_t>(base.max_passes));
-  mix(static_cast<std::uint64_t>(base.max_repair_rounds));
+  h.u64(static_cast<std::uint64_t>(base.max_passes));
+  h.u64(static_cast<std::uint64_t>(base.max_repair_rounds));
   mix_double(base.anneal_t_start_frac);
   mix_double(base.anneal_t_end_frac);
   mix_str(base.dse_mode);
-  mix(static_cast<std::uint64_t>(base.dse_points));
+  h.u64(static_cast<std::uint64_t>(base.dse_points));
   mix_axis(a.power);
   mix_axis(a.skew);
   mix_axis(a.margin);
-  return h;
+  return h.value();
 }
 
 /// The standalone config of one sweep point. Everything the sweep varies
@@ -211,32 +199,17 @@ void write_point_fields(std::ostream& os, const PointResult& p) {
 /// Atomic (re)write of the sweep log: header plus the pre-serialized
 /// blocks of every point already solved. Runs once per sweep — when the
 /// first live point needs a header, or to compact a log whose tail was a
-/// partial block (crash mid-append). tmp+rename, same contract as the
-/// anneal checkpoint.
+/// partial block (crash mid-append).
 common::Status write_sweep_log(const std::string& path,
                                std::uint64_t fingerprint, int n_rules,
                                const std::string& blocks) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    if (!f) {
-      return common::Status::IoError("cannot write sweep checkpoint " + tmp);
-    }
-    f << kSweepSchema << "\n";
-    f << "fingerprint " << fingerprint << "\n";
-    f << "n_rules " << n_rules << "\n";
-    f << blocks;
-    if (!f.flush()) {
-      return common::Status::IoError("short write to sweep checkpoint " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return common::Status::IoError(
-        "cannot move sweep checkpoint into place: " + ec.message());
-  }
-  return common::Status::Ok();
+  return io::write_file_atomically(
+      path, "sweep checkpoint", [&](std::ostream& os) {
+        os << kSweepSchema << "\n";
+        os << "fingerprint " << fingerprint << "\n";
+        os << "n_rules " << n_rules << "\n";
+        os << blocks;
+      });
 }
 
 /// Appends one solved point's block to the log. This is the steady-state
@@ -267,54 +240,20 @@ struct SweepCheckpoint {
 
 common::Result<SweepCheckpoint> load_sweep_checkpoint(
     const std::string& path, std::uint64_t fingerprint) {
-  std::ifstream f(path);
-  if (!f) {
-    return common::Status::NotFound("no sweep checkpoint at " + path);
-  }
-  int line_no = 0;
-  const auto bad = [&](const std::string& what) {
-    return common::Status::ParseFailure(
-        path + ":" + std::to_string(line_no) + ": " + what);
-  };
-  std::string line;
-  const auto next = [&](std::istringstream& is) {
-    if (!std::getline(f, line)) return false;
-    ++line_no;
-    is.clear();
-    is.str(line);
-    return true;
-  };
-  const auto expect_key = [&](std::istringstream& is, const char* key) {
-    std::string k;
-    return static_cast<bool>(is >> k) && k == key;
-  };
-  const auto no_extra = [&](std::istringstream& is) {
-    std::string extra;
-    return !(is >> extra);
-  };
-
-  ++line_no;
-  if (!std::getline(f, line) || line != kSweepSchema) {
-    return bad(std::string("expected ") + kSweepSchema);
-  }
+  io::RecordReader in(path, "sweep checkpoint");
+  if (common::Status st = in.open(kSweepSchema); !st.ok()) return st;
 
   std::istringstream is;
   std::uint64_t fp = 0;
-  if (!next(is) || !expect_key(is, "fingerprint") || !(is >> fp) ||
+  if (!in.next(is) || !expect_key(is, "fingerprint") || !(is >> fp) ||
       !no_extra(is)) {
-    return bad("bad 'fingerprint' line");
+    return in.bad("bad 'fingerprint' line");
   }
-  if (fp != fingerprint) {
-    return common::Status::InvalidArgument(
-        path + ":" + std::to_string(line_no) +
-        ": sweep checkpoint is for different inputs (fingerprint " +
-        std::to_string(fp) + " != " + std::to_string(fingerprint) +
-        "); delete it to start over");
-  }
+  if (fp != fingerprint) return in.mismatch(fp, fingerprint);
   SweepCheckpoint ck;
-  if (!next(is) || !expect_key(is, "n_rules") || !(is >> ck.n_rules) ||
+  if (!in.next(is) || !expect_key(is, "n_rules") || !(is >> ck.n_rules) ||
       ck.n_rules <= 0 || !no_extra(is)) {
-    return bad("bad 'n_rules' line");
+    return in.bad("bad 'n_rules' line");
   }
   // Point blocks run to EOF — the log is append-only, so there is no
   // count to check against. A malformed or incomplete block can only be
@@ -322,59 +261,55 @@ common::Result<SweepCheckpoint> load_sweep_checkpoint(
   // readable prefix stays valid, the partial tail is dropped, and the
   // `truncated` flag tells the sweep to compact the file before it
   // appends again.
-  while (true) {
-    if (!std::getline(f, line)) break;  // clean EOF after the last block.
-    ++line_no;
-    is.clear();
-    is.str(line);
+  while (in.next(is)) {  // a clean EOF after the last block ends the loop.
     PointResult p;
     const bool block_ok = [&] {
       if (!expect_key(is, "point") || !(is >> p.id) ||
           p.id != static_cast<int>(ck.points.size()) || !no_extra(is)) {
         return false;
       }
-      if (!next(is) || !expect_key(is, "settings") ||
+      if (!in.next(is) || !expect_key(is, "settings") ||
           !read_hexfloat(is, p.settings.power_weight) ||
           !read_hexfloat(is, p.settings.max_skew_ps) ||
           !read_hexfloat(is, p.settings.uncertainty_margin) ||
           !no_extra(is)) {
         return false;
       }
-      if (!next(is) || !expect_key(is, "warm_from") ||
+      if (!in.next(is) || !expect_key(is, "warm_from") ||
           !(is >> p.warm_from) || p.warm_from < -1 || p.warm_from >= p.id ||
           !no_extra(is)) {
         return false;
       }
       int feasible = 0;
-      if (!next(is) || !expect_key(is, "feasible") || !(is >> feasible) ||
+      if (!in.next(is) || !expect_key(is, "feasible") || !(is >> feasible) ||
           !no_extra(is)) {
         return false;
       }
       p.feasible = feasible != 0;
-      if (!next(is) || !expect_key(is, "power") ||
+      if (!in.next(is) || !expect_key(is, "power") ||
           !read_hexfloat(is, p.total_power) || !no_extra(is)) {
         return false;
       }
-      if (!next(is) || !expect_key(is, "switched_cap") ||
+      if (!in.next(is) || !expect_key(is, "switched_cap") ||
           !read_hexfloat(is, p.switched_cap) || !no_extra(is)) {
         return false;
       }
-      if (!next(is) || !expect_key(is, "skew") ||
+      if (!in.next(is) || !expect_key(is, "skew") ||
           !read_hexfloat(is, p.skew) || !no_extra(is)) {
         return false;
       }
-      if (!next(is) || !expect_key(is, "arrival")) return false;
+      if (!in.next(is) || !expect_key(is, "arrival")) return false;
       double a = 0.0;
       while (read_hexfloat(is, a)) p.sink_arrival.push_back(a);
       if (p.sink_arrival.empty()) return false;
-      if (!next(is) || !expect_key(is, "assignment")) return false;
+      if (!in.next(is) || !expect_key(is, "assignment")) return false;
       int r = 0;
       while (is >> r) {
         if (r < 0 || r >= ck.n_rules) return false;
         p.assignment.push_back(r);
       }
       if (!is.eof() || p.assignment.empty()) return false;
-      return next(is) && expect_key(is, "end") && no_extra(is);
+      return in.next(is) && expect_key(is, "end") && no_extra(is);
     }();
     if (!block_ok) {
       ck.truncated = true;

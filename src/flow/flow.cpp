@@ -102,8 +102,7 @@ common::Status Flow::prepare() {
   // dependence on the swept axes — reading it in place (session_.cts()
   // resolves to the borrowed tree) is bitwise identical to
   // re-synthesizing, at zero cost.
-  const bool shared_prep = session_.reuse().cts != nullptr;
-  if (shared_prep) {
+  if (session_.reuse().cts != nullptr) {
     skip_stage("cts");    // borrowed from the donor, read in place.
     skip_stage("route");  // already applied in the donated tree.
   } else {
@@ -132,29 +131,18 @@ common::Status Flow::prepare() {
     if (!s.ok()) return s;
   }
 
-  s = stage("nets", [this, shared_prep] {
+  // A borrowed tree comes with its net list and geometry cache
+  // (Session::set_reuse enforces the set); otherwise the route stage built
+  // both. The two stages stay in the record so every run lists the same
+  // stages.
+  s = stage("nets", [this] {
     if (session_.reuse().nets != nullptr) {
       session_.nets() = *session_.reuse().nets;
-    } else if (shared_prep) {
-      session_.nets() = netlist::build_nets(session_.cts().tree);
     }
     return common::Status::Ok();
   });
   if (!s.ok()) return s;
-
-  s = stage("extract", [this] {
-    // The route stage's cache, or a borrowed one (DSE reuse hooks), already
-    // covers this tree — the geometry is a pure function of (tree, design,
-    // nets), so Session::geometry() serves it as is. A borrowed tree with
-    // no borrowed cache builds one here. It is the one geometry cache of
-    // the run: the optimizer, the annealer and every evaluation borrow it,
-    // and it honors the flow-wide memory budget.
-    if (session_.geometry() != nullptr) return common::Status::Ok();
-    session_.set_geometry(std::make_unique<extract::GeometryCache>(
-        session_.cts().tree, session_.design(), session_.nets(),
-        session_.config().memory_budget_bytes, extract::ExtractOptions{}));
-    return common::Status::Ok();
-  });
+  s = stage("extract", [] { return common::Status::Ok(); });
   if (!s.ok()) return s;
 
   prepared_ = true;
@@ -184,7 +172,7 @@ common::Result<FlowResult> Flow::run() {
   const extract::GeometryCache* geometry = session_.geometry();
 
   // One search context for both stages: the config's guard bands, the
-  // session's cancel token, and its geometry (the extract stage's or the
+  // session's cancel token, and its geometry (the route stage's or the
   // DSE donor's) and memo transplant (DSE) — value-neutral channels.
   ndr::SearchContext search = config.search_context();
   search.cancel = session_.cancel_token();

@@ -8,8 +8,8 @@
 // array, schema sndr.run_manifest/2) written by the report stage, so every
 // run leaves a stage-by-stage execution record. The route stage reroutes,
 // builds the net list and the run's one geometry cache, and refines skew
-// against both; the nets and extract stages then keep them (they build
-// only for a borrowed tree). Each whole-tree artifact is built once, and
+// against both; the nets and extract stages then keep them (a borrowed
+// tree brings its own). Each whole-tree artifact is built once, and
 // each search starts from an evaluation the flow already holds.
 //
 // run() is an error boundary (DESIGN.md §9): stage failures come back as

@@ -1,5 +1,6 @@
 #include "flow/session.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "io/design_io.hpp"
@@ -8,6 +9,16 @@ namespace sndr::flow {
 
 Session::Session(FlowConfig config)
     : config_(std::move(config)), thread_budget_(config_.threads) {}
+
+void Session::set_reuse(const ReuseHooks& hooks) {
+  if (hooks.cts != nullptr &&
+      (hooks.design == nullptr || hooks.nets == nullptr ||
+       hooks.geometry == nullptr)) {
+    throw std::invalid_argument(
+        "reuse hooks: a borrowed cts needs its design, nets and geometry");
+  }
+  reuse_ = hooks;
+}
 
 common::Status Session::load() {
   if (loaded_) return common::Status::Ok();

@@ -35,10 +35,10 @@ namespace sndr::flow {
 /// Cross-session reuse hooks (the DSE sweep's channel). Everything here is
 /// value-neutral: a session with hooks set produces results bitwise equal
 /// to one without. `geometry` borrows another session's GeometryCache (a
-/// pure function of the tree — Flow's extract stage then skips the
-/// rebuild); `memo_in`/`memo_out` transplant exact-eval memo rows under
-/// the per-net context guard (ndr::AssignmentState::import_memo). All
-/// pointers are borrowed and must outlive the flow run.
+/// pure function of the tree); `memo_in`/`memo_out` transplant exact-eval
+/// memo rows under the per-net context guard
+/// (ndr::AssignmentState::import_memo). All pointers are borrowed and must
+/// outlive the flow run.
 struct ReuseHooks {
   const extract::GeometryCache* geometry = nullptr;
   const ndr::MemoSnapshot* memo_in = nullptr;
@@ -109,9 +109,8 @@ class Session {
   const netlist::NetList& nets() const { return nets_; }
 
   /// The shared per-session geometry cache; built by Flow's route stage
-  /// (the extract stage for a borrowed tree; null before that), or
-  /// borrowed through the reuse hooks (which then take precedence — the
-  /// extract stage skips its build). Reset to cover tree/congestion edits.
+  /// (null before that), or borrowed through the reuse hooks (which then
+  /// take precedence). Reset to cover tree/congestion edits.
   const extract::GeometryCache* geometry() const {
     return reuse_.geometry != nullptr ? reuse_.geometry : geometry_.get();
   }
@@ -120,8 +119,11 @@ class Session {
   }
 
   /// Cross-session reuse hooks (DSE). Set before Flow::run(); everything
-  /// referenced must outlive the run. Value-neutral by contract.
-  void set_reuse(const ReuseHooks& hooks) { reuse_ = hooks; }
+  /// referenced must outlive the run. Value-neutral by contract. A
+  /// borrowed tree comes with everything built from it: hooks with `cts`
+  /// but without `design`, `nets` or `geometry` throw
+  /// std::invalid_argument.
+  void set_reuse(const ReuseHooks& hooks);
   const ReuseHooks& reuse() const { return reuse_; }
 
  private:

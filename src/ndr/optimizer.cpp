@@ -56,6 +56,9 @@ class Optimizer {
   /// a committed move.
   bool improve_net(int net_id);
   bool improve_net_full_sta(int net_id);
+  /// The net's rules with strictly cheaper switched cap than its current
+  /// one, cheapest first — the candidates both scorings try in order.
+  std::vector<std::pair<double, int>> cheaper_rules(int net_id);
 
   void commit(int net_id, int rule_idx, const NetExact& exact);
   void repair(FlowEvaluation& ev);
@@ -71,9 +74,8 @@ class Optimizer {
 
   /// Trained here or handed in via opt_.shared_predictor (immutable either
   /// way — predict() is const and the serve layer shares one instance
-  /// across concurrent jobs).
+  /// across concurrent jobs). Set only under models scoring.
   std::shared_ptr<const RuleImpactPredictor> predictor_;
-  bool predictor_ready_ = false;
   bool blanket_was_feasible_ = false;
 
   OptimizerStats stats_;
@@ -85,13 +87,9 @@ void Optimizer::commit(int net_id, int rule_idx, const NetExact& exact) {
   ++stats_.commits;
 }
 
-bool Optimizer::improve_net(int net_id) {
-  if (opt_.scoring == Scoring::kFullSta) return improve_net_full_sta(net_id);
+std::vector<std::pair<double, int>> Optimizer::cheaper_rules(int net_id) {
   const double cap_now = state_.net_cap(net_id);
   const NetSummary& summary = state_.summary(net_id);
-  const MoveMargins& margins = opt_.search.margins;
-
-  // Candidate rules, cheapest switched cap first, strictly cheaper only.
   std::vector<std::pair<double, int>> cands;
   for (int r = 0; r < tech_.rules.size(); ++r) {
     if (r == assignment_[net_id]) continue;
@@ -99,43 +97,33 @@ bool Optimizer::improve_net(int net_id) {
     if (cap < cap_now * (1.0 - 1e-9)) cands.emplace_back(cap, r);
   }
   std::sort(cands.begin(), cands.end());
+  return cands;
+}
 
-  for (const auto& [cap_new, r] : cands) {
+bool Optimizer::improve_net(int net_id) {
+  if (opt_.scoring == Scoring::kFullSta) return improve_net_full_sta(net_id);
+  const NetSummary& summary = state_.summary(net_id);
+  const MoveMargins& margins = opt_.search.margins;
+  for (const auto& [cap_new, r] : cheaper_rules(net_id)) {
     ++stats_.candidates_scored;
-    if (opt_.scoring == Scoring::kModels && predictor_ready_) {
-      const NetImpact impact = predictor_->predict(summary, r);
-      if (!state_.check_move(net_id, r, impact, margins)) continue;
-      // Validate the winning candidate with the exact per-net engines.
-      const NetExact exact = state_.exact_eval(net_id, r);
-      ++stats_.exact_net_evals;
-      NetImpact verified;
-      verified.step_slew = exact.step_slew_worst;
-      verified.sigma = exact.sigma_worst;
-      verified.xtalk = exact.xtalk_worst;
-      verified.delay = exact.wire_delay_worst;
-      if (exact.em_peak >
-          tech_.clock_layer.em_jmax * (1.0 - margins.em)) {
-        continue;
-      }
-      if (!state_.check_move(net_id, r, verified, margins)) continue;
-      commit(net_id, r, exact);
-    } else {
-      // Exact scoring already is the validation: evaluate once and reuse
-      // the result for both the feasibility check and the commit.
-      const NetExact exact = state_.exact_eval(net_id, r);
-      ++stats_.exact_net_evals;
-      NetImpact impact;
-      impact.step_slew = exact.step_slew_worst;
-      impact.sigma = exact.sigma_worst;
-      impact.xtalk = exact.xtalk_worst;
-      impact.delay = exact.wire_delay_worst;
-      if (exact.em_peak >
-          tech_.clock_layer.em_jmax * (1.0 - margins.em)) {
-        continue;
-      }
-      if (!state_.check_move(net_id, r, impact, margins)) continue;
-      commit(net_id, r, exact);
+    // Models scoring screens each candidate with the predictor; only a
+    // candidate it accepts pays for the exact evaluation below.
+    if (predictor_ != nullptr &&
+        !state_.check_move(net_id, r, predictor_->predict(summary, r),
+                           margins)) {
+      continue;
     }
+    // The exact per-net engines decide: one evaluation serves both the
+    // feasibility check and the commit.
+    const NetExact exact = state_.exact_eval(net_id, r);
+    ++stats_.exact_net_evals;
+    const NetImpact impact{exact.step_slew_worst, exact.sigma_worst,
+                             exact.xtalk_worst, exact.wire_delay_worst};
+    if (exact.em_peak > tech_.clock_layer.em_jmax * (1.0 - margins.em)) {
+      continue;
+    }
+    if (!state_.check_move(net_id, r, impact, margins)) continue;
+    commit(net_id, r, exact);
     return true;
   }
   return false;
@@ -145,18 +133,8 @@ bool Optimizer::improve_net_full_sta(int net_id) {
   // The naive flow: every candidate is judged by a complete extraction +
   // timing + variation + EM run of the whole tree. Kept for the runtime
   // comparison (Fig. 7); unusably slow beyond a few thousand nets.
-  const NetSummary& summary = state_.summary(net_id);
-  std::vector<std::pair<double, int>> cands;
-  for (int r = 0; r < tech_.rules.size(); ++r) {
-    if (r == assignment_[net_id]) continue;
-    const double cap = net_cap_under_rule(summary, tech_, tech_.rules[r]);
-    if (cap < state_.net_cap(net_id) * (1.0 - 1e-9)) {
-      cands.emplace_back(cap, r);
-    }
-  }
-  std::sort(cands.begin(), cands.end());
   const int old_rule = assignment_[net_id];
-  for (const auto& [cap_new, r] : cands) {
+  for (const auto& [cap_new, r] : cheaper_rules(net_id)) {
     ++stats_.candidates_scored;
     assignment_[net_id] = r;
     const FlowEvaluation ev = full_eval(assignment_);
@@ -354,7 +332,6 @@ SmartNdrResult Optimizer::run() {
                                      opt_.training_samples));
       stats_.train_seconds = seconds_since(t0);
     }
-    predictor_ready_ = true;
   }
 
   // Sweep order: leaf-first (deepest nets carry most of the wirelength and
@@ -421,7 +398,7 @@ SmartNdrResult Optimizer::run() {
   result.assignment = assignment_;
   result.final_eval = std::move(ev);
   result.stats = stats_;
-  if (predictor_ready_) {
+  if (predictor_ != nullptr) {
     result.train_report = predictor_->report();
     result.trained_predictor = predictor_;
   }

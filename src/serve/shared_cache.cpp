@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "io/durable.hpp"
 #include "tech/technology.hpp"
 
 namespace sndr::serve {
@@ -27,20 +28,19 @@ common::Result<std::string> file_fingerprint(const std::string& path) {
   if (!f) {
     return common::Status::NotFound("cannot open " + path);
   }
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis.
+  // Content keys have always started from this basis, one digit short of
+  // the standard 14695981039346656037. Keys are only compared with each
+  // other, so it costs nothing; it stays so that every key keeps its value.
+  io::Fnv1a h(1469598103934665603ULL);
   char buf[1 << 16];
   while (f.read(buf, sizeof buf) || f.gcount() > 0) {
-    const std::streamsize n = f.gcount();
-    for (std::streamsize i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(buf[i]);
-      h *= 1099511628211ULL;  // FNV-1a prime.
-    }
+    h.bytes(buf, static_cast<std::size_t>(f.gcount()));
     if (!f) break;
   }
   if (f.bad()) {
     return common::Status::IoError("read failure on " + path);
   }
-  return to_hex(h);
+  return to_hex(h.value());
 }
 
 SharedCache::Lease SharedCache::acquire(const flow::FlowConfig& config) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -233,6 +234,61 @@ TEST(CheckpointFile, FingerprintMismatchStaysInvalidArgument) {
       load_checkpoint(path, fp + 1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// The fingerprint is part of the file format: a changed hash would make
+// every stored checkpoint unloadable. The literal pins its value.
+TEST(CheckpointFile, FingerprintValueIsPinned) {
+  EXPECT_EQ(checkpoint_fingerprint(6, 4, 7, 2000), 9735738670602019501ULL);
+}
+
+// A checkpoint of awkward_checkpoint() as written by an earlier build,
+// byte for byte: it must keep loading to exactly the same fields, and a
+// save today must write the same bytes.
+TEST(CheckpointFile, StoredFileFromEarlierBuildStillLoads) {
+  const std::string stored =
+      "sndr.anneal_checkpoint/3\n"
+      "fingerprint 9735738670602019501\n"
+      "iteration 1234\n"
+      "temperature 0x1.59e05f1e2674dp-52\n"
+      "cooling 0x1.ffdce2e997593p-1\n"
+      "rng_state 16045690984503111693\n"
+      "proposed 1234\n"
+      "accepted 600\n"
+      "rejected 634\n"
+      "uphill_accepted 41\n"
+      "delta_updates 555\n"
+      "start_cap 0x1.4646648a811e2p-38\n"
+      "start_feasible 1\n"
+      "best_cap 0x1.1c0dc0ee12ec6p-38\n"
+      "assignment 0 3 1 2 0 1\n"
+      "best 0 2 1 2 0 1\n";
+  const std::string path = temp_path("ck_stored.txt");
+  std::ofstream(path) << stored;
+  const std::uint64_t fp = checkpoint_fingerprint(6, 4, 7, 2000);
+  const common::Result<ndr::AnnealCheckpoint> r = load_checkpoint(path, fp);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  const ndr::AnnealCheckpoint want = awkward_checkpoint();
+  EXPECT_EQ(r->iteration, want.iteration);
+  EXPECT_EQ(r->temperature, want.temperature);
+  EXPECT_EQ(r->cooling, want.cooling);
+  EXPECT_EQ(r->rng_state, want.rng_state);
+  EXPECT_EQ(r->proposed, want.proposed);
+  EXPECT_EQ(r->accepted, want.accepted);
+  EXPECT_EQ(r->rejected, want.rejected);
+  EXPECT_EQ(r->uphill_accepted, want.uphill_accepted);
+  EXPECT_EQ(r->delta_updates, want.delta_updates);
+  EXPECT_EQ(r->start_cap, want.start_cap);
+  EXPECT_EQ(r->start_feasible, want.start_feasible);
+  EXPECT_EQ(r->best_cap, want.best_cap);
+  EXPECT_EQ(r->assignment, want.assignment);
+  EXPECT_EQ(r->best, want.best);
+
+  ASSERT_TRUE(save_checkpoint(path, want, fp).ok());
+  std::stringstream written;
+  written << std::ifstream(path).rdbuf();
+  EXPECT_EQ(written.str(), stored);
   std::remove(path.c_str());
 }
 

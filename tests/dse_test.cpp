@@ -167,6 +167,27 @@ TEST(AssignmentSeed, FingerprintAndFormatGuards) {
   EXPECT_NE(bad.status().message().find(path + ":1"), std::string::npos);
 }
 
+// The fingerprint is part of the seed format; the literals pin its value
+// and one seed file as written by an earlier build.
+TEST(AssignmentSeed, StoredFileFromEarlierBuildStillLoads) {
+  const std::uint64_t fp = flow::assignment_seed_fingerprint(6, 5);
+  EXPECT_EQ(fp, 5121799234171114054ULL);
+  const std::string stored =
+      "sndr.assignment_seed/1\n"
+      "fingerprint 5121799234171114054\n"
+      "assignment 0 2 1 4 0 3\n";
+  const std::string path = temp_dir("sndr_dse_seed_stored") + "/a.seed";
+  std::ofstream(path) << stored;
+  const auto loaded = flow::load_assignment_seed(path, fp);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), (std::vector<int>{0, 2, 1, 4, 0, 3}));
+
+  ASSERT_TRUE(flow::save_assignment_seed(path, loaded.value(), fp).ok());
+  std::stringstream written;
+  written << std::ifstream(path).rdbuf();
+  EXPECT_EQ(written.str(), stored);
+}
+
 // ---- dominance / front ----------------------------------------------------
 
 dse::PointResult make_point(int id, double power, double skew, double margin,
@@ -403,6 +424,89 @@ TEST(DseSweep, CheckpointForDifferentSweepIsRejected) {
   EXPECT_NE(again.status().message().find("delete it to start over"),
             std::string::npos)
       << again.status().to_string();
+}
+
+/// A sweep config with a fixed design path: the path is part of the sweep
+/// fingerprint, so a pinned value needs the same string on every host
+/// (relative — resolved against the working directory).
+flow::FlowConfig pinned_sweep(const std::string& dir) {
+  flow::FlowConfig c;
+  c.design_path = "sndr_dse_fingerprint_design.txt";
+  c.results_dir = dir + "/results";
+  c.seed = 3;
+  c.threads = 1;
+  c.training_samples = 40;
+  c.anneal_iterations = 60;
+  c.dse = true;
+  c.dse_power_weight = {0.5, 2.0};
+  return c;
+}
+
+TEST(DseSweep, FingerprintIsPinnedInLogHeader) {
+  const std::string dir = temp_dir("sndr_dse_fp");
+  const flow::FlowConfig base = pinned_sweep(dir);
+  // Run from `dir` so the relative design path lands there.
+  struct CwdGuard {
+    std::filesystem::path saved = std::filesystem::current_path();
+    ~CwdGuard() { std::filesystem::current_path(saved); }
+  } guard;
+  std::filesystem::current_path(dir);
+  io::write_design_file(base.design_path, test::small_design(8, 11));
+  const auto sweep = dse::explore(base);
+  ASSERT_TRUE(sweep.ok()) << sweep.status().to_string();
+  std::ifstream f(base.output_path(base.dse_out) + "/sweep.ck");
+  std::string schema, fingerprint;
+  std::getline(f, schema);
+  std::getline(f, fingerprint);
+  EXPECT_EQ(schema, "sndr.dse_sweep/2");
+  EXPECT_EQ(fingerprint, "fingerprint 1044162201152309321");
+}
+
+// The same sweep's log as written by an earlier build: every point
+// resumes from it, so nothing is solved and the design is never read.
+TEST(DseSweep, StoredLogFromEarlierBuildResumesEveryPoint) {
+  const flow::FlowConfig base = pinned_sweep(temp_dir("sndr_dse_stored"));
+  const std::string arrival =
+      "arrival 0x1.7ff19016e6a06p-35 0x1.822c7fc170248p-35 "
+      "0x1.7ff0c845f3eecp-35 0x1.81c5941aa9ddap-35 0x1.8232e8fc651bcp-35 "
+      "0x1.81d5bca1dc77ep-35 0x1.8007e5a5560eap-35 0x1.7ff3880a24fadp-35\n";
+  const std::string results =
+      "feasible 1\n"
+      "power 0x1.70c78e237f77fp-14\n"
+      "switched_cap 0x1.2c73f483fa305p-44\n"
+      "skew 0x1.21105b38968p-42\n" +
+      arrival + "assignment 1 1\nend\n";
+  const std::string stored =
+      "sndr.dse_sweep/2\n"
+      "fingerprint 1044162201152309321\n"
+      "n_rules 5\n"
+      "point 0\n"
+      "settings 0x1p-1 0x0p+0 0x1.999999999999ap-5\n"
+      "warm_from -1\n" +
+      results +
+      "point 1\n"
+      "settings 0x1p+1 0x0p+0 0x1.999999999999ap-5\n"
+      "warm_from 0\n" +
+      results;
+  const std::string dse_dir = base.output_path(base.dse_out);
+  std::filesystem::create_directories(dse_dir);
+  std::ofstream(dse_dir + "/sweep.ck") << stored;
+
+  const auto sweep = dse::explore(base);
+  ASSERT_TRUE(sweep.ok()) << sweep.status().to_string();
+  EXPECT_EQ(sweep->resumed_points, 2);
+  EXPECT_EQ(sweep->solved_points, 0);
+  ASSERT_EQ(sweep->points.size(), 2u);
+  for (const dse::PointResult& p : sweep->points) {
+    EXPECT_EQ(p.total_power, 0x1.70c78e237f77fp-14);
+    EXPECT_EQ(p.skew, 0x1.21105b38968p-42);
+    EXPECT_EQ(p.sink_arrival.size(), 8u);
+    EXPECT_EQ(p.assignment, (std::vector<int>{1, 1}));
+  }
+  EXPECT_EQ(sweep->points[1].warm_from, 0);
+  std::stringstream kept;
+  kept << std::ifstream(dse_dir + "/sweep.ck").rdbuf();
+  EXPECT_EQ(kept.str(), stored);  // a clean, fully consumed log is kept.
 }
 
 TEST(DseSweep, RefineModeBisectsOnlyNonDominatedGaps) {

@@ -10,12 +10,14 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "extract/net_geometry.hpp"
 #include "flow/config.hpp"
 #include "flow/flow.hpp"
 #include "flow/session.hpp"
@@ -330,6 +332,32 @@ TEST(Session, LoadsDesignAndTechFromFilesIdempotently) {
   EXPECT_TRUE(session.loaded());
   EXPECT_EQ(session.design().sinks.size(), 48u);
   EXPECT_TRUE(session.load().ok());  // idempotent.
+}
+
+// The nets and extract stages build nothing for a borrowed tree, so a
+// hook set that lends the tree must lend everything built from it.
+TEST(Session, BorrowedTreeNeedsItsDesignNetsAndGeometry) {
+  const test::Flow f = test::small_flow(16, 3);
+  const extract::GeometryCache geometry(f.cts.tree, f.design, f.nets, 0, {});
+  flow::ReuseHooks full;
+  full.design = &f.design;
+  full.cts = &f.cts;
+  full.nets = &f.nets;
+  full.geometry = &geometry;
+  flow::Session session((flow::FlowConfig()));
+  EXPECT_NO_THROW(session.set_reuse(full));
+  for (int missing = 0; missing < 3; ++missing) {
+    flow::ReuseHooks partial = full;
+    if (missing == 0) partial.design = nullptr;
+    if (missing == 1) partial.nets = nullptr;
+    if (missing == 2) partial.geometry = nullptr;
+    EXPECT_THROW(session.set_reuse(partial), std::invalid_argument) << missing;
+  }
+  // Without a borrowed tree the other hooks stay independent.
+  flow::ReuseHooks no_tree = full;
+  no_tree.cts = nullptr;
+  no_tree.nets = nullptr;
+  EXPECT_NO_THROW(session.set_reuse(no_tree));
 }
 
 TEST(Flow, LoadFailureSurfacesAsTypedStatus) {

@@ -94,6 +94,13 @@ TEST(SharedCacheFingerprint, ContentKeyedNotNameKeyed) {
   EXPECT_EQ(fa.value().size(), 16u);  // 64-bit hex.
 }
 
+TEST(SharedCacheFingerprint, ValueIsPinned) {
+  const auto fp = serve::file_fingerprint(
+      write_file("serve_fp_pin.txt", "sndr content key\n"));
+  ASSERT_TRUE(fp.ok());
+  EXPECT_EQ(fp.value(), "a2f59b315f79b5ac");
+}
+
 TEST(SharedCacheFingerprint, MissingFileIsNotFound) {
   auto r = serve::file_fingerprint(temp_path("serve_fp_missing.txt"));
   ASSERT_FALSE(r.ok());
