@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   route::reroute_for_congestion(cts.tree, design.congestion);
   cts::refine_skew(cts.tree, design, tech);
   const netlist::NetList nets = netlist::build_nets(cts.tree);
+  const netlist::RoutingFootprint footprint(cts.tree, nets, design.congestion);
   const timing::AnalysisOptions aopt;
 
   // --- 1. Variation anatomy of a trunk net and a leaf net, per rule.
@@ -44,7 +45,8 @@ int main(int argc, char** argv) {
   const int leaf = nets.size() - 1;
   for (const int net_id : {trunk, leaf}) {
     const ndr::NetSummary s =
-        ndr::summarize_net(cts.tree, design, tech, nets[net_id], aopt);
+        ndr::summarize_net(cts.tree, design, tech, nets[net_id], footprint,
+                           aopt);
     for (int r = 0; r < tech.rules.size(); ++r) {
       const ndr::NetExact e = ndr::evaluate_net_exact(
           cts.tree, design, tech, nets[net_id], tech.rules[r], s.driver_res,

@@ -2,11 +2,11 @@
 # Tier-1 gate: plain build + full test suite, then a ThreadSanitizer build
 # running the parallel-subsystem tests plus the concurrent two-session flow
 # test, then an AddressSanitizer build running the extraction tests (the
-# zero-alloc scratch kernels and the geometry cache lean hard on buffer
-# reuse — ASan guards their bounds; the scale smoke adds a 10k-net
-# generated tree and heavy LRU eviction under a byte budget), then an
-# UndefinedBehaviorSanitizer
-# build running the flow/io layers (parsers and typed error boundaries).
+# zero-alloc scratch kernels, the geometry cache and the routing footprint
+# lean hard on buffer reuse and flat offsets — ASan guards their bounds;
+# the scale smoke adds a 10k-net generated tree and heavy LRU eviction
+# under a byte budget), then an UndefinedBehaviorSanitizer build running
+# the flow/io layers (parsers and typed error boundaries).
 # A DSE leg checks that a sweep's artifacts do not depend on the lane
 # count, and the ASan leg also runs the durable-file parser tests.
 # Run from anywhere inside the repo.
@@ -46,15 +46,19 @@ margins=(--anneal 4000 --uncertainty-margin 0.08 --skew-margin 0.15
 run --threads 1 "${margins[@]}" >"$work/margins1.txt"
 run --threads "$(nproc)" "${margins[@]}" >"$work/marginsN.txt"
 # Corner signoff: derated-corner lanes of one batched materialize per net,
-# under parallel_for.
+# under parallel_for; under a tight budget the corners' routing usage reads
+# the budgeted cache's always-resident routing footprint.
 run --threads 1 --corners >"$work/corners1.txt"
 run --threads "$(nproc)" --corners >"$work/cornersN.txt"
+run --threads "$(nproc)" --corners --memory-budget 64k \
+  >"$work/cornersNbudget.txt"
 cmp "$work/t1.txt" "$work/tN.txt"
 cmp "$work/t1.txt" "$work/budget.txt"
 cmp "$work/anneal1.txt" "$work/annealN.txt"
 cmp "$work/anneal1.txt" "$work/annealNbudget.txt"
 cmp "$work/margins1.txt" "$work/marginsN.txt"
 cmp "$work/corners1.txt" "$work/cornersN.txt"
+cmp "$work/corners1.txt" "$work/cornersNbudget.txt"
 
 # DSE standalone identity: a 3x5 annealing grid must write the same sweep
 # log, front, CSV and warm-start seeds at 1 vs all lanes. Each sweep starts
@@ -116,7 +120,7 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
   --target geometry_budget_test --target scale_smoke_test \
   --target scenario_fuzz_test --target assignment_state_test \
   --target pairwise_sum_test --target refine_test --target checkpoint_test \
-  --target dse_test
+  --target dse_test --target netlist_test --target route_test
 "$repo/build-asan/tests/extract_test"
 "$repo/build-asan/tests/extract_cache_test"
 # Skew refinement: per-net cache refresh and re-materialization into
@@ -136,6 +140,10 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
 # and the per-net path-prefix arrays, through root and leaf-net moves.
 "$repo/build-asan/tests/pairwise_sum_test"
 "$repo/build-asan/tests/assignment_state_test"
+# Routing footprint: raw-offset CSR indexing (net -> wire paths -> steps)
+# and the allocation-free per-cell demand scan of fits_steps.
+"$repo/build-asan/tests/netlist_test"
+"$repo/build-asan/tests/route_test"
 # Property fuzz at reduced depth: budgeted GeometryCache eviction and the
 # domain workload generator allocate hard; ASan guards their reuse paths.
 SNDR_FUZZ_ITERS="${SNDR_FUZZ_ITERS_ASAN:-4}" \

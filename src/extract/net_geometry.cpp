@@ -41,42 +41,23 @@ NetGeometry build_net_geometry(const ClockTree& tree,
     }
 
     int cur = parent_rc;
-    // Walk consecutive point pairs with path_segments() semantics (skip
-    // degenerate links, decompose diagonals into an L, horizontal first)
-    // without materializing the segment vector.
-    for (std::size_t pi = 1; pi < path->size(); ++pi) {
-      const geom::Point a = (*path)[pi - 1];
-      const geom::Point b = (*path)[pi];
-      if (a == b) continue;
-      geom::Segment halves[2];
-      int n_halves = 1;
-      if (a.x == b.x || a.y == b.y) {
-        halves[0] = {a, b};
-      } else {
-        const geom::Point corner{b.x, a.y};
-        halves[0] = {a, corner};
-        halves[1] = {corner, b};
-        n_halves = 2;
+    geom::for_each_segment(*path, [&](const geom::Segment& seg) {
+      const double len = seg.length();
+      if (len <= 0.0) return;
+      const int pieces = std::max(
+          1, static_cast<int>(std::ceil(len / options.max_seg_um)));
+      const double piece_len = len / pieces;
+      for (int i = 0; i < pieces; ++i) {
+        const geom::Point mid = geom::lerp(seg.a, seg.b, (i + 0.5) / pieces);
+        const double occ = cong.valid() ? cong.occupancy_at(mid) : 0.0;
+        g.piece_parent.push_back(cur);
+        g.piece_len.push_back(piece_len);
+        g.piece_occ.push_back(occ);
+        cur = static_cast<int>(g.piece_len.size());  // new node = piece+1.
+        g.node_tree_node.push_back(-1);
+        g.wirelength += piece_len;
       }
-      for (int h = 0; h < n_halves; ++h) {
-        const geom::Segment& seg = halves[h];
-        const double len = seg.length();
-        if (len <= 0.0) continue;
-        const int pieces = std::max(
-            1, static_cast<int>(std::ceil(len / options.max_seg_um)));
-        const double piece_len = len / pieces;
-        for (int i = 0; i < pieces; ++i) {
-          const geom::Point mid = geom::lerp(seg.a, seg.b, (i + 0.5) / pieces);
-          const double occ = cong.valid() ? cong.occupancy_at(mid) : 0.0;
-          g.piece_parent.push_back(cur);
-          g.piece_len.push_back(piece_len);
-          g.piece_occ.push_back(occ);
-          cur = static_cast<int>(g.piece_len.size());  // new node = piece+1.
-          g.node_tree_node.push_back(-1);
-          g.wirelength += piece_len;
-        }
-      }
-    }
+    });
     g.node_tree_node[cur] = v;
     g.node_rc.push_back({v, cur});
   }
@@ -185,7 +166,8 @@ GeometryCache::GeometryCache(const ClockTree& tree,
       design_(&design),
       nets_(&nets),
       options_(options),
-      budget_bytes_(budget_bytes) {
+      budget_bytes_(budget_bytes),
+      footprint_(tree, nets, design.congestion) {
   if (budgeted()) {
     slots_.resize(static_cast<std::size_t>(nets.size()));
   } else {
@@ -197,18 +179,19 @@ void GeometryCache::invalidate() {
   SNDR_COUNTER_ADD("extract.geometry.invalidations", 1);
   if (!budgeted()) {
     build_all();
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Slot& s : slots_) {
-    if (s.pins > 0 || s.building) {
-      throw std::logic_error(
-          "GeometryCache::invalidate: entry pinned or building");
+  } else {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Slot& s : slots_) {
+      if (s.pins > 0 || s.building) {
+        throw std::logic_error(
+            "GeometryCache::invalidate: entry pinned or building");
+      }
+      s = Slot{};
     }
-    s = Slot{};
+    lru_head_ = lru_tail_ = -1;
+    resident_bytes_ = 0;
   }
-  lru_head_ = lru_tail_ = -1;
-  resident_bytes_ = 0;
+  footprint_ = netlist::RoutingFootprint(*tree_, *nets_, design_->congestion);
 }
 
 void GeometryCache::refresh_load_cells(int net_id) {

@@ -191,17 +191,23 @@ class GeometryCache {
   int net_count() const { return static_cast<int>(nets_->size()); }
   const ExtractOptions& options() const { return options_; }
 
-  /// Drops every cached geometry (call after a tree edit or congestion
-  /// change). Unbounded: eager re-walk. Budgeted: entries rebuild lazily;
-  /// no pin may be outstanding.
+  /// The whole tree's congestion-grid walk (see netlist::RoutingFootprint),
+  /// recorded once in the constructor for every net. Always resident in
+  /// both modes and not counted against the budget: routing usage, move
+  /// capacity checks and net summaries read it on every call.
+  const netlist::RoutingFootprint& footprint() const { return footprint_; }
+
+  /// Drops every cached geometry and re-records the footprint (call after
+  /// a tree edit or congestion change). Unbounded: eager re-walk.
+  /// Budgeted: entries rebuild lazily; no pin may be outstanding.
   void invalidate();
 
   /// Re-reads the buffer cells of `net_id`'s loads from the tree (call
   /// after set_cell on a buffer that net loads). Unbounded: updates the
   /// entry in place. Budgeted: updates it if resident; an evicted entry
   /// rebuilds lazily from the current tree anyway. No walk, so builds()
-  /// is unchanged. The entry must not be read concurrently, or be
-  /// building.
+  /// is unchanged, and the footprint stays as it is (a resize moves no
+  /// wire). The entry must not be read concurrently, or be building.
   void refresh_load_cells(int net_id);
 
   /// Total per-net geometry builds since construction.
@@ -242,6 +248,7 @@ class GeometryCache {
   const netlist::NetList* nets_;
   ExtractOptions options_;
   std::size_t budget_bytes_ = 0;
+  netlist::RoutingFootprint footprint_;
 
   // Unbounded mode.
   std::vector<NetGeometry> geoms_;

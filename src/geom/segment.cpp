@@ -20,19 +20,7 @@ std::vector<Segment> path_segments(const Path& path) {
   std::vector<Segment> segs;
   if (path.size() < 2) return segs;
   segs.reserve(path.size());
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    const Point a = path[i - 1];
-    const Point b = path[i];
-    if (a == b) continue;
-    const Segment s{a, b};
-    if (s.axis_parallel()) {
-      segs.push_back(s);
-    } else {
-      const Point corner{b.x, a.y};
-      segs.push_back({a, corner});
-      segs.push_back({corner, b});
-    }
-  }
+  for_each_segment(path, [&](const Segment& s) { segs.push_back(s); });
   return segs;
 }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "geom/point.hpp"
@@ -31,9 +32,27 @@ using Path = std::vector<Point>;
 /// Total L1 length of a path in um.
 double path_length(const Path& path);
 
-/// Splits a path into its axis-parallel segments, dropping degenerate ones.
-/// Diagonal links (which only a buggy router would produce) are decomposed
-/// into an L: horizontal first, then vertical.
+/// Calls fn(segment) for each axis-parallel segment of a path, dropping
+/// degenerate links. Diagonal links (which only a buggy router would
+/// produce) are decomposed into an L: horizontal first, then vertical.
+/// Allocates nothing, so per-wire walks can run in hot loops.
+template <typename Fn>
+void for_each_segment(const Path& path, Fn&& fn) {
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const Point a = path[i - 1];
+    const Point b = path[i];
+    if (a == b) continue;
+    if (a.x == b.x || a.y == b.y) {
+      fn(Segment{a, b});
+    } else {
+      const Point corner{b.x, a.y};
+      fn(Segment{a, corner});
+      fn(Segment{corner, b});
+    }
+  }
+}
+
+/// The segments for_each_segment visits, collected in order.
 std::vector<Segment> path_segments(const Path& path);
 
 /// Builds an L-shaped path from `a` to `b`. If `horizontal_first` the path

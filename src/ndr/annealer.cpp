@@ -116,7 +116,7 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
       }
       ++result.proposed;
 
-      const NetExact exact = state.exact_eval(net_id, rule);
+      const NetExact& exact = state.exact_eval(net_id, rule);
       // Energy delta: switched cap weighted by the net's domain toggle
       // rate — gated/divided subtrees are proportionally cheaper, so the
       // Metropolis criterion spends its uphill budget where power really

@@ -95,20 +95,12 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
   nets_state_.resize(n_nets);
   for (const netlist::Net& net : nets.nets) {
     NetState& st = nets_state_[net.id];
-    st.summary = summarize_net(tree, design, tech, net, analysis_);
+    st.summary = summarize_net(tree, design, tech, net,
+                               geometry_->footprint(), analysis_);
     const netlist::TreeNode& drv = tree.node(net.driver);
     st.base_slew = drv.kind == netlist::NodeKind::kSource
                        ? analysis_.source_slew
                        : 0.4 * tech.buffers[drv.cell].intrinsic_delay;
-    st.paths.reserve(net.wires.size());
-    for (const int v : net.wires) {
-      const netlist::TreeNode& wn = tree.node(v);
-      if (wn.path.size() >= 2) {
-        st.paths.push_back(wn.path);
-      } else {
-        st.paths.push_back({tree.loc(wn.parent), wn.loc});
-      }
-    }
   }
 
   shape_buckets_ = extract::bucket_nets_by_shape(*geometry_);
@@ -165,8 +157,8 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
     return net_weight_[i] * nets_state_[i].cap;
   });
 
-  usage_ = route::compute_usage(*tree_, *nets_, assignment_, *tech_,
-                                design_->congestion);
+  usage_ = route::compute_usage(geometry_->footprint(), *nets_, assignment_,
+                                *tech_, design_->congestion);
 }
 
 void AssignmentState::update_path_prefix(int net_id) {
@@ -211,8 +203,9 @@ bool AssignmentState::check_move(int net_id, int rule_idx,
       rule.pitch_mult(width_frac) -
       tech_->rules[assignment_[net_id]].pitch_mult(width_frac);
   if (d_pitch > 0.0) {
-    for (const geom::Path& p : st.paths) {
-      if (!usage_.fits(p, d_pitch)) return false;
+    const netlist::RoutingFootprint& fp = geometry_->footprint();
+    for (int k = 0; k < fp.path_count(net_id); ++k) {
+      if (!usage_.fits_steps(fp.path_steps(net_id, k), d_pitch)) return false;
     }
   }
 
@@ -247,7 +240,7 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
       tech_->rules[rule_idx].pitch_mult(width_frac) -
       tech_->rules[assignment_[net_id]].pitch_mult(width_frac);
   if (d_pitch != 0.0) {
-    for (const geom::Path& p : st.paths) usage_.add(p, d_pitch);
+    usage_.add_steps(geometry_->footprint().net_steps(net_id), d_pitch);
   }
 
   // Exact incremental timing: re-materialize the net's parasitics under
@@ -266,11 +259,14 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
   // start mutating per-net electrical context, advance ctx_gen_[net_id]
   // here (the rebuild() driver_res check is the model to follow). The
   // caller's `exact` is by contract the net's evaluation under the new
-  // rule, so memoize it in case it was produced out-of-band.
+  // rule, so memoize it in case it was produced out-of-band (a reference
+  // into the memo slot itself is already there).
   ExactCacheEntry& e =
       exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
-  e.exact = exact;
-  e.exact.par = extract::NetParasitics{};
+  if (&exact != &e.exact) {
+    e.exact = exact;
+    e.exact.par = extract::NetParasitics{};
+  }
   e.gen = ctx_gen_[net_id];
 
   assignment_[net_id] = rule_idx;
@@ -406,7 +402,7 @@ int AssignmentState::import_memo(const MemoSnapshot& in) {
   return adopted;
 }
 
-NetExact AssignmentState::exact_eval(int net_id, int rule_idx) const {
+const NetExact& AssignmentState::exact_eval(int net_id, int rule_idx) const {
   ExactCacheEntry& e =
       exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
   if (e.gen == ctx_gen_[net_id]) {

@@ -3,7 +3,9 @@
 // Both the greedy optimizer and the annealer explore (net, rule) moves and
 // need the same machinery: per-net summaries and current metrics, per-sink
 // latency / variance / crosstalk accumulators, routing-usage tracking, and
-// latency windows. This class owns that state and offers move checking /
+// latency windows. Routing usage reads the geometry cache's footprint (the
+// grid walk of every wire, recorded once), so neither a capacity check nor
+// a move walks a path. This class owns that state and offers move checking /
 // application with exactly the approximations documented in optimizer.hpp.
 // Callers seed it with rebuild() from a full evaluation (at search start and
 // after a repair); apply_move() keeps it bitwise equal to a fresh rebuild.
@@ -109,7 +111,10 @@ class AssignmentState {
   /// rebuild() of the same assignment (pinned by the state-vs-rebuild
   /// comparer in tests/state_compare.hpp). Routing usage keeps its own
   /// += bookkeeping and may drift by FP rounding; the tests pin that
-  /// check_move() answers agree with a fresh rebuild regardless.
+  /// check_move() answers agree with a fresh rebuild regardless. Usage
+  /// moves by `d_pitch * len` over the net's recorded footprint steps
+  /// (GeometryCache::footprint()); no path is walked. `exact` may be the
+  /// reference exact_eval() returned.
   void apply_move(int net_id, int rule_idx, const NetExact& exact);
 
   /// Exact per-net evaluation of a candidate rule (driver model included).
@@ -129,7 +134,11 @@ class AssignmentState {
   /// over the shared GeometryCache — no geometry walk, no congestion
   /// query, no allocation past a warm per-thread arena — and one miss is
   /// counted per row fill, so hit rates read as "rows already warm".
-  NetExact exact_eval(int net_id, int rule_idx) const;
+  ///
+  /// Returns a reference to the memo slot. It stays valid (and holds this
+  /// value) until the next rebuild(), import_memo() or row fill
+  /// (exact_eval miss, warm_rows); copy it to keep it past those.
+  const NetExact& exact_eval(int net_id, int rule_idx) const;
 
   /// Prefetches the exact-eval memo rows of `net_ids` (cold rows only)
   /// using CROSS-NET batches: nets are grouped by geometry shape
@@ -195,9 +204,6 @@ class AssignmentState {
   }
   /// Nets on a sink's source path, leaf net first.
   std::vector<int> nets_on_path(int sink) const;
-  const std::vector<geom::Path>& net_paths(int net_id) const {
-    return nets_state_[net_id].paths;
-  }
 
   // Accumulator accessors (tests pin these against a fresh rebuild()).
   double sink_latency(int sink) const { return delta_.sink_arrival()[sink]; }
@@ -210,6 +216,8 @@ class AssignmentState {
     return leaf_net_[sink] < 0 ? 0.0 : path_xtalk_[leaf_net_[sink]];
   }
   double latency_sum() const { return latency_sum_.total(); }
+  /// Per-cell routing usage under the current assignment.
+  const netlist::RoutingUsage& usage() const { return usage_; }
   double net_sigma(int net_id) const { return nets_state_[net_id].sigma; }
   double net_xtalk_of(int net_id) const { return nets_state_[net_id].xtalk; }
   double net_wire_delay(int net_id) const {
@@ -224,7 +232,6 @@ class AssignmentState {
     double xtalk = 0.0;
     double wire_delay = 0.0;
     double base_slew = 0.0;
-    std::vector<geom::Path> paths;
   };
 
   /// Recomputes path_var_/path_xtalk_[net_id] from its parent's prefix.

@@ -124,7 +124,7 @@ MultiCornerReport evaluate_corners(
         rep.corners[i].eval = evaluate_with_parasitics(
             tree, design, cornered[static_cast<std::size_t>(i)], nets,
             assignment, std::move(corner_par[static_cast<std::size_t>(i)]),
-            options);
+            *geometry, options);
       });
   return rep;
 }

@@ -27,13 +27,15 @@ RuleAssignment assign_level_based(const netlist::NetList& nets,
 namespace {
 
 /// Everything downstream of extraction; `ev` arrives with `assignment` and
-/// `parasitics` filled.
+/// `parasitics` filled. Routing usage reads the cache's footprint, or a
+/// temporary one recorded here when there is no cache.
 FlowEvaluation finish_evaluation(const netlist::ClockTree& tree,
                                  const netlist::Design& design,
                                  const tech::Technology& tech,
                                  const netlist::NetList& nets,
                                  const RuleAssignment& assignment,
                                  const timing::AnalysisOptions& options,
+                                 const extract::GeometryCache* geometry,
                                  FlowEvaluation ev) {
   ev.timing = timing::analyze(tree, design, tech, nets, ev.parasitics,
                               options);
@@ -53,8 +55,14 @@ FlowEvaluation finish_evaluation(const netlist::ClockTree& tree,
             power::analyze_em(design, tech, nets, ev.parasitics, assignment);
       },
       [&] {
-        usage = route::compute_usage(tree, nets, assignment, tech,
-                                     design.congestion);
+        if (geometry != nullptr) {
+          usage = route::compute_usage(geometry->footprint(), nets,
+                                       assignment, tech, design.congestion);
+        } else {
+          usage = route::compute_usage(
+              netlist::RoutingFootprint(tree, nets, design.congestion), nets,
+              assignment, tech, design.congestion);
+        }
       });
   ev.max_track_util = usage.max_utilization();
   ev.overflow_cells = usage.overflow_cells();
@@ -116,7 +124,7 @@ FlowEvaluation evaluate(const netlist::ClockTree& tree,
   const extract::Extractor extractor(tech, design);
   ev.parasitics = extractor.extract_all(tree, nets, assignment, geometry);
   return finish_evaluation(tree, design, tech, nets, assignment, options,
-                           std::move(ev));
+                           geometry, std::move(ev));
 }
 
 FlowEvaluation evaluate_with_parasitics(
@@ -124,6 +132,7 @@ FlowEvaluation evaluate_with_parasitics(
     const tech::Technology& tech, const netlist::NetList& nets,
     const RuleAssignment& assignment,
     std::vector<extract::NetParasitics> parasitics,
+    const extract::GeometryCache& geometry,
     const timing::AnalysisOptions& options) {
   if (assignment.size() != static_cast<std::size_t>(nets.size()) ||
       parasitics.size() != static_cast<std::size_t>(nets.size())) {
@@ -136,7 +145,7 @@ FlowEvaluation evaluate_with_parasitics(
   ev.assignment = assignment;
   ev.parasitics = std::move(parasitics);
   return finish_evaluation(tree, design, tech, nets, assignment, options,
-                           std::move(ev));
+                           &geometry, std::move(ev));
 }
 
 }  // namespace sndr::ndr

@@ -64,9 +64,9 @@ struct FlowEvaluation {
 
 /// Runs the whole analysis stack. `nets` must come from build_nets(tree).
 /// Pass a `geometry` cache built for the same tree/congestion state to skip
-/// the per-net geometry walk during extraction (bit-identical results);
-/// geometry is corner-invariant, so the same cache serves derated `tech`
-/// clones too.
+/// the per-net geometry walk during extraction and the grid walk of the
+/// routing-usage total (bit-identical results); geometry is
+/// corner-invariant, so the same cache serves derated `tech` clones too.
 FlowEvaluation evaluate(const netlist::ClockTree& tree,
                         const netlist::Design& design,
                         const tech::Technology& tech,
@@ -80,12 +80,14 @@ FlowEvaluation evaluate(const netlist::ClockTree& tree,
 /// produce for (tree, nets, assignment) under `tech` — then the result is
 /// bit-identical to evaluate(). Lets callers that already hold per-net
 /// parasitics (e.g. corner signoff, which batch-materializes all corners
-/// from one geometry pass) skip re-extraction.
+/// from one geometry pass) skip re-extraction. `geometry` (built for the
+/// same tree/congestion state) supplies the routing footprint.
 FlowEvaluation evaluate_with_parasitics(
     const netlist::ClockTree& tree, const netlist::Design& design,
     const tech::Technology& tech, const netlist::NetList& nets,
     const RuleAssignment& assignment,
     std::vector<extract::NetParasitics> parasitics,
+    const extract::GeometryCache& geometry,
     const timing::AnalysisOptions& options = {});
 
 }  // namespace sndr::ndr

@@ -13,6 +13,7 @@ NetSummary summarize_net(const netlist::ClockTree& tree,
                          const netlist::Design& design,
                          const tech::Technology& tech,
                          const netlist::Net& net,
+                         const netlist::RoutingFootprint& footprint,
                          const timing::AnalysisOptions& options) {
   NetSummary s;
   s.depth = net.depth;
@@ -28,21 +29,30 @@ NetSummary summarize_net(const netlist::ClockTree& tree,
     dist.resize(static_cast<std::size_t>(tree.size()));
   }
   dist[net.driver] = 0.0;
-  geom::Path fallback(2);  // reused buffer for pathless (direct) wires.
-  for (const int v : net.wires) {
+  const netlist::CongestionMap& map = design.congestion;
+  for (std::size_t k = 0; k < net.wires.size(); ++k) {
+    const int v = net.wires[k];
     const netlist::TreeNode& n = tree.node(v);
     const double len = tree.edge_length(v);
     dist[v] = dist[n.parent] + len;  // driver's dist is 0.
     s.wirelength += len;
-    const geom::Path* path = &n.path;
-    if (n.path.size() < 2) {
-      fallback[0] = tree.loc(n.parent);
-      fallback[1] = n.loc;
-      path = &fallback;
+    if (!map.valid()) continue;
+    // Length-weighted mean occupancy over the wire's recorded walk (the
+    // path's own length, then its occupancy-weighted length), scaled by
+    // the edge length; a zero-length walk takes its start cell's value.
+    double walked = 0.0;
+    double weighted = 0.0;
+    for (const netlist::CellStep& st :
+         footprint.path_steps(net.id, static_cast<int>(k))) {
+      walked += st.len;
+      weighted += st.len * map.occupancy_cell(st.cell);
     }
-    s.occ_length += design.congestion.valid()
-                        ? design.congestion.avg_occupancy(*path) * len
-                        : 0.0;
+    const double occ =
+        walked > 0.0
+            ? weighted / walked
+            : map.occupancy_at(n.path.size() >= 2 ? n.path.front()
+                                                  : tree.loc(n.parent));
+    s.occ_length += occ * len;
   }
   for (const int load : net.loads) {
     s.max_path = std::max(s.max_path, dist[load]);

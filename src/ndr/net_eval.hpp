@@ -42,13 +42,17 @@ struct NetSummary {
   int depth = 0;            ///< buffer depth of the net.
 };
 
-/// O(net wires + loads): works in a per-thread buffer that grows to the
-/// largest tree seen and is never cleared, so no call allocates or fills
-/// anything proportional to the tree once that buffer is warm.
+/// O(net wires + walk steps + loads): occupancy comes from the net's
+/// recorded grid walk in `footprint` (recorded for this tree and
+/// design.congestion, e.g. GeometryCache::footprint()), and path lengths
+/// are kept in a per-thread buffer that grows to the largest tree seen and
+/// is never cleared, so no call allocates or fills anything proportional
+/// to the tree once that buffer is warm.
 NetSummary summarize_net(const netlist::ClockTree& tree,
                          const netlist::Design& design,
                          const tech::Technology& tech,
                          const netlist::Net& net,
+                         const netlist::RoutingFootprint& footprint,
                          const timing::AnalysisOptions& options);
 
 /// Exact switched capacitance of the net under `rule` (power accounting,

@@ -115,7 +115,7 @@ bool Optimizer::improve_net(int net_id) {
     }
     // The exact per-net engines decide: one evaluation serves both the
     // feasibility check and the commit.
-    const NetExact exact = state_.exact_eval(net_id, r);
+    const NetExact& exact = state_.exact_eval(net_id, r);
     ++stats_.exact_net_evals;
     const NetImpact impact{exact.step_slew_worst, exact.sigma_worst,
                              exact.xtalk_worst, exact.wire_delay_worst};
@@ -160,8 +160,10 @@ void Optimizer::repair(FlowEvaluation& ev) {
     // narrowest-pitch rule that still holds their local constraints. This
     // is the one repair direction that *reduces* wire footprint.
     if (ev.overflow_cells > 0 && design_.congestion.valid()) {
+      const netlist::RoutingFootprint& footprint =
+          state_.geometry_cache().footprint();
       const netlist::RoutingUsage usage = route::compute_usage(
-          tree_, nets_, assignment_, tech_, design_.congestion);
+          footprint, nets_, assignment_, tech_, design_.congestion);
       std::vector<char> cell_over(design_.congestion.cell_count(), 0);
       for (int ci = 0; ci < design_.congestion.cell_count(); ++ci) {
         cell_over[ci] =
@@ -169,20 +171,19 @@ void Optimizer::repair(FlowEvaluation& ev) {
       }
       const double width_frac = tech_.clock_layer.width_frac();
       for (const netlist::Net& net : nets_.nets) {
-        bool crosses = false;
-        for (const geom::Path& p : state_.net_paths(net.id)) {
-          design_.congestion.for_each_cell(p, [&](int ci, double) {
-            if (cell_over[ci]) crosses = true;
-          });
-          if (crosses) break;
+        const auto steps = footprint.net_steps(net.id);
+        if (std::none_of(steps.begin(), steps.end(),
+                         [&](const netlist::CellStep& st) {
+                           return cell_over[st.cell] != 0;
+                         })) {
+          continue;
         }
-        if (!crosses) continue;
         int best = assignment_[net.id];
         double best_pitch = tech_.rules[best].pitch_mult(width_frac);
         for (int r = 0; r < tech_.rules.size(); ++r) {
           const double pitch = tech_.rules[r].pitch_mult(width_frac);
           if (pitch + 1e-12 >= best_pitch) continue;
-          const NetExact exact = state_.exact_eval(net.id, r);
+          const NetExact& exact = state_.exact_eval(net.id, r);
           ++stats_.exact_net_evals;
           const double slew =
               state_.slew_at_loads(net.id, exact.step_slew_worst);

@@ -80,7 +80,8 @@ RuleImpactPredictor RuleImpactPredictor::train(
       static_cast<std::int64_t>(sample_ids.size()), /*grain=*/16,
       /*est_us_per_item=*/1.0, [&](std::int64_t i) {
         summaries[i] = summarize_net(tree, design, tech,
-                                     nets[sample_ids[i]], options);
+                                     nets[sample_ids[i]],
+                                     geometry.footprint(), options);
         features[i] = net_feature_vector(summaries[i]);
       });
 

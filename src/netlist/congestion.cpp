@@ -1,9 +1,9 @@
 #include "netlist/congestion.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
 #include <stdexcept>
+
+#include "netlist/clock_nets.hpp"
 
 namespace sndr::netlist {
 
@@ -65,27 +65,42 @@ double CongestionMap::avg_occupancy(const geom::Path& path) const {
   return weighted / len;
 }
 
-void CongestionMap::for_each_cell(
-    const geom::Path& path,
-    const std::function<void(int, double)>& fn) const {
-  const double cw = area_.width() / nx_;
-  const double ch = area_.height() / ny_;
-  for (const geom::Segment& seg : geom::path_segments(path)) {
-    const double len = seg.length();
-    if (len <= 0.0) continue;
-    // Walk the segment in sub-steps no longer than half a cell dimension;
-    // attribute each sub-step's length to the cell of its midpoint. Exact
-    // for axis-parallel segments up to the step quantization.
-    const double step_limit = 0.5 * (seg.horizontal() ? cw : ch);
-    const int steps =
-        std::max(1, static_cast<int>(std::ceil(len / std::max(step_limit,
-                                                              1e-9))));
-    const double dl = len / steps;
-    for (int i = 0; i < steps; ++i) {
-      const double t = (i + 0.5) / steps;
-      fn(cell_index(geom::lerp(seg.a, seg.b, t)), dl);
+RoutingFootprint::RoutingFootprint(const ClockTree& tree,
+                                   const NetList& nets,
+                                   const CongestionMap& map) {
+  const auto record = [this](int cell, double len) {
+    steps_.push_back({cell, len});
+  };
+  geom::Path link(2);  // reused buffer for pathless (direct) wires.
+  std::size_t n_wires = 0;
+  for (const Net& net : nets.nets) n_wires += net.wires.size();
+  net_path_.reserve(nets.nets.size() + 1);
+  path_step_.reserve(n_wires + 1);
+  for (const Net& net : nets.nets) {
+    for (const int v : net.wires) {
+      // The wire's path as the usage walk has always read it: the routed
+      // path, else the straight link from its parent.
+      const TreeNode& n = tree.node(v);
+      if (map.valid()) {
+        if (n.path.size() >= 2) {
+          map.for_each_cell(n.path, record);
+        } else if (n.parent >= 0) {
+          link[0] = tree.loc(n.parent);
+          link[1] = n.loc;
+          map.for_each_cell(link, record);
+        }
+      }
+      path_step_.push_back(steps_.size());
     }
+    net_path_.push_back(path_step_.size() - 1);
   }
+  steps_.shrink_to_fit();
+}
+
+std::size_t RoutingFootprint::bytes() const {
+  return net_path_.capacity() * sizeof(std::size_t) +
+         path_step_.capacity() * sizeof(std::size_t) +
+         steps_.capacity() * sizeof(CellStep);
 }
 
 void RoutingUsage::add(const geom::Path& path, double pitch_mult) {
@@ -93,6 +108,12 @@ void RoutingUsage::add(const geom::Path& path, double pitch_mult) {
   map_->for_each_cell(path, [&](int idx, double len) {
     used_[idx] += pitch_mult * len;
   });
+}
+
+void RoutingUsage::add_steps(std::span<const CellStep> steps,
+                             double pitch_mult) {
+  if (map_ == nullptr || !map_->valid()) return;
+  for (const CellStep& s : steps) used_[s.cell] += pitch_mult * s.len;
 }
 
 double RoutingUsage::max_utilization() const {
@@ -112,16 +133,26 @@ int RoutingUsage::overflow_cells() const {
   return n;
 }
 
-bool RoutingUsage::fits(const geom::Path& path, double pitch_mult) const {
+bool RoutingUsage::fits_steps(std::span<const CellStep> steps,
+                              double pitch_mult) const {
   if (map_ == nullptr || !map_->valid()) return true;
-  // Accumulate the candidate's own demand per cell before comparing, since
-  // a path can cross the same cell through several sub-steps.
-  std::map<int, double> extra;
-  map_->for_each_cell(path, [&](int idx, double len) {
-    extra[idx] += pitch_mult * len;
-  });
-  for (const auto& [idx, demand] : extra) {
-    if (used_[idx] + demand > map_->capacity_cell(idx)) return false;
+  // Each cell is checked once, at its first step; the verdict does not
+  // depend on the order cells are checked in, only each demand sum does.
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const int cell = steps[i].cell;
+    bool seen = false;
+    for (std::size_t j = i; j-- > 0;) {
+      if (steps[j].cell == cell) {
+        seen = true;
+        break;
+      }
+    }
+    if (seen) continue;
+    double demand = 0.0;
+    for (std::size_t j = i; j < steps.size(); ++j) {
+      if (steps[j].cell == cell) demand += pitch_mult * steps[j].len;
+    }
+    if (used_[cell] + demand > map_->capacity_cell(cell)) return false;
   }
   return true;
 }

@@ -33,7 +33,7 @@ int reroute_for_congestion(netlist::ClockTree& tree,
   return changed;
 }
 
-netlist::RoutingUsage compute_usage(const netlist::ClockTree& tree,
+netlist::RoutingUsage compute_usage(const netlist::RoutingFootprint& footprint,
                                     const netlist::NetList& nets,
                                     const std::vector<int>& rule_of_net,
                                     const tech::Technology& tech,
@@ -41,19 +41,14 @@ netlist::RoutingUsage compute_usage(const netlist::ClockTree& tree,
   if (rule_of_net.size() != static_cast<std::size_t>(nets.size())) {
     throw std::invalid_argument("compute_usage: rule assignment mismatch");
   }
+  if (footprint.net_count() != nets.size()) {
+    throw std::invalid_argument("compute_usage: footprint/net list mismatch");
+  }
   netlist::RoutingUsage usage(&map);
   const double width_frac = tech.clock_layer.width_frac();
   for (const netlist::Net& net : nets.nets) {
-    const double pitch_mult =
-        tech.rules[rule_of_net[net.id]].pitch_mult(width_frac);
-    for (const int v : net.wires) {
-      const netlist::TreeNode& n = tree.node(v);
-      if (n.path.size() >= 2) {
-        usage.add(n.path, pitch_mult);
-      } else if (n.parent >= 0) {
-        usage.add({tree.loc(n.parent), n.loc}, pitch_mult);
-      }
-    }
+    usage.add_steps(footprint.net_steps(net.id),
+                    tech.rules[rule_of_net[net.id]].pitch_mult(width_frac));
   }
   return usage;
 }

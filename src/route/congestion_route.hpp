@@ -18,8 +18,11 @@ int reroute_for_congestion(netlist::ClockTree& tree,
                            const netlist::CongestionMap& map);
 
 /// Accumulates per-cell clock routing usage of the whole tree under a rule
-/// assignment (`rule_of_net[i]` indexes tech.rules).
-netlist::RoutingUsage compute_usage(const netlist::ClockTree& tree,
+/// assignment (`rule_of_net[i]` indexes tech.rules): one pass over the
+/// recorded walk steps, net by net in id order, each adding
+/// `pitch_mult * len`. `footprint` must be recorded for (tree, nets, map),
+/// e.g. extract::GeometryCache::footprint().
+netlist::RoutingUsage compute_usage(const netlist::RoutingFootprint& footprint,
                                     const netlist::NetList& nets,
                                     const std::vector<int>& rule_of_net,
                                     const tech::Technology& tech,

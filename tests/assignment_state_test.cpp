@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/thread_pool.hpp"
 #include "fuzz_util.hpp"
 #include "ndr/assignment_state.hpp"
 #include "ndr/smart_ndr.hpp"
 #include "state_compare.hpp"
 #include "test_util.hpp"
+#include "workload/rng.hpp"
 
 namespace sndr::ndr {
 namespace {
@@ -126,6 +130,90 @@ TEST(StateMoves, RootAndDeepestLeafMatchFreshRebuild) {
                                 domains.nets, threads);
   }
   common::set_thread_count(-1);
+}
+
+// 2000 feasible moves on a design where capacity binds. After each one,
+// every cell's usage must equal, bitwise, a replay of the per-path
+// add(path, d_pitch) bookkeeping the footprint replaced, and every
+// check_move verdict must be the per-path std::map capacity check combined
+// with the other constraints. Those come from a twin state that makes the
+// same moves on an uncapped copy of the map.
+TEST(StateMoves, UsageReplaysPerPathBookkeepingOverFeasibleMoves) {
+  const test::Flow f = test::congested_flow();
+  const netlist::CongestionMap& map = f.design.congestion;
+  netlist::Design uncapped = f.design;
+  for (int c = 0; c < map.cell_count(); ++c) {
+    uncapped.congestion.set_capacity_cell(c, 1e18);
+  }
+  const timing::AnalysisOptions aopt;
+  const RuleAssignment blanket =
+      assign_all(f.nets, f.tech.rules.blanket_index());
+  AssignmentState state(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  AssignmentState twin(f.cts.tree, uncapped, f.tech, f.nets, aopt);
+  state.rebuild(blanket, evaluate(f.cts.tree, f.design, f.tech, f.nets,
+                                  blanket, aopt, &state.geometry_cache()));
+  twin.rebuild(blanket, evaluate(f.cts.tree, uncapped, f.tech, f.nets,
+                                 blanket, aopt, &twin.geometry_cache()));
+
+  const double width_frac = f.tech.clock_layer.width_frac();
+  const auto pitch = [&](int rule) {
+    return f.tech.rules[rule].pitch_mult(width_frac);
+  };
+  netlist::RoutingUsage ref(&map);
+  for (const netlist::Net& net : f.nets.nets) {
+    for (const int v : net.wires) {
+      ref.add(test::wire_path(f.cts.tree, v), pitch(blanket[net.id]));
+    }
+  }
+  const auto expect_usage_matches = [&] {
+    for (int c = 0; c < map.cell_count(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(state.usage().used_cell(c)),
+                std::bit_cast<std::uint64_t>(ref.used_cell(c)))
+          << "cell " << c;
+    }
+  };
+  expect_usage_matches();
+
+  const int n_nets = f.nets.size();
+  const int n_rules = f.tech.rules.size();
+  const MoveMargins margins;
+  workload::Rng rng(5);
+  int applied = 0;
+  int capacity_vetoes = 0;
+  for (int proposal = 0; applied < 2000 && proposal < 100000; ++proposal) {
+    const int net_id = static_cast<int>(rng.uniform_int(n_nets));
+    int rule = static_cast<int>(rng.uniform_int(n_rules));
+    if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
+    const NetExact& exact = state.exact_eval(net_id, rule);
+    const NetImpact impact{exact.step_slew_worst, exact.sigma_worst,
+                           exact.xtalk_worst, exact.wire_delay_worst};
+    const netlist::Net& net = f.nets[net_id];
+    const double d_pitch = pitch(rule) - pitch(state.rule_of(net_id));
+    bool fits = true;
+    if (d_pitch > 0.0) {
+      for (const int v : net.wires) {
+        fits = fits && test::map_fits(ref, map, test::wire_path(f.cts.tree, v),
+                                      d_pitch);
+      }
+    }
+    capacity_vetoes += fits ? 0 : 1;
+    const bool ok = state.check_move(net_id, rule, impact, margins);
+    ASSERT_EQ(ok, fits && twin.check_move(net_id, rule, impact, margins))
+        << "proposal " << proposal;
+    if (!ok) continue;
+    state.apply_move(net_id, rule, exact);  // the memo slot itself.
+    twin.apply_move(net_id, rule, twin.exact_eval(net_id, rule));
+    if (d_pitch != 0.0) {
+      for (const int v : net.wires) {
+        ref.add(test::wire_path(f.cts.tree, v), d_pitch);
+      }
+    }
+    ++applied;
+    expect_usage_matches();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(applied, 2000);
+  EXPECT_GT(capacity_vetoes, 0);
 }
 
 TEST_F(StateFixture, CheckMoveRejectsObviousViolations) {

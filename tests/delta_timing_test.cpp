@@ -109,18 +109,7 @@ TEST(DeltaTimingChurn, RandomMovesStayBitwiseIdenticalToRebuild) {
 // proposal's check_move() verdict must still equal the verdict of a state
 // freshly rebuilt from a full evaluation of the same assignment.
 TEST(DeltaTimingChurn, CongestedCheckMoveMatchesFreshRebuild) {
-  workload::DesignSpec spec;
-  spec.name = "congested";
-  spec.num_sinks = 160;
-  spec.seed = 41;
-  spec.occupancy_base = 0.6;
-  spec.hotspot_occupancy = 0.3;
-  spec.clock_track_fraction = 0.10;
-  test::Flow f;
-  f.design = workload::make_design(spec);
-  f.tech = tech::Technology::make_default_45nm();
-  f.cts = cts::synthesize(f.design, f.tech);
-  f.nets = netlist::build_nets(f.cts.tree);
+  const test::Flow f = test::congested_flow();
   ASSERT_TRUE(f.design.congestion.valid());
 
   const timing::AnalysisOptions aopt;
@@ -159,11 +148,13 @@ TEST(DeltaTimingChurn, CongestedCheckMoveMatchesFreshRebuild) {
         f.tech.rules[rule].pitch_mult(width_frac) -
         f.tech.rules[state.rule_of(net_id)].pitch_mult(width_frac);
     if (d_pitch > 0.0) {
+      const netlist::RoutingFootprint& fp =
+          state.geometry_cache().footprint();
       const netlist::RoutingUsage usage = route::compute_usage(
-          f.cts.tree, f.nets, a, f.tech, f.design.congestion);
+          fp, f.nets, a, f.tech, f.design.congestion);
       bool fits = true;
-      for (const geom::Path& p : state.net_paths(net_id)) {
-        fits = fits && usage.fits(p, d_pitch);
+      for (int k = 0; k < fp.path_count(net_id); ++k) {
+        fits = fits && usage.fits_steps(fp.path_steps(net_id, k), d_pitch);
       }
       ++widening[fits ? 1 : 0];
     }

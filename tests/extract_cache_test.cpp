@@ -236,5 +236,43 @@ TEST_F(ExtractCacheFixture, InvalidateFollowsCongestionChange) {
   }
 }
 
+// The cache's routing footprint is the whole tree's grid walk: a buffer
+// resize (refresh_load_cells) moves no wire and leaves it as it is; a
+// ClockTree::set_path edit leaves it stale until invalidate() re-records
+// it from the edited tree.
+TEST_F(ExtractCacheFixture, FootprintFollowsWireEditsNotResizes) {
+  netlist::ClockTree& tree = f.cts.tree;
+  const netlist::CongestionMap& map = f.design.congestion;
+  extract::GeometryCache cache(tree, f.design, f.nets);
+  const netlist::RoutingFootprint before = cache.footprint();
+  EXPECT_EQ(before, netlist::RoutingFootprint(tree, f.nets, map));
+
+  int buffer = -1;
+  int wire = -1;
+  for (int id = 0; id < tree.size(); ++id) {
+    const netlist::TreeNode& n = tree.node(id);
+    if (n.kind == netlist::NodeKind::kBuffer && buffer < 0) buffer = id;
+    if (n.path.size() == 3 &&
+        (wire < 0 || tree.edge_length(id) > tree.edge_length(wire))) {
+      wire = id;  // the longest two-bend L.
+    }
+  }
+  ASSERT_GE(buffer, 0);
+  ASSERT_GE(wire, 0);
+  tree.set_cell(buffer, (tree.node(buffer).cell + 1) % f.tech.buffers.size());
+  cache.refresh_load_cells(f.nets.net_of_edge[buffer]);
+  EXPECT_EQ(cache.footprint(), before);
+
+  const geom::Point a = tree.loc(tree.node(wire).parent);
+  const geom::Point b = tree.node(wire).loc;
+  const bool horizontal_first = tree.node(wire).path[1].y == a.y;
+  tree.set_path(wire, geom::l_path(a, b, !horizontal_first));
+  const netlist::RoutingFootprint edited(tree, f.nets, map);
+  ASSERT_NE(edited, before);      // the flipped L crosses other cells.
+  EXPECT_EQ(cache.footprint(), before);  // stale until invalidated.
+  cache.invalidate();
+  EXPECT_EQ(cache.footprint(), edited);
+}
+
 }  // namespace
 }  // namespace sndr

@@ -87,6 +87,22 @@ TEST(GeometryBudget, PinnedMatchesUnboundedBitwise) {
   EXPECT_GT(budgeted.builds(), unbounded.builds());
 }
 
+// The routing footprint is whole-tree and always resident: a 64 KiB
+// budgeted cache records the same footprint as an unbounded one, keeps it
+// through heavy eviction, and does not count it against the budget.
+TEST(GeometryBudget, FootprintResidentOutsideBudget) {
+  const test::Flow f = test::small_flow(1500);
+  const GeometryCache unbounded(f.cts.tree, f.design, f.nets);
+  const std::size_t budget = 64 * 1024;
+  const GeometryCache budgeted(f.cts.tree, f.design, f.nets, budget, {});
+  EXPECT_EQ(budgeted.footprint(), unbounded.footprint());
+  for (int id = 0; id < budgeted.net_count(); ++id) budgeted.pinned(id);
+  EXPECT_GT(budgeted.evictions(), 0);
+  EXPECT_EQ(budgeted.footprint(), unbounded.footprint());
+  EXPECT_GT(budgeted.footprint().bytes(), budget);
+  EXPECT_LE(budgeted.resident_bytes(), budget);
+}
+
 TEST(GeometryBudget, GeometryThrowsInBudgetedMode) {
   const test::Flow f = test::small_flow(16);
   const GeometryCache budgeted(f.cts.tree, f.design, f.nets, 4096, {});

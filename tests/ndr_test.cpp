@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "ndr/smart_ndr.hpp"
 #include "tech/units.hpp"
@@ -100,6 +102,7 @@ TEST(Metrics, SpearmanPerfectAndInverse) {
 class NetEvalFixture : public ::testing::Test {
  protected:
   test::Flow f = test::small_flow(64, 13);
+  netlist::RoutingFootprint fp{f.cts.tree, f.nets, f.design.congestion};
   timing::AnalysisOptions aopt;
 };
 
@@ -111,9 +114,10 @@ TEST_P(AnalyticCapSweep, MatchesExtraction) {
   const int rule_idx = GetParam();
   const timing::AnalysisOptions aopt;
   const extract::Extractor ex(f.tech, f.design);
+  const netlist::RoutingFootprint fp(f.cts.tree, f.nets, f.design.congestion);
   for (int i = 0; i < f.nets.size(); i += 3) {
     const NetSummary s = summarize_net(f.cts.tree, f.design, f.tech,
-                                       f.nets[i], aopt);
+                                       f.nets[i], fp, aopt);
     const auto par =
         ex.extract_net(f.cts.tree, f.nets[i], f.tech.rules[rule_idx]);
     const double analytic =
@@ -131,7 +135,7 @@ TEST_F(NetEvalFixture, EmBoundIsConservative) {
   const double freq = 1 * GHz;
   for (int i = 0; i < f.nets.size(); i += 5) {
     const NetSummary s =
-        summarize_net(f.cts.tree, f.design, f.tech, f.nets[i], aopt);
+        summarize_net(f.cts.tree, f.design, f.tech, f.nets[i], fp, aopt);
     for (int r = 0; r < f.tech.rules.size(); ++r) {
       const NetExact exact = evaluate_net_exact(
           f.cts.tree, f.design, f.tech, f.nets[i], f.tech.rules[r],
@@ -145,13 +149,37 @@ TEST_F(NetEvalFixture, EmBoundIsConservative) {
 TEST_F(NetEvalFixture, SummaryFieldsSane) {
   for (const auto& net : f.nets.nets) {
     const NetSummary s =
-        summarize_net(f.cts.tree, f.design, f.tech, net, aopt);
+        summarize_net(f.cts.tree, f.design, f.tech, net, fp, aopt);
     EXPECT_GT(s.driver_res, 0.0);
     EXPECT_GE(s.wirelength, 0.0);
     EXPECT_LE(s.occ_length, s.wirelength + 1e-9);
     EXPECT_LE(s.max_path, s.wirelength + 1e-9);
     EXPECT_EQ(s.load_count, static_cast<int>(net.loads.size()));
     EXPECT_EQ(s.depth, net.depth);
+  }
+}
+
+// summarize_net reads occupancy from the footprint; every wire's term must
+// equal, bitwise, the path walk it replaced: avg_occupancy of the wire's
+// path times its edge length, summed in wire order.
+TEST(NetSummary, OccupancyMatchesPathWalk) {
+  for (const test::Flow& f : {test::congested_flow(), test::small_flow(600)}) {
+    const netlist::RoutingFootprint fp(f.cts.tree, f.nets,
+                                       f.design.congestion);
+    const timing::AnalysisOptions aopt;
+    for (const netlist::Net& net : f.nets.nets) {
+      double occ_length = 0.0;
+      for (const int v : net.wires) {
+        occ_length +=
+            f.design.congestion.avg_occupancy(test::wire_path(f.cts.tree, v)) *
+            f.cts.tree.edge_length(v);
+      }
+      const NetSummary s =
+          summarize_net(f.cts.tree, f.design, f.tech, net, fp, aopt);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.occ_length),
+                std::bit_cast<std::uint64_t>(occ_length))
+          << "net " << net.id;
+    }
   }
 }
 
@@ -199,8 +227,8 @@ TEST(Predictor, PredictionsNonNegative) {
   const RuleImpactPredictor pred = RuleImpactPredictor::train(
       f.cts.tree, f.design, f.tech, f.nets, cache, aopt, 100);
   for (const auto& net : f.nets.nets) {
-    const NetSummary s =
-        summarize_net(f.cts.tree, f.design, f.tech, net, aopt);
+    const NetSummary s = summarize_net(f.cts.tree, f.design, f.tech, net,
+                                       cache.footprint(), aopt);
     for (int r = 0; r < f.tech.rules.size(); ++r) {
       const NetImpact i = pred.predict(s, r);
       EXPECT_GE(i.step_slew, 0.0);

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "netlist/clock_nets.hpp"
 #include "netlist/clock_tree.hpp"
 #include "netlist/congestion.hpp"
 #include "netlist/design.hpp"
+#include "test_util.hpp"
+#include "workload/rng.hpp"
 
 namespace sndr::netlist {
 namespace {
@@ -19,6 +26,14 @@ ClockTree two_level_tree() {
   t.add_sink({20, 10}, st, 0);
   t.add_sink({30, 0}, st, 1);
   return t;
+}
+
+/// The (cell, length) steps for_each_cell visits along `path`, in order.
+std::vector<CellStep> walk(const CongestionMap& m, const geom::Path& path) {
+  std::vector<CellStep> steps;
+  m.for_each_cell(path,
+                  [&](int cell, double len) { steps.push_back({cell, len}); });
+  return steps;
 }
 
 TEST(ClockTree, Construction) {
@@ -226,13 +241,112 @@ TEST(RoutingUsage, AddAndOverflow) {
   u.add({{0, 50}, {50, 50}}, 1.0);
   EXPECT_NEAR(u.used_cell(0), 50.0, 1e-9);
   EXPECT_NEAR(u.max_utilization(), 0.5, 1e-9);
-  EXPECT_TRUE(u.fits({{0, 60}, {40, 60}}, 1.0));
-  EXPECT_FALSE(u.fits({{0, 60}, {60, 60}}, 1.0));
+  EXPECT_TRUE(u.fits_steps(walk(m, {{0, 60}, {40, 60}}), 1.0));
+  EXPECT_FALSE(u.fits_steps(walk(m, {{0, 60}, {60, 60}}), 1.0));
   u.add({{0, 60}, {60, 60}}, 1.0);
   EXPECT_EQ(u.overflow_cells(), 1);
   // Negative delta (rule downgrade) releases capacity.
   u.add({{0, 60}, {60, 60}}, -1.0);
   EXPECT_EQ(u.overflow_cells(), 0);
+}
+
+/// Replays for_each_cell over every wire of every net, in net and wire
+/// order, and requires the footprint's steps to be that walk exactly: same
+/// cells, bitwise-equal lengths, same order, one path per wire.
+void expect_footprint_is_walk(const ClockTree& tree, const NetList& nets,
+                              const CongestionMap& map) {
+  const RoutingFootprint fp(tree, nets, map);
+  ASSERT_EQ(fp.net_count(), nets.size());
+  std::size_t total = 0;
+  for (const Net& net : nets.nets) {
+    ASSERT_EQ(fp.path_count(net.id), static_cast<int>(net.wires.size()));
+    std::vector<CellStep> net_walk;
+    for (std::size_t k = 0; k < net.wires.size(); ++k) {
+      const std::vector<CellStep> want =
+          walk(map, test::wire_path(tree, net.wires[k]));
+      const auto got = fp.path_steps(net.id, static_cast<int>(k));
+      ASSERT_EQ(got.size(), want.size()) << "net " << net.id << " wire " << k;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].cell, want[i].cell);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].len),
+                  std::bit_cast<std::uint64_t>(want[i].len));
+      }
+      net_walk.insert(net_walk.end(), want.begin(), want.end());
+    }
+    const auto all = fp.net_steps(net.id);
+    ASSERT_EQ(all.size(), net_walk.size());
+    EXPECT_TRUE(std::equal(all.begin(), all.end(), net_walk.begin()));
+    total += net_walk.size();
+  }
+  EXPECT_GT(total, nets.nets.size());  // the walk really crossed cells.
+}
+
+TEST(RoutingFootprint, MatchesPathWalkOnCongestedDesign) {
+  const test::Flow f = test::congested_flow();
+  expect_footprint_is_walk(f.cts.tree, f.nets, f.design.congestion);
+}
+
+TEST(RoutingFootprint, MatchesPathWalkOn3000Sinks) {
+  const test::Flow f = test::small_flow(3000, 5);
+  expect_footprint_is_walk(f.cts.tree, f.nets, f.design.congestion);
+}
+
+TEST(RoutingUsage, FitsStepsMatchesMapReferenceOnRevisitingPaths) {
+  CongestionMap m(geom::BBox(0, 0, 100, 100), 10, 10, 0.5, 1.0);
+  const std::vector<geom::Path> paths = {
+      // A U-jog 3 um deep inside cell (2, 0): out-and-back over one cell.
+      geom::detour_path({3, 5}, {47, 5}, 50.0, true),
+      // A diagonal link, walked as an L (horizontal first).
+      {{3, 3}, {47, 68}},
+      // Leaves cells and comes back to them on the return leg.
+      {{5, 5}, {45, 5}, {45, 8}, {5, 8}},
+  };
+  ASSERT_EQ(paths[0].size(), 5u);  // the jog really is in the path.
+  workload::Rng rng(17);
+  int verdicts[2] = {0, 0};
+  for (int trial = 0; trial < 400; ++trial) {
+    for (int c = 0; c < m.cell_count(); ++c) {
+      m.set_capacity_cell(c, 5.0 + 40.0 * rng.uniform());
+    }
+    RoutingUsage u(&m);
+    u.add({{0, 5}, {100, 5}}, 2.0 * rng.uniform());
+    u.add({{0, 7}, {60, 7}, {60, 60}}, 2.0 * rng.uniform());
+    const double pitch = 0.25 + 3.0 * rng.uniform();
+    for (const geom::Path& p : paths) {
+      const bool want = test::map_fits(u, m, p, pitch);
+      EXPECT_EQ(u.fits_steps(walk(m, p), pitch), want) << "trial " << trial;
+      ++verdicts[want ? 1 : 0];
+    }
+  }
+  EXPECT_GT(verdicts[0], 0);  // both answers exercised.
+  EXPECT_GT(verdicts[1], 0);
+}
+
+TEST(RoutingUsage, FitsStepsAtExactCapacity) {
+  CongestionMap m(geom::BBox(0, 0, 100, 100), 1, 1, 0.5, 1e9);
+  RoutingUsage u(&m);
+  u.add({{0, 30}, {70, 30}}, 1.3);
+  // Three steps in the one cell, with lengths whose demand sum rounds
+  // differently in reverse order: only the step-order sum is exact here.
+  const geom::Path path{{1.6, 50}, {41.5, 50}, {41.5, 59.8}, {11.8, 59.8}};
+  const std::vector<CellStep> steps = walk(m, path);
+  ASSERT_EQ(steps.size(), 3u);
+  const double pitch = 1.91;
+  double demand = 0.0;
+  for (const CellStep& st : steps) demand += pitch * st.len;
+  double reversed = 0.0;
+  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+    reversed += pitch * it->len;
+  }
+  const double exact = u.used_cell(0) + demand;
+  ASSERT_NE(exact, u.used_cell(0) + reversed);
+  m.set_capacity_cell(0, exact);
+  EXPECT_TRUE(u.fits_steps(steps, pitch));
+  EXPECT_TRUE(test::map_fits(u, m, path, pitch));
+  // One ulp less capacity: the same demand now overflows.
+  m.set_capacity_cell(0, std::nextafter(exact, 0.0));
+  EXPECT_FALSE(u.fits_steps(steps, pitch));
+  EXPECT_FALSE(test::map_fits(u, m, path, pitch));
 }
 
 TEST(Design, TotalSinkCap) {

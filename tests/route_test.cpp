@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "route/congestion_route.hpp"
 #include "route/steiner.hpp"
 #include "test_util.hpp"
@@ -121,20 +124,57 @@ TEST(RerouteForCongestion, PicksLowerOccupancySide) {
 
 TEST(ComputeUsage, ScalesWithRulePitch) {
   test::Flow f = test::small_flow(48, 3);
+  const netlist::RoutingFootprint fp(f.cts.tree, f.nets, f.design.congestion);
   const auto def = compute_usage(
-      f.cts.tree, f.nets,
+      fp, f.nets,
       std::vector<int>(f.nets.size(), 0), f.tech, f.design.congestion);
   const auto ndr = compute_usage(
-      f.cts.tree, f.nets,
+      fp, f.nets,
       std::vector<int>(f.nets.size(), f.tech.rules.blanket_index()), f.tech,
       f.design.congestion);
   EXPECT_NEAR(ndr.max_utilization(), 2.0 * def.max_utilization(), 1e-9);
 }
 
+// The footprint total must equal, cell by cell and bitwise, the per-wire
+// add(path, pitch) replay it replaced (nets in id order, wires in order).
+TEST(ComputeUsage, FootprintMatchesPerWireAddReplay) {
+  for (const test::Flow& f : {test::congested_flow(), test::small_flow(600)}) {
+    const netlist::CongestionMap& map = f.design.congestion;
+    const netlist::RoutingFootprint fp(f.cts.tree, f.nets, map);
+    const double width_frac = f.tech.clock_layer.width_frac();
+    workload::Rng rng(11);
+    std::vector<int> random(static_cast<std::size_t>(f.nets.size()));
+    for (int& r : random) {
+      r = static_cast<int>(rng.uniform_int(f.tech.rules.size()));
+    }
+    const std::vector<std::vector<int>> assignments = {
+        std::vector<int>(f.nets.size(), 0),
+        std::vector<int>(f.nets.size(), f.tech.rules.blanket_index()),
+        random};
+    for (const std::vector<int>& a : assignments) {
+      netlist::RoutingUsage ref(&map);
+      for (const netlist::Net& net : f.nets.nets) {
+        const double pitch = f.tech.rules[a[net.id]].pitch_mult(width_frac);
+        for (const int v : net.wires) {
+          ref.add(test::wire_path(f.cts.tree, v), pitch);
+        }
+      }
+      const netlist::RoutingUsage got =
+          compute_usage(fp, f.nets, a, f.tech, map);
+      for (int c = 0; c < map.cell_count(); ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.used_cell(c)),
+                  std::bit_cast<std::uint64_t>(ref.used_cell(c)))
+            << "cell " << c;
+      }
+      EXPECT_GT(got.max_utilization(), 0.0);
+    }
+  }
+}
+
 TEST(ComputeUsage, ValidatesAssignment) {
   test::Flow f = test::small_flow(8);
-  EXPECT_THROW(compute_usage(f.cts.tree, f.nets, {0}, f.tech,
-                             f.design.congestion),
+  const netlist::RoutingFootprint fp(f.cts.tree, f.nets, f.design.congestion);
+  EXPECT_THROW(compute_usage(fp, f.nets, {0}, f.tech, f.design.congestion),
                std::invalid_argument);
 }
 
