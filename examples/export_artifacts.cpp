@@ -36,14 +36,17 @@ int main(int argc, char** argv) {
       ndr::optimize_smart_ndr(cts.tree, design, tech, nets);
 
   // SPEF of the final (smart) parasitics — ready for an external STA.
-  io::write_spef_file(prefix + ".spef", cts.tree, design, nets,
-                      smart.final_eval.parasitics);
+  // Evaluations keep no parasitics, so extract the final assignment here.
+  const std::vector<extract::NetParasitics> parasitics =
+      extract::Extractor(tech, design)
+          .extract_all(cts.tree, nets, smart.assignment);
+  io::write_spef_file(prefix + ".spef", cts.tree, design, nets, parasitics);
   std::cout << "wrote " << prefix << ".spef (" << nets.size() << " nets)\n";
 
   // Round-trip sanity so the example doubles as a self-check.
   const io::SpefFile back = io::read_spef_file(prefix + ".spef");
   double written = 0.0;
-  for (const auto& par : smart.final_eval.parasitics) {
+  for (const auto& par : parasitics) {
     written += par.switched_cap(1.0);
   }
   double reread = 0.0;

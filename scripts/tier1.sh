@@ -7,8 +7,10 @@
 # the scale smoke adds a 10k-net generated tree and heavy LRU eviction
 # under a byte budget), then an UndefinedBehaviorSanitizer build running
 # the flow/io layers (parsers and typed error boundaries).
-# A DSE leg checks that a sweep's artifacts do not depend on the lane
-# count, and the ASan leg also runs the durable-file parser tests.
+# A CLI identity leg checks `sndr run` stdout and the --spef file across
+# lane counts, memory budgets, anneal, margins and corners. A DSE leg
+# checks that a sweep's artifacts do not depend on the lane count, and the
+# ASan leg also runs the durable-file parser tests.
 # Run from anywhere inside the repo.
 set -euo pipefail
 
@@ -26,8 +28,9 @@ ctest --test-dir "$repo/build" -j "$jobs" --output-on-failure
 # skew refinement on a budgeted cache, searches starting from the flow's
 # evaluations), with non-default guard bands plus a weighted anneal (the
 # margins both searches share, under real parallelism), and with corner
-# signoff. Files land in the build tree.
-echo "== tier1: CLI byte-identity (threads, memory budget, anneal, margins, corners) =="
+# signoff; the --spef file must be byte-identical at 1 vs all lanes and
+# under a tight budget. Files land in the build tree.
+echo "== tier1: CLI byte-identity (threads, memory budget, anneal, margins, corners, spef) =="
 work="$repo/build/identity"
 mkdir -p "$work"
 sndr="$repo/build/tools/sndr"
@@ -52,6 +55,12 @@ run --threads 1 --corners >"$work/corners1.txt"
 run --threads "$(nproc)" --corners >"$work/cornersN.txt"
 run --threads "$(nproc)" --corners --memory-budget 64k \
   >"$work/cornersNbudget.txt"
+# SPEF: evaluations keep no parasitics, so the report stage re-extracts the
+# final assignment from the run's geometry cache (budgeted or not).
+run --threads 1 --spef spef1.spef >/dev/null
+run --threads "$(nproc)" --spef spefN.spef >/dev/null
+run --threads "$(nproc)" --memory-budget 64k --spef spefNbudget.spef \
+  >/dev/null
 cmp "$work/t1.txt" "$work/tN.txt"
 cmp "$work/t1.txt" "$work/budget.txt"
 cmp "$work/anneal1.txt" "$work/annealN.txt"
@@ -59,6 +68,8 @@ cmp "$work/anneal1.txt" "$work/annealNbudget.txt"
 cmp "$work/margins1.txt" "$work/marginsN.txt"
 cmp "$work/corners1.txt" "$work/cornersN.txt"
 cmp "$work/corners1.txt" "$work/cornersNbudget.txt"
+cmp "$work/spef1.spef" "$work/spefN.spef"
+cmp "$work/spef1.spef" "$work/spefNbudget.spef"
 
 # DSE standalone identity: a 3x5 annealing grid must write the same sweep
 # log, front, CSV and warm-start seeds at 1 vs all lanes. Each sweep starts

@@ -294,11 +294,17 @@ common::Status Flow::report(FlowResult& result,
       "report",
       [&] {
         if (!config.spef_out.empty() && result.smart) {
+          // Evaluations keep no parasitics: re-extract the final assignment
+          // from the session cache (bit-identical by the cache contract).
           const std::string path = config.output_path(config.spef_out);
           ensure_parent_dir(path);
-          io::write_spef_file(path, session_.cts().tree, session_.design(),
-                              session_.nets(),
-                              result.final_eval().parasitics);
+          const netlist::ClockTree& tree = session_.cts().tree;
+          io::write_spef_file(
+              path, tree, session_.design(), session_.nets(),
+              extract::Extractor(session_.technology(), session_.design())
+                  .extract_all(tree, session_.nets(),
+                               *result.final_assignment(),
+                               session_.geometry()));
         }
         if (!config.svg_out.empty() && result.smart) {
           const std::string path = config.output_path(config.svg_out);

@@ -122,10 +122,10 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
   flush_metrics();
   assignment_ = assignment;
 
-  // Reseeds the delta-timing mirror: re-derives every net's per-load wire
-  // delay / step slew and the arrival/slew arrays from the fresh
-  // evaluation. The mirror's sink arrivals are the state's sink latencies.
-  delta_.rebuild(ev.parasitics, ev.timing);
+  // Reseeds the delta-timing mirror from the evaluation's timing report
+  // (per-load wire terms and arrival/slew arrays). The mirror's sink
+  // arrivals are the state's sink latencies.
+  delta_.rebuild(ev.timing);
 
   // Ascending net ids are root-first, so every path prefix reads a
   // finished parent.

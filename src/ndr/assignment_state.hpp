@@ -62,7 +62,8 @@ class AssignmentState {
                   const extract::GeometryCache* shared_geometry = nullptr);
 
   /// Reseeds every incremental accumulator from a full evaluation of
-  /// `assignment` (which becomes the current assignment).
+  /// `assignment` (which becomes the current assignment), made under this
+  /// state's analysis options. Reads only the evaluation's reports.
   void rebuild(const RuleAssignment& assignment, const FlowEvaluation& ev);
 
   const RuleAssignment& assignment() const { return assignment_; }

@@ -123,8 +123,8 @@ MultiCornerReport evaluate_corners(
         rep.corners[i].corner = corners[static_cast<std::size_t>(i)];
         rep.corners[i].eval = evaluate_with_parasitics(
             tree, design, cornered[static_cast<std::size_t>(i)], nets,
-            assignment, std::move(corner_par[static_cast<std::size_t>(i)]),
-            *geometry, options);
+            assignment, corner_par[static_cast<std::size_t>(i)], *geometry,
+            options);
       });
   return rep;
 }

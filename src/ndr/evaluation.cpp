@@ -26,33 +26,30 @@ RuleAssignment assign_level_based(const netlist::NetList& nets,
 
 namespace {
 
-/// Everything downstream of extraction; `ev` arrives with `assignment` and
-/// `parasitics` filled. Routing usage reads the cache's footprint, or a
+/// Everything downstream of extraction, read from `parasitics`, which the
+/// result does not keep. Routing usage reads the cache's footprint, or a
 /// temporary one recorded here when there is no cache.
-FlowEvaluation finish_evaluation(const netlist::ClockTree& tree,
-                                 const netlist::Design& design,
-                                 const tech::Technology& tech,
-                                 const netlist::NetList& nets,
-                                 const RuleAssignment& assignment,
-                                 const timing::AnalysisOptions& options,
-                                 const extract::GeometryCache* geometry,
-                                 FlowEvaluation ev) {
-  ev.timing = timing::analyze(tree, design, tech, nets, ev.parasitics,
-                              options);
+FlowEvaluation finish_evaluation(
+    const netlist::ClockTree& tree, const netlist::Design& design,
+    const tech::Technology& tech, const netlist::NetList& nets,
+    const RuleAssignment& assignment,
+    const std::vector<extract::NetParasitics>& parasitics,
+    const timing::AnalysisOptions& options,
+    const extract::GeometryCache* geometry) {
+  FlowEvaluation ev;
+  ev.assignment = assignment;
+  ev.timing = timing::analyze(tree, design, tech, nets, parasitics, options);
   ev.variation = timing::analyze_variation(tree, design, tech, nets,
-                                           ev.parasitics, assignment,
-                                           options);
+                                           parasitics, assignment, options);
   // Power, EM, and routing usage read only the (now frozen) parasitics and
   // assignment; they write disjoint reports, so they can run concurrently.
   netlist::RoutingUsage usage(&design.congestion);
   common::parallel_invoke(
       [&] {
-        ev.power =
-            power::analyze_power(tree, design, tech, nets, ev.parasitics);
+        ev.power = power::analyze_power(tree, design, tech, nets, parasitics);
       },
       [&] {
-        ev.em =
-            power::analyze_em(design, tech, nets, ev.parasitics, assignment);
+        ev.em = power::analyze_em(design, tech, nets, parasitics, assignment);
       },
       [&] {
         if (geometry != nullptr) {
@@ -119,19 +116,18 @@ FlowEvaluation evaluate(const netlist::ClockTree& tree,
   }
   SNDR_TRACE_SPAN("evaluate");
   SNDR_COUNTER_ADD("ndr.evaluations", 1);
-  FlowEvaluation ev;
-  ev.assignment = assignment;
   const extract::Extractor extractor(tech, design);
-  ev.parasitics = extractor.extract_all(tree, nets, assignment, geometry);
-  return finish_evaluation(tree, design, tech, nets, assignment, options,
-                           geometry, std::move(ev));
+  return finish_evaluation(
+      tree, design, tech, nets, assignment,
+      extractor.extract_all(tree, nets, assignment, geometry), options,
+      geometry);
 }
 
 FlowEvaluation evaluate_with_parasitics(
     const netlist::ClockTree& tree, const netlist::Design& design,
     const tech::Technology& tech, const netlist::NetList& nets,
     const RuleAssignment& assignment,
-    std::vector<extract::NetParasitics> parasitics,
+    const std::vector<extract::NetParasitics>& parasitics,
     const extract::GeometryCache& geometry,
     const timing::AnalysisOptions& options) {
   if (assignment.size() != static_cast<std::size_t>(nets.size()) ||
@@ -141,11 +137,8 @@ FlowEvaluation evaluate_with_parasitics(
   }
   SNDR_TRACE_SPAN("evaluate");
   SNDR_COUNTER_ADD("ndr.evaluations", 1);
-  FlowEvaluation ev;
-  ev.assignment = assignment;
-  ev.parasitics = std::move(parasitics);
-  return finish_evaluation(tree, design, tech, nets, assignment, options,
-                           &geometry, std::move(ev));
+  return finish_evaluation(tree, design, tech, nets, assignment, parasitics,
+                           options, &geometry);
 }
 
 }  // namespace sndr::ndr

@@ -2,6 +2,14 @@
 // extraction, timing, variation, EM, power, and routing-resource checks in
 // one call. This is the ground truth every optimizer variant is validated
 // against, and the engine behind all reported tables.
+//
+// The per-net RC parasitics are transient: they live only inside
+// evaluate() / evaluate_with_parasitics() and are freed before either
+// returns. A FlowEvaluation keeps the signoff numbers they produced, and
+// the timing report carries the per-load wire terms a search reseeds its
+// delta timer from. A caller that needs the RC trees themselves (the SPEF
+// writer) re-extracts the assignment with extract::Extractor::extract_all,
+// which the geometry-cache contract makes bit-identical.
 #pragma once
 
 #include <vector>
@@ -35,7 +43,6 @@ RuleAssignment assign_level_based(const netlist::NetList& nets,
 
 struct FlowEvaluation {
   RuleAssignment assignment;
-  std::vector<extract::NetParasitics> parasitics;
   timing::TimingReport timing;
   timing::VariationReport variation;
   power::PowerReport power;
@@ -76,7 +83,7 @@ FlowEvaluation evaluate(const netlist::ClockTree& tree,
                         const extract::GeometryCache* geometry = nullptr);
 
 /// evaluate() with the extraction stage already done: `parasitics` (one
-/// entry per net, moved into the result) must be what extract_all would
+/// entry per net, read but not kept) must be what extract_all would
 /// produce for (tree, nets, assignment) under `tech` — then the result is
 /// bit-identical to evaluate(). Lets callers that already hold per-net
 /// parasitics (e.g. corner signoff, which batch-materializes all corners
@@ -86,7 +93,7 @@ FlowEvaluation evaluate_with_parasitics(
     const netlist::ClockTree& tree, const netlist::Design& design,
     const tech::Technology& tech, const netlist::NetList& nets,
     const RuleAssignment& assignment,
-    std::vector<extract::NetParasitics> parasitics,
+    const std::vector<extract::NetParasitics>& parasitics,
     const extract::GeometryCache& geometry,
     const timing::AnalysisOptions& options = {});
 

@@ -56,7 +56,9 @@ struct SearchContext {
   /// hands greedy its blanket-NDR row and the annealer greedy's final
   /// signoff), used in place of the search's own start evaluation. It must
   /// come from evaluate() over the same tree, design and technology, so
-  /// reusing it is value-neutral. A search whose start assignment differs
+  /// reusing it is value-neutral. The search reseeds its state from the
+  /// evaluation's reports alone (the delta timer from its TimingReport);
+  /// no parasitics are needed. A search whose start assignment differs
   /// from `start_eval->assignment` throws std::invalid_argument. Borrowed;
   /// null = the search evaluates its start itself.
   const FlowEvaluation* start_eval = nullptr;

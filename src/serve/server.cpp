@@ -91,8 +91,10 @@ common::Result<JobRecord> Server::wait(int id) {
     return common::Status::InvalidArgument("unknown job id " +
                                            std::to_string(id));
   }
-  Entry* entry = it->second.get();
+  const Entry* entry = it->second.get();
   done_cv_.wait(lock, [entry] { return entry->done; });
+  // A done entry is immutable and never erased: copy it unlocked.
+  lock.unlock();
   return entry->record;
 }
 
@@ -219,7 +221,9 @@ void Server::shutdown(Shutdown mode) {
 
 std::vector<JobRecord> Server::drain() {
   shutdown(Shutdown::kDrain);
-  std::lock_guard<std::mutex> lock(mutex_);
+  // Admission is closed and every entry is done, so neither jobs_ nor any
+  // record changes again (submit only inserts while accepting): copy the
+  // records without holding mutex_.
   std::vector<JobRecord> records;
   records.reserve(jobs_.size());
   for (const auto& [id, entry] : jobs_) records.push_back(entry->record);

@@ -92,15 +92,19 @@ class Server {
   /// unknown id; true even if the job already finished (no-op then).
   bool cancel(int id);
 
-  /// Blocks until the job completes; returns its record. kInvalidArgument
-  /// result for an unknown id.
+  /// Blocks until the job completes; returns a copy of its record (made
+  /// outside the server lock: a done record never changes and entries are
+  /// never erased, so every wait on one id returns an equal record). The
+  /// record holds only what the job reports — its evaluations keep no
+  /// per-net parasitics. kInvalidArgument result for an unknown id.
   common::Result<JobRecord> wait(int id);
 
   /// Stops admission, waits for the queue to empty (kDrain) or cancels
   /// everything in flight first (kCancel), joins the workers. Idempotent.
   void shutdown(Shutdown mode);
 
-  /// shutdown(kDrain) + every record, ascending id.
+  /// shutdown(kDrain) + every record, ascending id, copied after the
+  /// workers are joined and outside the server lock.
   std::vector<JobRecord> drain();
 
   int queue_depth() const;

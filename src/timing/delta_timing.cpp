@@ -16,58 +16,31 @@ DeltaTimer::DeltaTimer(const netlist::ClockTree& tree,
                        const netlist::NetList& nets,
                        const AnalysisOptions& options)
     : tree_(&tree), tech_(&tech), nets_(&nets), options_(options) {
-  const int n_nets = nets.size();
-  child_nets_.assign(n_nets, {});
-  loads_off_.assign(static_cast<std::size_t>(n_nets) + 1, 0);
+  child_nets_.assign(nets.size(), {});
   for (const netlist::Net& net : nets.nets) {
-    loads_off_[net.id + 1] =
-        loads_off_[net.id] + net.loads.size();
     for (const int load : net.loads) {
       const int child = nets.net_driven[load];
       if (child >= 0) child_nets_[net.id].push_back(child);
     }
   }
-  wire_delay_.assign(loads_off_[n_nets], 0.0);
-  step_slew_.assign(loads_off_[n_nets], 0.0);
-  wd_worst_.assign(n_nets, 0.0);
   node_arrival_.assign(tree.size(), 0.0);
   node_slew_.assign(tree.size(), 0.0);
   sink_arrival_.assign(design.sinks.size(), 0.0);
   sink_slew_.assign(design.sinks.size(), 0.0);
 }
 
-void DeltaTimer::rebuild(
-    const std::vector<extract::NetParasitics>& parasitics,
-    const TimingReport& report) {
-  if (parasitics.size() != static_cast<std::size_t>(nets_->size())) {
-    throw std::invalid_argument(
-        "DeltaTimer::rebuild: parasitics size mismatch");
+void DeltaTimer::rebuild(const TimingReport& report) {
+  if (report.node_wire_delay.size() != node_arrival_.size() ||
+      report.net_wire_delay_worst.size() != child_nets_.size()) {
+    throw std::invalid_argument("DeltaTimer::rebuild: report size mismatch");
   }
   node_arrival_ = report.node_arrival;
   node_slew_ = report.node_slew;
   sink_arrival_ = report.sink_arrival;
   sink_slew_ = report.sink_slew;
-
-  for (const netlist::Net& net : nets_->nets) {
-    const extract::NetParasitics& par = parasitics[net.id];
-    const double driver_res = net_driver_res(*tree_, *tech_, net, options_);
-    par.rc.moments(driver_res, options_.timing_miller, moments_);
-    const std::size_t off = loads_off_[net.id];
-    for (std::size_t li = 0; li < net.loads.size(); ++li) {
-      const int rc = par.load_rc_index[li];
-      wire_delay_[off + li] = options_.use_d2m
-                                  ? delay_d2m(moments_.m1[rc], moments_.m2[rc])
-                                  : delay_elmore(moments_.m1[rc]);
-      step_slew_[off + li] = step_slew(moments_.m1[rc], moments_.m2[rc]);
-    }
-    // Worst per-net wire delay is always D2M — it replays the historic
-    // AssignmentState::rebuild loop, which ignored use_d2m.
-    double worst = 0.0;
-    for (const int rc : par.load_rc_index) {
-      worst = std::max(worst, delay_d2m(moments_.m1[rc], moments_.m2[rc]));
-    }
-    wd_worst_[net.id] = worst;
-  }
+  wire_delay_ = report.node_wire_delay;
+  step_slew_ = report.node_step_slew;
+  wd_worst_ = report.net_wire_delay_worst;
   subtree_.clear();
   synced_ = true;
 }
@@ -81,17 +54,16 @@ void DeltaTimer::apply_net_change(int net_id,
   const double driver_res =
       net_driver_res(*tree_, *tech_, changed, options_);
   par.rc.moments(driver_res, options_.timing_miller, moments_);
-  const std::size_t off = loads_off_[net_id];
-  for (std::size_t li = 0; li < changed.loads.size(); ++li) {
-    const int rc = par.load_rc_index[li];
-    wire_delay_[off + li] = options_.use_d2m
-                                ? delay_d2m(moments_.m1[rc], moments_.m2[rc])
-                                : delay_elmore(moments_.m1[rc]);
-    step_slew_[off + li] = step_slew(moments_.m1[rc], moments_.m2[rc]);
-  }
+  // analyze()'s per-load wire terms, in its op order.
   double worst = 0.0;
-  for (const int rc : par.load_rc_index) {
-    worst = std::max(worst, delay_d2m(moments_.m1[rc], moments_.m2[rc]));
+  for (std::size_t li = 0; li < changed.loads.size(); ++li) {
+    const int load = changed.loads[li];
+    const int rc = par.load_rc_index[li];
+    const double d2m = delay_d2m(moments_.m1[rc], moments_.m2[rc]);
+    wire_delay_[load] =
+        options_.use_d2m ? d2m : delay_elmore(moments_.m1[rc]);
+    step_slew_[load] = step_slew(moments_.m1[rc], moments_.m2[rc]);
+    worst = std::max(worst, d2m);
   }
   wd_worst_[net_id] = worst;
 
@@ -127,11 +99,9 @@ void DeltaTimer::propagate_net(const netlist::Net& net) {
     out_slew = 0.4 * cell.intrinsic_delay;  // regenerated edge.
   }
 
-  const std::size_t off = loads_off_[net.id];
-  for (std::size_t li = 0; li < net.loads.size(); ++li) {
-    const int load = net.loads[li];
-    const double arrival = out_arrival + wire_delay_[off + li];
-    const double slew = peri_slew(out_slew, step_slew_[off + li]);
+  for (const int load : net.loads) {
+    const double arrival = out_arrival + wire_delay_[load];
+    const double slew = peri_slew(out_slew, step_slew_[load]);
     node_arrival_[load] = arrival;
     node_slew_[load] = slew;
     const netlist::TreeNode& ln = tree_->node(load);

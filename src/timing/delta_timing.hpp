@@ -7,14 +7,16 @@
 // through arrival and first-level input slew — the nets downstream of N.
 // Everything outside N's sink subtree is untouched.
 //
-// DeltaTimer exploits that: it caches, per net, the per-load wire delay and
-// step slew the analyze recurrence would compute, plus the node arrival /
-// slew arrays themselves. apply_net_change() re-solves the moments of the
+// DeltaTimer exploits that: it caches, per load node, the wire delay and
+// step slew the analyze recurrence computes, plus the node arrival / slew
+// arrays themselves. apply_net_change() re-solves the moments of the
 // changed net only (O(pieces)) and then REPLAYS analyze's per-net formulas
 // over the descendant subtree (O(subtree fanout)) — absolute values, never
 // accumulated deltas, in analyze's exact floating-point op order — so the
 // maintained arrays stay BITWISE identical to a fresh analyze() of the
-// current assignment. rebuild() seeds the mirror from a full analysis;
+// current assignment. rebuild() seeds the mirror by copying a full
+// analysis's TimingReport — including the per-load wire terms analyze
+// already solved — so it needs no parasitics and solves no moments;
 // tests/delta_timing_test.cpp and tests/scenario_fuzz_test.cpp pin the
 // bitwise agreement.
 #pragma once
@@ -36,12 +38,11 @@ class DeltaTimer {
              const tech::Technology& tech, const netlist::NetList& nets,
              const AnalysisOptions& options);
 
-  /// Full reseed from a whole-tree analysis of the current assignment:
-  /// copies the report's arrival/slew arrays and re-derives every net's
-  /// per-load wire delay / step slew from `parasitics` (which must be what
-  /// the report was computed from). O(tree) — the reference path.
-  void rebuild(const std::vector<extract::NetParasitics>& parasitics,
-               const TimingReport& report);
+  /// Full reseed from a whole-tree analysis of the current assignment
+  /// (made with this timer's AnalysisOptions): copies the report's
+  /// arrival/slew arrays and its per-load wire delay / step slew and
+  /// per-net worst delay. O(tree) copies, no moment solve.
+  void rebuild(const TimingReport& report);
 
   /// Exact incremental update after net `net_id`'s parasitics changed to
   /// `par` (e.g. a rule re-materialization). Re-solves that net's moments,
@@ -60,9 +61,8 @@ class DeltaTimer {
   const std::vector<double>& node_slew() const { return node_slew_; }
 
   /// Worst D2M wire delay over the net's loads under its current
-  /// parasitics — the exact value AssignmentState::rebuild() historically
-  /// derived per net from a fresh moment solve (D2M regardless of
-  /// AnalysisOptions::use_d2m, matching that loop).
+  /// parasitics (D2M regardless of AnalysisOptions::use_d2m) — the mirror
+  /// of TimingReport::net_wire_delay_worst.
   double net_wire_delay_worst(int net_id) const { return wd_worst_[net_id]; }
 
   /// Net ids updated by the last apply_net_change (ascending: the changed
@@ -82,11 +82,11 @@ class DeltaTimer {
   /// Nets driven by each net's buffer loads (static topology).
   std::vector<std::vector<int>> child_nets_;
 
-  /// Flattened per-load caches: loads_off_[net] indexes into the arrays.
-  std::vector<std::size_t> loads_off_;
-  std::vector<double> wire_delay_;  ///< per load, D2M or Elmore per options.
-  std::vector<double> step_slew_;   ///< per load, pre-PERI wire slew.
-  std::vector<double> wd_worst_;    ///< per net, worst D2M load delay.
+  /// Mirrors of TimingReport::node_wire_delay / node_step_slew /
+  /// net_wire_delay_worst.
+  std::vector<double> wire_delay_;
+  std::vector<double> step_slew_;
+  std::vector<double> wd_worst_;
 
   std::vector<double> node_arrival_;
   std::vector<double> node_slew_;

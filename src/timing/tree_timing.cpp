@@ -23,8 +23,11 @@ TimingReport analyze(const netlist::ClockTree& tree,
   rep.sink_slew.assign(design.sinks.size(), 0.0);
   rep.node_arrival.assign(tree.size(), 0.0);
   rep.node_slew.assign(tree.size(), 0.0);
+  rep.node_wire_delay.assign(tree.size(), 0.0);
+  rep.node_step_slew.assign(tree.size(), 0.0);
   rep.net_max_load_slew.assign(nets.size(), 0.0);
   rep.net_driver_load.assign(nets.size(), 0.0);
+  rep.net_wire_delay_worst.assign(nets.size(), 0.0);
 
   rep.min_latency = std::numeric_limits<double>::infinity();
   rep.max_latency = -std::numeric_limits<double>::infinity();
@@ -68,11 +71,16 @@ TimingReport analyze(const netlist::ClockTree& tree,
     for (std::size_t li = 0; li < net.loads.size(); ++li) {
       const int load = net.loads[li];
       const int rc = par.load_rc_index[li];
-      const double wire_delay = options.use_d2m
-                                    ? delay_d2m(m1[rc], m2[rc])
-                                    : delay_elmore(m1[rc]);
+      const double d2m = delay_d2m(m1[rc], m2[rc]);
+      const double wire_delay =
+          options.use_d2m ? d2m : delay_elmore(m1[rc]);
+      const double wire_slew = step_slew(m1[rc], m2[rc]);
       const double arrival = out_arrival + wire_delay;
-      const double slew = peri_slew(out_slew, step_slew(m1[rc], m2[rc]));
+      const double slew = peri_slew(out_slew, wire_slew);
+      rep.node_wire_delay[load] = wire_delay;
+      rep.node_step_slew[load] = wire_slew;
+      rep.net_wire_delay_worst[net.id] =
+          std::max(rep.net_wire_delay_worst[net.id], d2m);
       rep.node_arrival[load] = arrival;
       rep.node_slew[load] = slew;
       rep.net_max_load_slew[net.id] =

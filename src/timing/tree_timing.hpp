@@ -31,10 +31,18 @@ struct TimingReport {
   // Indexed by clock tree node id (0 where not applicable).
   std::vector<double> node_arrival;
   std::vector<double> node_slew;
+  // Each buffer and sink node is the load of exactly one net; these are its
+  // wire terms under that net's moments: the delay added to the driver's
+  // output arrival (D2M or Elmore per use_d2m) and the pre-PERI step slew.
+  // They seed DeltaTimer::rebuild without a second moment solve.
+  std::vector<double> node_wire_delay;
+  std::vector<double> node_step_slew;
 
   // Indexed by net id.
   std::vector<double> net_max_load_slew;  ///< worst slew among net loads.
   std::vector<double> net_driver_load;    ///< F, cap seen by the net driver.
+  /// Worst D2M wire delay over the net's loads (D2M whatever use_d2m says).
+  std::vector<double> net_wire_delay_worst;
 
   double min_latency = 0.0;
   double max_latency = 0.0;

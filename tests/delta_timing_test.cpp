@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -15,7 +17,9 @@
 #include "route/congestion_route.hpp"
 #include "state_compare.hpp"
 #include "test_util.hpp"
+#include "timing/delay_metrics.hpp"
 #include "timing/delta_timing.hpp"
+#include "timing/variation.hpp"
 #include "workload/rng.hpp"
 
 namespace sndr::ndr {
@@ -30,7 +34,7 @@ TEST(DeltaTimer, SingleNetChangeMatchesFreshAnalysis) {
       evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt, &cache);
 
   timing::DeltaTimer dt(f.cts.tree, f.design, f.tech, f.nets, aopt);
-  dt.rebuild(ev.parasitics, ev.timing);
+  dt.rebuild(ev.timing);
   ASSERT_TRUE(dt.synced());
   EXPECT_EQ(dt.sink_arrival(), ev.timing.sink_arrival);
   EXPECT_EQ(dt.node_slew(), ev.timing.node_slew);
@@ -68,7 +72,7 @@ TEST(DeltaTimer, RootNetChangeReachesEverySink) {
   const FlowEvaluation ev =
       evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt, &cache);
   timing::DeltaTimer dt(f.cts.tree, f.design, f.tech, f.nets, aopt);
-  dt.rebuild(ev.parasitics, ev.timing);
+  dt.rebuild(ev.timing);
 
   extract::NetParasitics par;
   extract::materialize(cache.geometry(0), f.tech, f.tech.rules[2], par);
@@ -80,6 +84,123 @@ TEST(DeltaTimer, RootNetChangeReachesEverySink) {
   EXPECT_EQ(dt.sink_slew(), ev2.timing.sink_slew);
   // The root drives everything: the whole net list is replayed.
   EXPECT_EQ(static_cast<int>(dt.last_updated_nets().size()), f.nets.size());
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The delta timer reseeds from the TimingReport alone, so analyze() must
+/// record, per load, exactly the wire delay / step slew — and per net the
+/// worst D2M delay — that a separate moment solve over extract_all's
+/// parasitics gives. Checked bitwise on a random mixed assignment.
+void expect_seed_arrays_match_moments(const test::Flow& f,
+                                      const timing::AnalysisOptions& aopt) {
+  workload::Rng rng(31);
+  RuleAssignment a(static_cast<std::size_t>(f.nets.size()));
+  for (int& r : a) r = static_cast<int>(rng.uniform_int(f.tech.rules.size()));
+  const FlowEvaluation ev =
+      evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt);
+  const std::vector<extract::NetParasitics> par =
+      extract::Extractor(f.tech, f.design).extract_all(f.cts.tree, f.nets, a);
+  const timing::TimingReport& t = ev.timing;
+  ASSERT_EQ(t.node_wire_delay.size(), f.cts.tree.size());
+  ASSERT_EQ(t.node_step_slew.size(), f.cts.tree.size());
+  ASSERT_EQ(t.net_wire_delay_worst.size(), f.nets.nets.size());
+  extract::RcMoments m;
+  for (const netlist::Net& net : f.nets.nets) {
+    const extract::NetParasitics& p = par[net.id];
+    p.rc.moments(timing::net_driver_res(f.cts.tree, f.tech, net, aopt),
+                 aopt.timing_miller, m);
+    double worst = 0.0;
+    for (std::size_t li = 0; li < net.loads.size(); ++li) {
+      const int load = net.loads[li];
+      const int rc = p.load_rc_index[li];
+      const double d2m = timing::delay_d2m(m.m1[rc], m.m2[rc]);
+      const double delay = aopt.use_d2m ? d2m : timing::delay_elmore(m.m1[rc]);
+      ASSERT_EQ(bits(t.node_wire_delay[load]), bits(delay)) << "load " << load;
+      ASSERT_EQ(bits(t.node_step_slew[load]),
+                bits(timing::step_slew(m.m1[rc], m.m2[rc])))
+          << "load " << load;
+      worst = std::max(worst, d2m);
+    }
+    ASSERT_EQ(bits(t.net_wire_delay_worst[net.id]), bits(worst))
+        << "net " << net.id;
+  }
+  // A timer seeded from the report mirrors it exactly.
+  timing::DeltaTimer dt(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  dt.rebuild(t);
+  EXPECT_EQ(dt.node_arrival(), t.node_arrival);
+  EXPECT_EQ(dt.sink_slew(), t.sink_slew);
+  for (const netlist::Net& net : f.nets.nets) {
+    EXPECT_EQ(bits(dt.net_wire_delay_worst(net.id)),
+              bits(t.net_wire_delay_worst[net.id]));
+  }
+}
+
+std::vector<timing::AnalysisOptions> seed_option_grid() {
+  std::vector<timing::AnalysisOptions> grid;
+  for (const bool d2m : {true, false}) {
+    for (const double miller : {1.0, 1.7}) {
+      timing::AnalysisOptions o;
+      o.use_d2m = d2m;
+      o.timing_miller = miller;
+      grid.push_back(o);
+    }
+  }
+  return grid;
+}
+
+TEST(DeltaTimerSeed, ReportArraysMatchMomentSolveOnCongestedDesign) {
+  const test::Flow f = test::congested_flow();
+  for (const timing::AnalysisOptions& aopt : seed_option_grid()) {
+    SCOPED_TRACE(testing::Message() << "use_d2m=" << aopt.use_d2m
+                                    << " miller=" << aopt.timing_miller);
+    expect_seed_arrays_match_moments(f, aopt);
+  }
+}
+
+TEST(DeltaTimerSeed, ReportArraysMatchMomentSolveOn3000Sinks) {
+  const test::Flow f = test::small_flow(3000, 9);
+  for (const timing::AnalysisOptions& aopt : seed_option_grid()) {
+    SCOPED_TRACE(testing::Message() << "use_d2m=" << aopt.use_d2m
+                                    << " miller=" << aopt.timing_miller);
+    expect_seed_arrays_match_moments(f, aopt);
+  }
+}
+
+// A state reseeded from a report and then churned through 2000 feasible
+// moves still equals a fresh rebuild (the report seed drifts nowhere).
+TEST(DeltaTimerSeed, ReportSeededStateStaysEqualOverFeasibleMoves) {
+  const test::Flow f = test::congested_flow();
+  timing::AnalysisOptions aopt;
+  aopt.timing_miller = 1.3;
+  const RuleAssignment blanket =
+      assign_all(f.nets, f.tech.rules.blanket_index());
+  AssignmentState state(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  state.rebuild(blanket, evaluate(f.cts.tree, f.design, f.tech, f.nets,
+                                  blanket, aopt, &state.geometry_cache()));
+  test::expect_matches_fresh_rebuild(state);
+
+  const int n_nets = f.nets.size();
+  const int n_rules = f.tech.rules.size();
+  const MoveMargins margins;
+  workload::Rng rng(5);
+  int applied = 0;
+  for (int proposal = 0; applied < 2000 && proposal < 100000; ++proposal) {
+    const int net_id = static_cast<int>(rng.uniform_int(n_nets));
+    int rule = static_cast<int>(rng.uniform_int(n_rules));
+    if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
+    const NetExact& exact = state.exact_eval(net_id, rule);
+    const NetImpact impact{exact.step_slew_worst, exact.sigma_worst,
+                           exact.xtalk_worst, exact.wire_delay_worst};
+    if (!state.check_move(net_id, rule, impact, margins)) continue;
+    state.apply_move(net_id, rule, exact);
+    if (++applied % 250 == 0) {
+      SCOPED_TRACE("after " + std::to_string(applied) + " moves");
+      test::expect_matches_fresh_rebuild(state);
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_EQ(applied, 2000);
 }
 
 TEST(DeltaTimingChurn, RandomMovesStayBitwiseIdenticalToRebuild) {

@@ -45,12 +45,17 @@ void expect_parasitics_identical(const extract::NetParasitics& a,
   EXPECT_EQ(a.load_cap, b.load_cap);
 }
 
+void expect_extractions_identical(
+    const std::vector<extract::NetParasitics>& a,
+    const std::vector<extract::NetParasitics>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    expect_parasitics_identical(a[i], b[i]);
+  }
+}
+
 void expect_evaluations_identical(const ndr::FlowEvaluation& a,
                                   const ndr::FlowEvaluation& b) {
-  ASSERT_EQ(a.parasitics.size(), b.parasitics.size());
-  for (std::size_t i = 0; i < a.parasitics.size(); ++i) {
-    expect_parasitics_identical(a.parasitics[i], b.parasitics[i]);
-  }
   ASSERT_EQ(a.timing.sink_arrival.size(), b.timing.sink_arrival.size());
   for (std::size_t i = 0; i < a.timing.sink_arrival.size(); ++i) {
     EXPECT_EQ(a.timing.sink_arrival[i], b.timing.sink_arrival[i]);
@@ -68,6 +73,10 @@ void expect_evaluations_identical(const ndr::FlowEvaluation& a,
   EXPECT_EQ(a.timing.max_slew, b.timing.max_slew);
   EXPECT_EQ(a.timing.skew(), b.timing.skew());
   EXPECT_EQ(a.max_track_util, b.max_track_util);
+  // The delta-timer seed arrays.
+  EXPECT_EQ(a.timing.node_wire_delay, b.timing.node_wire_delay);
+  EXPECT_EQ(a.timing.node_step_slew, b.timing.node_step_slew);
+  EXPECT_EQ(a.timing.net_wire_delay_worst, b.timing.net_wire_delay_worst);
 }
 
 class ExtractCacheFixture : public ::testing::Test {
@@ -168,6 +177,11 @@ TEST_F(ExtractCacheFixture, EvaluateBitIdenticalWithAndWithoutCache) {
     const ndr::FlowEvaluation cached = ndr::evaluate(
         f.cts.tree, f.design, f.tech, f.nets, blanket, {}, &cache);
     expect_evaluations_identical(fresh, cached);
+    // Evaluations keep no parasitics: compare the extractions directly.
+    const extract::Extractor extractor(f.tech, f.design);
+    expect_extractions_identical(
+        extractor.extract_all(f.cts.tree, f.nets, blanket),
+        extractor.extract_all(f.cts.tree, f.nets, blanket, &cache));
   }
   EXPECT_EQ(cache.builds(), f.nets.size());
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -455,6 +456,48 @@ TEST(Flow, AnnealRunEvaluatesFourTimes) {
   EXPECT_EQ(r.value().smart->stats.full_evals, 1);
   EXPECT_EQ(snap.counter("extract.geometry.builds"), session.nets().size());
   EXPECT_EQ(snap.counter("extract.nets_fresh_walks"), 0);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Evaluations keep no parasitics, so the report stage re-extracts the
+// final assignment from the session's geometry cache for --spef. The file
+// must equal, byte for byte, a no-cache extract_all of final_assignment()
+// written with write_spef_file — unbudgeted and under a 64 KiB budget,
+// for a greedy and an annealed final assignment.
+TEST(Flow, SpefEqualsNoCacheExtractionOfFinalAssignment) {
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{64} << 10}) {
+    for (const int anneal : {0, 300}) {
+      SCOPED_TRACE(testing::Message() << "budget=" << budget
+                                      << " anneal=" << anneal);
+      flow::FlowConfig config = small_run_config();
+      config.memory_budget_bytes = budget;
+      config.anneal_iterations = anneal;
+      config.results_dir = temp_path("flow_test_spef");
+      config.spef_out = "run.spef";
+      flow::Session session(config);
+      session.set_design(test::small_design(96, 5));
+      flow::Flow f(session);
+      common::Result<flow::FlowResult> r = f.run();
+      ASSERT_TRUE(r.ok()) << r.status().to_string();
+      const ndr::RuleAssignment* final_assignment =
+          r.value().final_assignment();
+      ASSERT_NE(final_assignment, nullptr);
+      EXPECT_EQ(r.value().anneal.has_value(), anneal > 0);
+      const std::string ref = temp_path("flow_test_spef_ref.spef");
+      io::write_spef_file(
+          ref, session.cts().tree, session.design(), session.nets(),
+          extract::Extractor(session.technology(), session.design())
+              .extract_all(session.cts().tree, session.nets(),
+                           *final_assignment));
+      const std::string run = read_bytes(config.output_path(config.spef_out));
+      EXPECT_FALSE(run.empty());
+      EXPECT_EQ(run, read_bytes(ref));
+    }
+  }
 }
 
 TEST(Flow, CancelledSessionReturnsTypedCancelledStatus) {

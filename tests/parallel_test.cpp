@@ -159,11 +159,29 @@ void expect_identical(const ndr::FlowEvaluation& a,
   EXPECT_EQ(a.timing.max_slew, b.timing.max_slew);
   EXPECT_EQ(a.timing.skew(), b.timing.skew());
   EXPECT_EQ(a.max_track_util, b.max_track_util);
-  ASSERT_EQ(a.parasitics.size(), b.parasitics.size());
-  for (std::size_t i = 0; i < a.parasitics.size(); ++i) {
-    EXPECT_EQ(a.parasitics[i].wirelength, b.parasitics[i].wirelength);
-    EXPECT_EQ(a.parasitics[i].wire_cap_gnd, b.parasitics[i].wire_cap_gnd);
-    EXPECT_EQ(a.parasitics[i].wire_cap_cpl, b.parasitics[i].wire_cap_cpl);
+  // The delta-timer seed arrays.
+  EXPECT_EQ(a.timing.node_wire_delay, b.timing.node_wire_delay);
+  EXPECT_EQ(a.timing.node_step_slew, b.timing.node_step_slew);
+  EXPECT_EQ(a.timing.net_wire_delay_worst, b.timing.net_wire_delay_worst);
+}
+
+/// Evaluations keep no parasitics: extract_all itself must be bitwise
+/// identical at 1 and 8 threads.
+void expect_extraction_identical(const test::Flow& f,
+                                 const tech::Technology& tech,
+                                 const ndr::RuleAssignment& assignment) {
+  const extract::Extractor extractor(tech, f.design);
+  common::set_thread_count(1);
+  const std::vector<extract::NetParasitics> a =
+      extractor.extract_all(f.cts.tree, f.nets, assignment);
+  common::set_thread_count(8);
+  const std::vector<extract::NetParasitics> b =
+      extractor.extract_all(f.cts.tree, f.nets, assignment);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].wirelength, b[i].wirelength);
+    EXPECT_EQ(a[i].wire_cap_gnd, b[i].wire_cap_gnd);
+    EXPECT_EQ(a[i].wire_cap_cpl, b[i].wire_cap_cpl);
   }
 }
 
@@ -175,6 +193,7 @@ TEST_F(ParallelFlowFixture, EvaluateBitIdenticalAtOneAndEightThreads) {
   const ndr::FlowEvaluation parallel =
       ndr::evaluate(f.cts.tree, f.design, f.tech, f.nets, blanket);
   expect_identical(serial, parallel);
+  expect_extraction_identical(f, f.tech, blanket);
 }
 
 TEST_F(ParallelFlowFixture, CornersBitIdenticalAtOneAndEightThreads) {
@@ -188,6 +207,8 @@ TEST_F(ParallelFlowFixture, CornersBitIdenticalAtOneAndEightThreads) {
   for (std::size_t c = 0; c < serial.corners.size(); ++c) {
     EXPECT_EQ(serial.corners[c].corner.name, parallel.corners[c].corner.name);
     expect_identical(serial.corners[c].eval, parallel.corners[c].eval);
+    expect_extraction_identical(
+        f, tech::apply_corner(f.tech, serial.corners[c].corner), blanket);
   }
   EXPECT_EQ(serial.worst_slew_corner(), parallel.worst_slew_corner());
   EXPECT_EQ(serial.worst_power_corner(), parallel.worst_power_corner());

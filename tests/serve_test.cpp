@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -234,6 +235,41 @@ TEST(Server, WaitOnUnknownIdIsInvalidArgument) {
   serve::Server server({});
   EXPECT_EQ(server.wait(42).status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(server.cancel(42));
+}
+
+// A done record never changes and is never erased, so wait() copies it
+// after releasing the server lock: concurrent and repeated waits on one id
+// (and the drain after them) return equal records, and an unknown id is
+// still kInvalidArgument.
+TEST(Server, RepeatedWaitsReturnEqualRecords) {
+  const std::string design = design_file("serve_rewait.txt", 32, 17);
+  serve::ServerOptions options;
+  options.workers = 2;
+  serve::Server server(options);
+  const common::Result<int> id = server.submit(small_config(design, 7));
+  ASSERT_TRUE(id.ok());
+  std::optional<const common::Result<serve::JobRecord>> concurrent;
+  std::thread waiter([&] { concurrent.emplace(server.wait(id.value())); });
+  const common::Result<serve::JobRecord> first = server.wait(id.value());
+  waiter.join();
+  const common::Result<serve::JobRecord> second = server.wait(id.value());
+  EXPECT_EQ(server.wait(id.value() + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<serve::JobRecord> drained = server.drain();
+  ASSERT_EQ(drained.size(), 1u);
+
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(concurrent.has_value() && concurrent->ok());
+  for (const serve::JobRecord* r :
+       {&second.value(), &concurrent->value(), &drained[0]}) {
+    EXPECT_EQ(r->id, first.value().id);
+    EXPECT_EQ(r->design_path, first.value().design_path);
+    EXPECT_EQ(r->state, serve::JobState::kDone);
+    EXPECT_EQ(r->queue_seconds, first.value().queue_seconds);
+    EXPECT_EQ(r->outcome.wall_seconds, first.value().outcome.wall_seconds);
+    expect_outcome_eq(r->outcome, first.value().outcome);
+  }
 }
 
 // ---- Server: admission control --------------------------------------------
