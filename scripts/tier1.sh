@@ -5,7 +5,9 @@
 # zero-alloc scratch kernels, the geometry cache and the routing footprint
 # lean hard on buffer reuse and flat offsets — ASan guards their bounds;
 # the scale smoke adds a 10k-net generated tree and heavy LRU eviction
-# under a byte budget), then an UndefinedBehaviorSanitizer build running
+# under a byte budget) and the delta timer's depth-first net slices and
+# the search memo's per-load moment offsets, then an
+# UndefinedBehaviorSanitizer build running
 # the flow/io layers (parsers and typed error boundaries).
 # A CLI identity leg checks `sndr run` stdout and the --spef file across
 # lane counts, memory budgets, anneal, margins and corners. A DSE leg
@@ -112,6 +114,7 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
 # geometry, memo transplant, donated prep) under TSan.
 "$repo/build-tsan/tests/dse_test"
 # Parallel warm_rows fills disjoint memo rows; churn pins 1-vs-8 threads.
+# net_batch_test also fills per-load moment rows on 8 threads.
 "$repo/build-tsan/tests/delta_timing_test"
 "$repo/build-tsan/tests/net_batch_test"
 # Corner signoff's batched materialize and memo-row fills at 1 vs 8 threads.
@@ -131,7 +134,8 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
   --target geometry_budget_test --target scale_smoke_test \
   --target scenario_fuzz_test --target assignment_state_test \
   --target pairwise_sum_test --target refine_test --target checkpoint_test \
-  --target dse_test --target netlist_test --target route_test
+  --target dse_test --target netlist_test --target route_test \
+  --target delta_timing_test
 "$repo/build-asan/tests/extract_test"
 "$repo/build-asan/tests/extract_cache_test"
 # Skew refinement: per-net cache refresh and re-materialization into
@@ -151,6 +155,9 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
 # and the per-net path-prefix arrays, through root and leaf-net moves.
 "$repo/build-asan/tests/pairwise_sum_test"
 "$repo/build-asan/tests/assignment_state_test"
+# Delta timing: the depth-first net slice, the flattened per-load arrays
+# and the per-load moment offsets every accepted move reads from the memo.
+"$repo/build-asan/tests/delta_timing_test"
 # Routing footprint: raw-offset CSR indexing (net -> wire paths -> steps)
 # and the allocation-free per-cell demand scan of fits_steps.
 "$repo/build-asan/tests/netlist_test"

@@ -457,16 +457,8 @@ common::Result<SweepResult> explore(const flow::FlowConfig& base,
       memo_union = std::move(m);
       return;
     }
-    const std::size_t n_nets = m.row_warm.size();
-    for (std::size_t id = 0; id < n_nets; ++id) {
-      if (m.row_warm[id] == 0) continue;
-      memo_union.row_warm[id] = 1;
-      memo_union.driver_res[id] = m.driver_res[id];
-      const std::size_t first = id * static_cast<std::size_t>(m.n_rules);
-      for (int r = 0; r < m.n_rules; ++r) {
-        memo_union.rows[first + static_cast<std::size_t>(r)] =
-            m.rows[first + static_cast<std::size_t>(r)];
-      }
+    for (std::size_t id = 0; id < m.row_warm.size(); ++id) {
+      if (m.row_warm[id] != 0) memo_union.copy_row(m, static_cast<int>(id));
     }
   };
   // The on-disk log is ready for appends when it exists, parsed cleanly,

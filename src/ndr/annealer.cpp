@@ -152,7 +152,7 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
         return;
       }
 
-      state.apply_move(net_id, rule, exact);
+      state.apply_move(net_id, rule);
       ++result.accepted;
       ++result.delta_updates;
       if (d_obj > 0.0) ++result.uphill_accepted;

@@ -10,6 +10,20 @@
 #include "timing/delay_metrics.hpp"
 
 namespace sndr::ndr {
+namespace {
+
+/// Copies net `id`'s memo row between two memos of one shape: its
+/// `n_rules` NetExact entries and its moment block [off[id], off[id + 1]).
+void copy_memo_row(int id, int n_rules, const std::vector<std::size_t>& off,
+                   const NetExact* from_rows, const double* from_moments,
+                   NetExact* to_rows, double* to_moments) {
+  const std::size_t first = static_cast<std::size_t>(id) * n_rules;
+  std::copy_n(from_rows + first, n_rules, to_rows + first);
+  std::copy(from_moments + off[id], from_moments + off[id + 1],
+            to_moments + off[id]);
+}
+
+}  // namespace
 
 AssignmentState::AssignmentState(const netlist::ClockTree& tree,
                                  const netlist::Design& design,
@@ -65,6 +79,10 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
   for (const netlist::Net& net : nets.nets) {
     parent_net_[net.id] = nets.net_of_edge[net.driver];
   }
+  drives_sinks_.assign(n_nets, 0);
+  for (const int net : leaf_net_) {
+    if (net >= 0) drives_sinks_[net] = 1;
+  }
   path_var_.assign(n_nets, 0.0);
   path_xtalk_.assign(n_nets, 0.0);
 
@@ -83,6 +101,14 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
   n_rules_ = tech.rules.size();
   exact_cache_.resize(static_cast<std::size_t>(n_nets) *
                       static_cast<std::size_t>(n_rules_));
+  moment_off_.assign(static_cast<std::size_t>(n_nets) + 1, 0);
+  for (const netlist::Net& net : nets.nets) {
+    moment_off_[net.id + 1] = moment_off_[net.id] +
+                              2 * static_cast<std::size_t>(n_rules_) *
+                                  net.loads.size();
+  }
+  moments_.resize(moment_off_.back());
+  row_gen_.assign(n_nets, 0);
   ctx_gen_.assign(n_nets, 1);
 
   net_weight_.assign(n_nets, 1.0);
@@ -215,9 +241,18 @@ bool AssignmentState::check_move(int net_id, int rule_idx,
   const double new_mean =
       (latency_sum() + d_delay * static_cast<double>(under.size())) /
       std::max(1, n_sinks);
+  // A sink's uncertainty reads only its leaf net's path prefixes, so it is
+  // tested once per sink-driving net of the subtree — every sink under the
+  // net has its leaf net there — with the per-sink expression.
   const double d_var = impact.sigma * impact.sigma - st.sigma * st.sigma;
   const double d_xtalk = impact.xtalk - st.xtalk;
   const double max_unc = c.max_uncertainty * (1.0 - margins.uncertainty);
+  for (const int leaf : delta_.subtree(net_id)) {
+    if (!drives_sinks_[leaf]) continue;
+    const double var = std::max(0.0, path_var_[leaf] + d_var);
+    const double unc = 3.0 * std::sqrt(var) + path_xtalk_[leaf] + d_xtalk;
+    if (unc > max_unc) return false;
+  }
   const double win_scale = 1.0 - margins.skew;
   const std::vector<double>& arrival = delta_.sink_arrival();
   for (const int s : under) {
@@ -225,15 +260,17 @@ bool AssignmentState::check_move(int net_id, int rule_idx,
     if (off < win_lo_[s] * win_scale || off > win_hi_[s] * win_scale) {
       return false;
     }
-    const double var = std::max(0.0, sink_var(s) + d_var);
-    const double unc = 3.0 * std::sqrt(var) + sink_xtalk(s) + d_xtalk;
-    if (unc > max_unc) return false;
   }
   return true;
 }
 
-void AssignmentState::apply_move(int net_id, int rule_idx,
-                                 const NetExact& exact) {
+void AssignmentState::apply_move(int net_id, int rule_idx) {
+  // Exact incremental timing from the memo row: the new rule's per-load
+  // moments drive a replay of the net's subtree slice. Only the sinks
+  // under this net can change arrival.
+  const std::span<const double> m12 = load_moments(net_id, rule_idx);
+  const NetExact& exact =
+      exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
   NetState& st = nets_state_[net_id];
   const double width_frac = tech_->clock_layer.width_frac();
   const double d_pitch =
@@ -243,31 +280,13 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
     usage_.add_steps(geometry_->footprint().net_steps(net_id), d_pitch);
   }
 
-  // Exact incremental timing: re-materialize the net's parasitics under
-  // the new rule (O(pieces), no geometry walk) and replay the analyze
-  // recurrence over the net's descendant subtree. Only the sinks under
-  // this net can change arrival.
-  {
-    const extract::GeometryCache::Pinned pin = geometry_->pinned(net_id);
-    extract::materialize(*pin, *tech_, tech_->rules[rule_idx], move_par_);
-  }
-  delta_.apply_net_change(net_id, move_par_);
+  delta_.apply_net_change(net_id, m12.data());
 
   // A move changes no input of evaluate_net_exact — the rule is part of
   // the memo key and coupling reads the static occupancy field, not
-  // neighbor rules — so the net's cached row stays valid. If moves ever
-  // start mutating per-net electrical context, advance ctx_gen_[net_id]
-  // here (the rebuild() driver_res check is the model to follow). The
-  // caller's `exact` is by contract the net's evaluation under the new
-  // rule, so memoize it in case it was produced out-of-band (a reference
-  // into the memo slot itself is already there).
-  ExactCacheEntry& e =
-      exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
-  if (&exact != &e.exact) {
-    e.exact = exact;
-    e.exact.par = extract::NetParasitics{};
-  }
-  e.gen = ctx_gen_[net_id];
+  // neighbor rules — so every cached row stays valid. If moves ever start
+  // mutating per-net electrical context, advance ctx_gen_[net_id] here
+  // (the rebuild() driver_res check is the model to follow).
 
   assignment_[net_id] = rule_idx;
   st.cap = exact.cap_switched;
@@ -277,7 +296,7 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
 
   // Re-derive the accumulators with rebuild()'s definitions, over what the
   // move touched: the path prefixes of the descendant nets the replay just
-  // visited (ascending, so parents first), the latency leaves of the net's
+  // visited (parents first), the latency leaves of the net's
   // sink run, and one cap / energy leaf.
   for (const int id : delta_.last_updated_nets()) update_path_prefix(id);
   const std::vector<double>& arrival = delta_.sink_arrival();
@@ -290,20 +309,10 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
 }
 
 void AssignmentState::warm_rows(const std::vector<int>& net_ids) const {
-  // A row is warm iff EVERY rule entry carries the current context stamp
-  // (exact_eval fills whole rows, but apply_move can memoize one entry of
-  // an otherwise-cold row out-of-band).
   std::vector<int> cold;
   cold.reserve(net_ids.size());
   for (const int id : net_ids) {
-    const std::uint64_t gen = ctx_gen_[id];
-    for (int r = 0; r < n_rules_; ++r) {
-      if (exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r].gen !=
-          gen) {
-        cold.push_back(id);
-        break;
-      }
-    }
+    if (!row_warm(id)) cold.push_back(id);
   }
   std::sort(cold.begin(), cold.end());
   cold.erase(std::unique(cold.begin(), cold.end()), cold.end());
@@ -337,38 +346,36 @@ void AssignmentState::warm_all_rows() const {
   warm_rows(all);
 }
 
+void MemoSnapshot::copy_row(const MemoSnapshot& from, int id) {
+  copy_memo_row(id, n_rules, moment_off, from.rows.data(),
+                from.moments.data(), rows.data(), moments.data());
+  driver_res[id] = from.driver_res[id];
+  row_warm[id] = 1;
+}
+
 void AssignmentState::export_memo(MemoSnapshot& out) const {
   const int n_nets = nets_->size();
   out.n_rules = n_rules_;
+  out.timing_miller = analysis_.timing_miller;
   out.driver_res.assign(n_nets, 0.0);
   out.row_warm.assign(n_nets, 0);
-  out.rows.assign(static_cast<std::size_t>(n_nets) *
-                      static_cast<std::size_t>(n_rules_),
-                  NetExact{});
+  out.rows.assign(exact_cache_.size(), NetExact{});
+  out.moment_off = moment_off_;
+  out.moments.assign(moments_.size(), 0.0);
   for (int id = 0; id < n_nets; ++id) {
     out.driver_res[id] = nets_state_[id].summary.driver_res;
-    const std::uint64_t gen = ctx_gen_[id];
-    bool warm = n_rules_ > 0;
-    for (int r = 0; r < n_rules_; ++r) {
-      if (exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r].gen !=
-          gen) {
-        warm = false;
-        break;
-      }
-    }
-    if (!warm) continue;
+    if (!row_warm(id)) continue;
+    copy_memo_row(id, n_rules_, moment_off_, exact_cache_.data(),
+                  moments_.data(), out.rows.data(), out.moments.data());
     out.row_warm[id] = 1;
-    for (int r = 0; r < n_rules_; ++r) {
-      out.rows[static_cast<std::size_t>(id) * n_rules_ + r] =
-          exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r].exact;
-    }
   }
 }
 
 int AssignmentState::import_memo(const MemoSnapshot& in) {
   const int n_nets = nets_->size();
-  if (in.n_rules != n_rules_ ||
-      in.driver_res.size() != static_cast<std::size_t>(n_nets)) {
+  if (in.n_rules != n_rules_ || in.timing_miller != analysis_.timing_miller ||
+      in.driver_res.size() != static_cast<std::size_t>(n_nets) ||
+      in.moment_off != moment_off_) {
     return 0;  // different search shape; nothing transplantable.
   }
   int adopted = 0;
@@ -378,22 +385,10 @@ int AssignmentState::import_memo(const MemoSnapshot& in) {
     // resistance; adopt only on bitwise match, so the row equals what a
     // cold eval here would produce (value-neutral).
     if (in.driver_res[id] != nets_state_[id].summary.driver_res) continue;
-    const std::uint64_t gen = ctx_gen_[id];
-    bool already_warm = true;
-    for (int r = 0; r < n_rules_; ++r) {
-      if (exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r].gen !=
-          gen) {
-        already_warm = false;
-        break;
-      }
-    }
-    if (already_warm) continue;
-    for (int r = 0; r < n_rules_; ++r) {
-      ExactCacheEntry& er =
-          exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r];
-      er.exact = in.rows[static_cast<std::size_t>(id) * n_rules_ + r];
-      er.gen = gen;
-    }
+    if (row_warm(id)) continue;
+    copy_memo_row(id, n_rules_, moment_off_, in.rows.data(),
+                  in.moments.data(), exact_cache_.data(), moments_.data());
+    row_gen_[id] = ctx_gen_[id];
     ++adopted;
   }
   if (adopted > 0) {
@@ -402,13 +397,8 @@ int AssignmentState::import_memo(const MemoSnapshot& in) {
   return adopted;
 }
 
-const NetExact& AssignmentState::exact_eval(int net_id, int rule_idx) const {
-  ExactCacheEntry& e =
-      exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
-  if (e.gen == ctx_gen_[net_id]) {
-    ++cache_hits_;
-    return e.exact;
-  }
+bool AssignmentState::ensure_row(int net_id) const {
+  if (row_warm(net_id)) return true;
   ++cache_misses_;
   // Miss path: one batched pass scores EVERY rule of the set over the
   // cached geometry (cheaper than two scalar evals), so a miss warms the
@@ -416,7 +406,20 @@ const NetExact& AssignmentState::exact_eval(int net_id, int rule_idx) const {
   // bit-identical to the scalar evaluate_net_exact, which
   // tests/batch_kernel_test.cpp pins.
   fill_rows(&net_id, 1);
-  return e.exact;
+  return false;
+}
+
+const NetExact& AssignmentState::exact_eval(int net_id, int rule_idx) const {
+  if (ensure_row(net_id)) ++cache_hits_;
+  return exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
+}
+
+std::span<const double> AssignmentState::load_moments(int net_id,
+                                                      int rule_idx) const {
+  ensure_row(net_id);
+  const std::size_t n = 2 * nets_->nets[net_id].loads.size();
+  return std::span<const double>(moments_).subspan(
+      moment_off_[net_id] + static_cast<std::size_t>(rule_idx) * n, n);
 }
 
 void AssignmentState::fill_rows(const int* ids, int n) const {
@@ -424,8 +427,9 @@ void AssignmentState::fill_rows(const int* ids, int n) const {
   thread_local std::vector<const extract::NetGeometry*> geoms;
   thread_local std::vector<double> dres;
   thread_local std::vector<NetExact> out;
-  // The whole batch stays pinned for the kernel call (budgeted geometry
-  // caches evict only unpinned entries).
+  thread_local std::vector<double> m12;
+  // The whole batch stays pinned until its moments are stored (budgeted
+  // geometry caches evict only unpinned entries).
   thread_local std::vector<extract::GeometryCache::Pinned> pins;
   geoms.resize(static_cast<std::size_t>(n));
   dres.resize(static_cast<std::size_t>(n));
@@ -435,26 +439,49 @@ void AssignmentState::fill_rows(const int* ids, int n) const {
     geoms[i] = pins.back().get();
     dres[i] = nets_state_[ids[i]].summary.driver_res;
   }
+  // Batches are same-shaped, so every net's moment block has one size.
+  const std::size_t block = moment_off_[ids[0] + 1] - moment_off_[ids[0]];
+  // The batch kernel solves its moments at Miller 1.0, which is what every
+  // production search times with; any other Miller factor solves the
+  // stored moments per rule with the scalar kernels instead.
+  const bool batch_moments = analysis_.timing_miller == 1.0;
+  m12.resize(static_cast<std::size_t>(n) * block);
   evaluate_nets_exact_all_rules(geoms.data(), dres.data(), n, *tech_,
                                 design_->constraints.clock_freq, arena,
-                                out.data());
+                                out.data(),
+                                batch_moments ? m12.data() : nullptr);
+  if (!batch_moments) {
+    thread_local extract::NetParasitics par;
+    thread_local extract::RcMoments mom;
+    for (int i = 0; i < n; ++i) {
+      double* dst = m12.data() + static_cast<std::size_t>(i) * block;
+      for (int r = 0; r < n_rules_; ++r) {
+        extract::materialize(*geoms[i], *tech_, tech_->rules[r], par);
+        par.rc.moments(dres[i], analysis_.timing_miller, mom);
+        for (const int rc : par.load_rc_index) {
+          *dst++ = mom.m1[rc];
+          *dst++ = mom.m2[rc];
+        }
+      }
+    }
+  }
   pins.clear();
   if (geometry_->budgeted()) arena.shrink_to(geometry_->budget_bytes());
   for (int i = 0; i < n; ++i) {
     const int id = ids[i];
-    const std::uint64_t gen = ctx_gen_[id];
     for (int r = 0; r < n_rules_; ++r) {
-      ExactCacheEntry& er =
-          exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r];
-      er.exact = out[static_cast<std::size_t>(i) * n_rules_ + r];
+      NetExact& e = exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r];
+      e = out[static_cast<std::size_t>(i) * n_rules_ + r];
       // The kernels evaluate EM at the root clock rate; the net's domain
       // scale is applied here, once, as the row is memoized — so every
       // consumer (greedy feasibility, annealer vetoes, repair) sees the
       // same scaled density analyze_em reports. Neutral scale == 1.0 keeps
       // the single-domain world bit-identical.
-      er.exact.em_peak *= net_em_scale_[id];
-      er.gen = gen;
+      e.em_peak *= net_em_scale_[id];
     }
+    std::copy_n(m12.data() + i * block, block,
+                moments_.data() + moment_off_[id]);
+    row_gen_[id] = ctx_gen_[id];
   }
 }
 

@@ -40,14 +40,25 @@ namespace sndr::ndr {
 /// is importable only where the net's evaluation context is bitwise
 /// unchanged — `driver_res` records the context each row was computed
 /// under, and import_memo() re-checks it against the receiving state, so
-/// an adopted row always equals what a cold eval would produce.
+/// an adopted row always equals what a cold eval would produce. A row is
+/// the net's NetExact per rule plus its per-load moments (see
+/// AssignmentState::load_moments), which were solved at `timing_miller`.
 struct MemoSnapshot {
   int n_rules = 0;
+  double timing_miller = 1.0;      ///< Miller factor of the moments.
   std::vector<double> driver_res;  ///< per-net context the rows assume.
-  std::vector<char> row_warm;      ///< per-net: every rule entry valid.
-  std::vector<NetExact> rows;      ///< [net][rule] flat, scalars only.
+  std::vector<char> row_warm;      ///< per-net: the row is valid.
+  std::vector<NetExact> rows;      ///< [net][rule] flat.
+  /// Net n's [rule][load] (m1, m2) pairs are
+  /// moments[moment_off[n], moment_off[n + 1]).
+  std::vector<std::size_t> moment_off;
+  std::vector<double> moments;
 
   bool empty() const { return rows.empty(); }
+
+  /// Overwrites net `id`'s row (scalars, moments and context) with the one
+  /// in `from`, a snapshot of the same search shape, and marks it warm.
+  void copy_row(const MemoSnapshot& from, int id);
 };
 
 class AssignmentState {
@@ -93,53 +104,64 @@ class AssignmentState {
   double slew_at_loads(int net_id, double step_slew) const;
 
   /// Checks a candidate move against every constraint using predicted or
-  /// exact per-net metrics in `impact`.
+  /// exact per-net metrics in `impact`. The skew window is tested per sink
+  /// under the net; the uncertainty bound, which reads only a sink's leaf
+  /// net path prefixes, once per sink-driving net of the subtree.
   bool check_move(int net_id, int rule_idx, const NetImpact& impact,
                   const MoveMargins& margins) const;
 
-  /// Applies a validated move; `exact` must be the exact evaluation of the
-  /// net under the new rule.
+  /// Applies a validated move of `net_id` to rule `rule_idx`.
   ///
-  /// Exact and incremental: the net's parasitics are re-materialized under
-  /// the new rule and a delta-timing replay updates sink latencies along
-  /// the net's descendant subtree (O(pieces + subtree)). The accumulators
-  /// follow with the same definitions rebuild() uses: the variance /
-  /// crosstalk path prefixes are recomputed over the descendant nets the
-  /// replay visited, the latency sum tree over the net's contiguous run of
-  /// sinks, and the cap / energy sum trees at one leaf. No loop covers all
-  /// sinks or all nets — a move costs O(sinks under the net + descendant
-  /// nets + log n) — and the state stays BITWISE identical to a fresh
+  /// Exact and incremental, and it reads only the memo: the net's NetExact
+  /// row gives its new cap / sigma / crosstalk, and its stored per-load
+  /// moments feed the delta timer, which replays the net's subtree slice
+  /// (O(loads + subtree)). Nothing is re-extracted and no moment is solved
+  /// here; a cold row is filled first and counted as one miss, as in
+  /// exact_eval(). The accumulators follow with the same definitions
+  /// rebuild() uses: the variance / crosstalk path prefixes are recomputed
+  /// over the descendant nets the replay visited, the latency sum tree
+  /// over the net's contiguous run of sinks, and the cap / energy sum trees
+  /// at one leaf. No loop covers all sinks or all nets — a move costs
+  /// O(sinks under the net + descendant nets + log n) — and the state
+  /// stays BITWISE identical to a fresh
   /// rebuild() of the same assignment (pinned by the state-vs-rebuild
   /// comparer in tests/state_compare.hpp). Routing usage keeps its own
   /// += bookkeeping and may drift by FP rounding; the tests pin that
   /// check_move() answers agree with a fresh rebuild regardless. Usage
   /// moves by `d_pitch * len` over the net's recorded footprint steps
-  /// (GeometryCache::footprint()); no path is walked. `exact` may be the
-  /// reference exact_eval() returned.
-  void apply_move(int net_id, int rule_idx, const NetExact& exact);
+  /// (GeometryCache::footprint()); no path is walked.
+  void apply_move(int net_id, int rule_idx);
 
   /// Exact per-net evaluation of a candidate rule (driver model included).
   ///
   /// Results are memoized per (net, rule) under a per-net context stamp
   /// keyed on what actually feeds evaluate_net_exact. The candidate rule is
   /// part of the key, so the only mutable input is the net's electrical
-  /// context (today: its driver resistance). apply_move() and rebuild()
-  /// are the invalidation points: each advances a net's stamp (dropping
-  /// its cached row) iff that input changed — rebuild() re-derives the
-  /// context per net; a move changes no exact-eval input, so the cache
-  /// survives both in the common case. Both hits and misses return the
-  /// scalar metrics with `par` left empty (no caller consumes the
-  /// parasitics; the cache stays a few doubles per entry instead of a
-  /// full RC tree). A miss warms the WHOLE rule row: the batched kernels
+  /// context (today: its driver resistance). rebuild() is the invalidation
+  /// point: it advances a net's stamp (dropping its cached row) iff that
+  /// input changed; a move changes no exact-eval input, so the cache
+  /// survives it. Entries are scalars (a few doubles, no RC tree). A miss
+  /// warms the WHOLE rule row: the batched kernels
   /// (evaluate_nets_exact_all_rules, one net) score every rule in one pass
   /// over the shared GeometryCache — no geometry walk, no congestion
-  /// query, no allocation past a warm per-thread arena — and one miss is
+  /// query, no allocation past a warm per-thread arena — and store every
+  /// rule's per-load moments next to it (load_moments()). One miss is
   /// counted per row fill, so hit rates read as "rows already warm".
   ///
   /// Returns a reference to the memo slot. It stays valid (and holds this
   /// value) until the next rebuild(), import_memo() or row fill
   /// (exact_eval miss, warm_rows); copy it to keep it past those.
   const NetExact& exact_eval(int net_id, int rule_idx) const;
+
+  /// Per-load moments of `net_id` under `rule_idx`, from the memo row: m1
+  /// then m2 per load in Net::loads order, at the net's driver resistance
+  /// and this state's timing_miller — bitwise RcTree::moments over
+  /// extract::materialize of the net under the rule. At Miller 1.0 (every
+  /// production search) the row fill's batched kernel writes them; any
+  /// other Miller factor solves them per rule with the scalar kernels. A
+  /// cold row is filled and counted as one miss; a warm read counts
+  /// nothing. Valid as long as an exact_eval() reference would be.
+  std::span<const double> load_moments(int net_id, int rule_idx) const;
 
   /// Prefetches the exact-eval memo rows of `net_ids` (cold rows only)
   /// using CROSS-NET batches: nets are grouped by geometry shape
@@ -163,15 +185,16 @@ class AssignmentState {
   /// never invalidated here.
   const extract::GeometryCache& geometry_cache() const { return *geometry_; }
 
-  /// Copies every fully warm memo row (and its per-net context) into
-  /// `out`, replacing its contents. Rows whose context stamp moved since
-  /// they were filled are skipped. Cheap: scalars only.
+  /// Copies every warm memo row (scalars, per-load moments and the per-net
+  /// context) into `out`, replacing its contents. Rows whose context stamp
+  /// moved since they were filled are skipped.
   void export_memo(MemoSnapshot& out) const;
 
   /// Adopts rows from a snapshot taken by a search over the same
-  /// (tree, nets, tech) shape: a row lands only if the snapshot's recorded
-  /// driver resistance is bitwise equal to this state's current one and
-  /// the row here is still cold. Returns the number of rows adopted.
+  /// (tree, nets, tech) shape and timing Miller factor: a row lands only if
+  /// the snapshot's recorded driver resistance is bitwise equal to this
+  /// state's current one and the row here is still cold. Returns the
+  /// number of rows adopted.
   /// Value-neutral by the exact_eval memo contract.
   int import_memo(const MemoSnapshot& in);
 
@@ -238,6 +261,13 @@ class AssignmentState {
   /// Recomputes path_var_/path_xtalk_[net_id] from its parent's prefix.
   void update_path_prefix(int net_id);
 
+  bool row_warm(int net_id) const {
+    return row_gen_[net_id] == ctx_gen_[net_id];
+  }
+  /// Fills the net's row if it is cold, counting one miss; returns whether
+  /// it was already warm.
+  bool ensure_row(int net_id) const;
+
   /// Scores every rule of the `n` same-shaped nets `ids` in one batch and
   /// memoizes their rows under the current context stamps. Safe to run
   /// concurrently on disjoint nets (per-thread scratch).
@@ -254,19 +284,20 @@ class AssignmentState {
   const extract::GeometryCache* geometry_ = nullptr;
   timing::DeltaTimer delta_;  ///< incremental arrival/slew mirror.
   extract::NetShapeBuckets shape_buckets_;
-  extract::NetParasitics move_par_;  ///< warm scratch for apply_move.
-
-  /// Memo slot for exact_eval; valid iff gen == ctx_gen_[net] (gen 0 is
-  /// never valid: context stamps start at 1 and only grow).
-  struct ExactCacheEntry {
-    std::uint64_t gen = 0;
-    NetExact exact;  ///< scalars only; par is cleared before caching.
-  };
 
   RuleAssignment assignment_;
   std::vector<NetState> nets_state_;
   int n_rules_ = 0;
-  mutable std::vector<ExactCacheEntry> exact_cache_;  ///< [net][rule] flat.
+  /// The exact-eval memo. Rows are filled whole: net n's row (its R
+  /// NetExact entries and its per-load moments) is valid iff
+  /// row_gen_[n] == ctx_gen_[n] (gen 0 is never valid: context stamps
+  /// start at 1 and only grow).
+  mutable std::vector<NetExact> exact_cache_;  ///< [net][rule] flat.
+  /// [net][rule][load] (m1, m2) pairs; net n's block starts at
+  /// moment_off_[n], a prefix sum of 2 * R * loads.
+  mutable std::vector<double> moments_;
+  std::vector<std::size_t> moment_off_;  ///< n_nets + 1 entries.
+  mutable std::vector<std::uint64_t> row_gen_;  ///< per-net fill stamp.
   std::vector<std::uint64_t> ctx_gen_;  ///< per-net exact-eval context stamp.
   mutable std::int64_t cache_hits_ = 0;
   mutable std::int64_t cache_misses_ = 0;
@@ -279,6 +310,7 @@ class AssignmentState {
   std::vector<int> sink_hi_;
   std::vector<int> parent_net_;  ///< net feeding a net's driver, -1 at root.
   std::vector<int> leaf_net_;    ///< per sink: the net it loads, -1 if none.
+  std::vector<char> drives_sinks_;  ///< per net: some load is a sink.
   /// Root-first path prefixes: path_var_[n] = path_var_[parent] + sigma_n²,
   /// path_xtalk_[n] = path_xtalk_[parent] + xtalk_n.
   std::vector<double> path_var_;

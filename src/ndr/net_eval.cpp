@@ -117,7 +117,8 @@ NetExact evaluate_net_exact(const extract::NetGeometry& geom,
 
 void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
                                const double* driver_res, double freq,
-                               common::Arena& arena, NetExact* out) {
+                               common::Arena& arena, NetExact* out,
+                               double* load_m12) {
   const int L = n_lanes;
   extract::BatchParasitics bp;
   extract::materialize_nets_batch(lanes, L, arena, bp);
@@ -200,6 +201,17 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
   for (int l = 0; l < L; ++l) {
     out[l].wire_delay_mean =
         n_loads == 0 ? 0.0 : delay_sum[l] / static_cast<double>(n_loads);
+  }
+  if (load_m12 != nullptr) {
+    for (int li = 0; li < n_loads; ++li) {
+      const std::int64_t row =
+          static_cast<std::int64_t>(shape.loads[li].rc_index) * L;
+      for (int l = 0; l < L; ++l) {
+        const std::int64_t k = static_cast<std::int64_t>(l) * n_loads + li;
+        load_m12[2 * k] = m1[row + l];
+        load_m12[2 * k + 1] = m2[row + l];
+      }
+    }
   }
 
   // Variation: the nominal (base) Elmore at miller 1.0 is bitwise equal to
@@ -291,7 +303,8 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
 void evaluate_nets_exact_all_rules(const extract::NetGeometry* const* geoms,
                                    const double* driver_res, int n_nets,
                                    const tech::Technology& tech, double freq,
-                                   common::Arena& arena, NetExact* out) {
+                                   common::Arena& arena, NetExact* out,
+                                   double* load_m12) {
   arena.reset();
   const int R = tech.rules.size();
   const int L = n_nets * R;
@@ -304,7 +317,7 @@ void evaluate_nets_exact_all_rules(const extract::NetGeometry* const* geoms,
       dres[i * R + r] = driver_res[i];
     }
   }
-  evaluate_nets_exact_batch(lanes, L, dres, freq, arena, out);
+  evaluate_nets_exact_batch(lanes, L, dres, freq, arena, out, load_m12);
   common::note_arena_highwater(arena);
 }
 
@@ -319,10 +332,7 @@ NetExact evaluate_net_exact(const netlist::ClockTree& tree,
   const extract::NetGeometry geom =
       extract::build_net_geometry(tree, design, net);
   NetEvalScratch scratch;
-  NetExact out = evaluate_net_exact(geom, tech, rule, driver_res, freq,
-                                    scratch);
-  out.par = std::move(scratch.par);
-  return out;
+  return evaluate_net_exact(geom, tech, rule, driver_res, freq, scratch);
 }
 
 }  // namespace sndr::ndr

@@ -15,7 +15,9 @@
 // evaluate_net_exact (one net, one rule), which is the reference the tests
 // compare against, and the lane-batched evaluate_nets_exact_* (any mix of
 // same-shaped nets, technologies and rules in one pass), which the
-// optimizer, the annealer's memo and predictor labelling run.
+// optimizer, the annealer's memo and predictor labelling run. The batched
+// form can also hand back the per-load (m1, m2) moments its scan read, so
+// the search memo can time an accepted move without re-extracting it.
 #pragma once
 
 #include "common/arena.hpp"
@@ -64,9 +66,9 @@ double net_cap_under_rule(const NetSummary& s, const tech::Technology& tech,
 double net_em_bound(const NetSummary& s, const tech::Technology& tech,
                     const tech::RoutingRule& rule, double freq);
 
-/// Exact net-local metrics under `rule`, from a fresh per-net extraction.
+/// Exact net-local metrics under `rule`: scalars only, so a memo slot or a
+/// snapshot row stays a few doubles.
 struct NetExact {
-  extract::NetParasitics par;
   double cap_switched = 0.0;    ///< F.
   double step_slew_worst = 0.0; ///< s, worst load step slew (pre-PERI).
   double sigma_worst = 0.0;     ///< s.
@@ -97,9 +99,9 @@ struct NetEvalScratch {
 
 /// Exact evaluation from pre-built rule-independent geometry: materializes
 /// parasitics for `rule` and runs the fused moment / variation / EM kernels
-/// entirely in `scratch`. Scalar results are bit-identical to the fresh
-/// overload above (which delegates here); `par` is left empty — the
-/// materialized parasitics stay in `scratch.par` for callers that want them.
+/// entirely in `scratch`. Results are bit-identical to the fresh overload
+/// above (which delegates here); the materialized parasitics stay in
+/// `scratch.par` for callers that want them.
 NetExact evaluate_net_exact(const extract::NetGeometry& geom,
                             const tech::Technology& tech,
                             const tech::RoutingRule& rule, double driver_res,
@@ -110,12 +112,19 @@ NetExact evaluate_net_exact(const extract::NetGeometry& geom,
 /// driver resistance, scored in one fused pass (materialize_nets_batch +
 /// one EM sweep + one moment solve + three perturbed Elmore solves, lane
 /// loop innermost). out[l] is bit-identical to the scalar scratch overload
-/// called with lane l's net and context, `par` left empty. All scratch is
-/// carved from `arena` WITHOUT resetting it (so callers may keep lane
-/// arrays there).
+/// called with lane l's net and context. All scratch is carved from
+/// `arena` WITHOUT resetting it (so callers may keep lane arrays there).
+///
+/// `load_m12`, when non-null, receives the moments the scan read: for lane
+/// l and load li (Net::loads order), load_m12[2 * (l * loads + li)] is m1
+/// and the next double m2, at miller 1.0 and the lane's driver resistance —
+/// bitwise RcTree::moments(driver_res[l], 1.0) of the lane's materialized
+/// parasitics at that load's rc_index. Callers that need no moments pass
+/// null.
 void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
                                const double* driver_res, double freq,
-                               common::Arena& arena, NetExact* out);
+                               common::Arena& arena, NetExact* out,
+                               double* load_m12 = nullptr);
 
 /// Rule-sweep entry point: resets `arena`, then evaluates each of the
 /// `n_nets` same-shaped geometries under EVERY rule of `tech` in one batch
@@ -123,10 +132,13 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
 /// tech.rules[r], bit-identical to the scalar evaluate_net_exact. With one
 /// net this is the memo-row fill of an AssignmentState miss; with several
 /// it is how warm-row prefetches and predictor labelling fill the SIMD
-/// lanes that one net's rule sweep leaves mostly empty.
+/// lanes that one net's rule sweep leaves mostly empty. `load_m12` is the
+/// batch kernel's per-load moment output, so net i's block of
+/// [rule][load] (m1, m2) pairs starts at load_m12 + 2 * i * R * loads.
 void evaluate_nets_exact_all_rules(const extract::NetGeometry* const* geoms,
                                    const double* driver_res, int n_nets,
                                    const tech::Technology& tech, double freq,
-                                   common::Arena& arena, NetExact* out);
+                                   common::Arena& arena, NetExact* out,
+                                   double* load_m12 = nullptr);
 
 }  // namespace sndr::ndr

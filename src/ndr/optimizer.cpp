@@ -60,7 +60,7 @@ class Optimizer {
   /// one, cheapest first — the candidates both scorings try in order.
   std::vector<std::pair<double, int>> cheaper_rules(int net_id);
 
-  void commit(int net_id, int rule_idx, const NetExact& exact);
+  void commit(int net_id, int rule_idx);
   void repair(FlowEvaluation& ev);
 
   const netlist::ClockTree& tree_;
@@ -81,8 +81,8 @@ class Optimizer {
   OptimizerStats stats_;
 };
 
-void Optimizer::commit(int net_id, int rule_idx, const NetExact& exact) {
-  state_.apply_move(net_id, rule_idx, exact);
+void Optimizer::commit(int net_id, int rule_idx) {
+  state_.apply_move(net_id, rule_idx);
   assignment_[net_id] = rule_idx;
   ++stats_.commits;
 }
@@ -123,7 +123,7 @@ bool Optimizer::improve_net(int net_id) {
       continue;
     }
     if (!state_.check_move(net_id, r, impact, margins)) continue;
-    commit(net_id, r, exact);
+    commit(net_id, r);
     return true;
   }
   return false;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include "common/thread_pool.hpp"
@@ -9,6 +11,7 @@
 #include "ndr/smart_ndr.hpp"
 #include "state_compare.hpp"
 #include "test_util.hpp"
+#include "workload/generator.hpp"
 #include "workload/rng.hpp"
 
 namespace sndr::ndr {
@@ -60,7 +63,7 @@ TEST_F(StateFixture, ApplyMoveTracksIncrementalCap) {
   const int rule = 1;  // 1W2S.
   const NetExact exact = state->exact_eval(net_id, rule);
   const double before = state->total_cap();
-  state->apply_move(net_id, rule, exact);
+  state->apply_move(net_id, rule);
   EXPECT_EQ(state->rule_of(net_id), rule);
   EXPECT_NEAR(state->total_cap(),
               before + exact.cap_switched - ev.power.net_switched_cap[net_id],
@@ -75,8 +78,7 @@ TEST_F(StateFixture, IncrementalStateMatchesFreshRebuildAfterMoves) {
   RuleAssignment a = blanket;
   for (const int net_id :
        {1, f.nets.size() / 2, f.nets.size() - 2, f.nets.size() - 1}) {
-    const NetExact exact = state->exact_eval(net_id, 1);
-    state->apply_move(net_id, 1, exact);
+    state->apply_move(net_id, 1);
     a[net_id] = 1;
   }
   const FlowEvaluation ev2 = evaluate(f.cts.tree, f.design, f.tech, f.nets,
@@ -112,7 +114,7 @@ void move_root_then_deepest_leaf(const netlist::ClockTree& tree,
   ASSERT_GT(deepest, 0);
   for (const int net_id : {0, deepest}) {
     const int rule = (state.rule_of(net_id) + 1) % tech.rules.size();
-    state.apply_move(net_id, rule, state.exact_eval(net_id, rule));
+    state.apply_move(net_id, rule);
     test::expect_matches_fresh_rebuild(state);
   }
 }
@@ -201,8 +203,8 @@ TEST(StateMoves, UsageReplaysPerPathBookkeepingOverFeasibleMoves) {
     ASSERT_EQ(ok, fits && twin.check_move(net_id, rule, impact, margins))
         << "proposal " << proposal;
     if (!ok) continue;
-    state.apply_move(net_id, rule, exact);  // the memo slot itself.
-    twin.apply_move(net_id, rule, twin.exact_eval(net_id, rule));
+    state.apply_move(net_id, rule);
+    twin.apply_move(net_id, rule);
     if (d_pitch != 0.0) {
       for (const int v : net.wires) {
         ref.add(test::wire_path(f.cts.tree, v), d_pitch);
@@ -252,6 +254,147 @@ TEST_F(StateFixture, ExactEvalUsesDriverModel) {
   EXPECT_GT(root.step_slew_worst, 0.0);
   const NetExact leaf = state->exact_eval(f.nets.size() - 1, 0);
   EXPECT_GT(leaf.cap_switched, 0.0);
+}
+
+/// check_move as one loop over the sinks under the net, every constraint
+/// tested sink by sink from the state's accessors: the reference for the
+/// per-leaf-net uncertainty test. `unc_only` flags a rejection that the
+/// uncertainty bound alone made, so callers can see that test bind.
+struct RefVerdict {
+  bool ok = true;
+  bool unc_only = false;
+};
+
+RefVerdict reference_check_move(const AssignmentState& st, int net_id,
+                                int rule_idx, const NetImpact& impact,
+                                const MoveMargins& margins) {
+  const netlist::Design& d = st.design();
+  const tech::Technology& tech = st.tech();
+  const netlist::ClockConstraints& c = d.constraints;
+  const tech::RoutingRule& rule = tech.rules[rule_idx];
+  if (st.slew_at_loads(net_id, impact.step_slew) >
+      c.max_slew * (1.0 - margins.slew)) {
+    return {false, false};
+  }
+  const int driver = st.nets().nets[net_id].driver;
+  if (net_em_bound(st.summary(net_id), tech, rule, c.clock_freq) *
+          d.clock_domains.node_em_scale(driver) >
+      tech.clock_layer.em_jmax * (1.0 - margins.em)) {
+    return {false, false};
+  }
+  const double width_frac = tech.clock_layer.width_frac();
+  const double d_pitch =
+      rule.pitch_mult(width_frac) -
+      tech.rules[st.rule_of(net_id)].pitch_mult(width_frac);
+  if (d_pitch > 0.0) {
+    const netlist::RoutingFootprint& fp = st.geometry_cache().footprint();
+    for (int k = 0; k < fp.path_count(net_id); ++k) {
+      if (!st.usage().fits_steps(fp.path_steps(net_id, k), d_pitch)) {
+        return {false, false};
+      }
+    }
+  }
+  const double d_delay = impact.delay - st.net_wire_delay(net_id);
+  const std::span<const int> under = st.sinks_under(net_id);
+  const int n_sinks = static_cast<int>(d.sinks.size());
+  const double new_mean =
+      (st.latency_sum() + d_delay * static_cast<double>(under.size())) /
+      std::max(1, n_sinks);
+  const double sigma = st.net_sigma(net_id);
+  const double d_var = impact.sigma * impact.sigma - sigma * sigma;
+  const double d_xtalk = impact.xtalk - st.net_xtalk_of(net_id);
+  const double max_unc = c.max_uncertainty * (1.0 - margins.uncertainty);
+  const double win_scale = 1.0 - margins.skew;
+  bool skew_ok = true;
+  bool unc_ok = true;
+  for (const int s : under) {
+    const double lo = d.useful_skew.enabled() ? d.useful_skew.lo[s]
+                                              : -0.5 * c.max_skew;
+    const double hi =
+        d.useful_skew.enabled() ? d.useful_skew.hi[s] : 0.5 * c.max_skew;
+    const double off = st.sink_latency(s) + d_delay - new_mean;
+    if (off < lo * win_scale || off > hi * win_scale) skew_ok = false;
+    const double var = std::max(0.0, st.sink_var(s) + d_var);
+    const double unc = 3.0 * std::sqrt(var) + st.sink_xtalk(s) + d_xtalk;
+    if (unc > max_unc) unc_ok = false;
+  }
+  return {skew_ok && unc_ok, skew_ok && !unc_ok};
+}
+
+/// 2000 random proposals, each judged by check_move and by the reference
+/// under the default guard bands and under uncertainty margins that put
+/// the bound at (and halfway to) the start state's worst sink, so it
+/// binds whatever the design's own limit is. Moves the default bands
+/// accept are applied, so the path prefixes the verdicts read keep
+/// changing.
+void expect_check_move_matches_reference(const netlist::ClockTree& tree,
+                                         const netlist::Design& design,
+                                         const tech::Technology& tech,
+                                         const netlist::NetList& nets) {
+  const timing::AnalysisOptions aopt;
+  const RuleAssignment blanket = assign_all(nets, tech.rules.blanket_index());
+  AssignmentState state(tree, design, tech, nets, aopt);
+  state.rebuild(blanket, evaluate(tree, design, tech, nets, blanket, aopt,
+                                  &state.geometry_cache()));
+  double worst_unc = 0.0;
+  for (int s = 0; s < static_cast<int>(design.sinks.size()); ++s) {
+    worst_unc = std::max(worst_unc, 3.0 * std::sqrt(state.sink_var(s)) +
+                                        state.sink_xtalk(s));
+  }
+  const double at_worst = std::clamp(
+      1.0 - worst_unc / design.constraints.max_uncertainty, 0.0, 0.99);
+  const MoveMargins bands[] = {{},
+                               {0.05, at_worst, 0.05, 0.10},
+                               {0.05, 0.5 * at_worst, 0.05, 0.10}};
+  const int n_nets = nets.size();
+  const int n_rules = tech.rules.size();
+  workload::Rng rng(2026);
+  int verdicts[2] = {0, 0};
+  int unc_only = 0;
+  for (int proposal = 0; proposal < 2000; ++proposal) {
+    const int net_id = static_cast<int>(rng.uniform_int(n_nets));
+    int rule = static_cast<int>(rng.uniform_int(n_rules));
+    if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
+    const NetExact& exact = state.exact_eval(net_id, rule);
+    const NetImpact impact{exact.step_slew_worst, exact.sigma_worst,
+                           exact.xtalk_worst, exact.wire_delay_worst};
+    for (const MoveMargins& m : bands) {
+      const RefVerdict want =
+          reference_check_move(state, net_id, rule, impact, m);
+      ASSERT_EQ(state.check_move(net_id, rule, impact, m), want.ok)
+          << "proposal " << proposal << " net " << net_id << " rule "
+          << rule << " uncertainty margin " << m.uncertainty;
+      ++verdicts[want.ok ? 1 : 0];
+      unc_only += want.unc_only ? 1 : 0;
+    }
+    if (state.check_move(net_id, rule, impact, bands[0])) {
+      state.apply_move(net_id, rule);
+    }
+  }
+  EXPECT_GT(verdicts[0], 0);
+  EXPECT_GT(verdicts[1], 0);
+  EXPECT_GT(unc_only, 0);
+}
+
+TEST(CheckMove, MatchesPerSinkReferenceOnCongestedDesign) {
+  const test::Flow f = test::congested_flow();
+  expect_check_move_matches_reference(f.cts.tree, f.design, f.tech, f.nets);
+}
+
+TEST(CheckMove, MatchesPerSinkReferenceWithUsefulSkewWindows) {
+  netlist::Design d = test::small_design(256, 7);
+  workload::attach_useful_skew(d, 0.3, 10.0, 40.0);
+  const test::Flow f = test::synthesize_flow(std::move(d));
+  ASSERT_TRUE(f.design.useful_skew.enabled());
+  expect_check_move_matches_reference(f.cts.tree, f.design, f.tech, f.nets);
+}
+
+TEST(CheckMove, MatchesPerSinkReferenceOnMultiDomainScenario) {
+  const tech::Technology tech = tech::Technology::make_default_45nm();
+  const workload::DomainWorkload w =
+      test::fuzz::build(test::fuzz::make_scenario(5), tech);
+  ASSERT_TRUE(w.design.clock_domains.enabled());
+  expect_check_move_matches_reference(w.tree, w.design, tech, w.nets);
 }
 
 }  // namespace

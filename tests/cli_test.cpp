@@ -173,6 +173,30 @@ TEST(Cli, NoSmartSkipsOptimizer) {
   EXPECT_EQ(out.find("smart vs blanket"), std::string::npos) << out;
 }
 
+TEST(Cli, NoSmartEchoesOnlyArtifactsItWrote) {
+  // SPEF and SVG are views of the optimized assignment, so a run with the
+  // smart optimizer off writes neither — and must not claim it did.
+  const std::string results = path_in_scratch("results_no_smart");
+  const std::string conf = path_in_scratch("no_smart.conf");
+  std::ofstream(conf) << "smart = false\n"
+                      << "threads = 1\n"
+                      << "results_dir = " << results << "\n";
+  std::string out;
+  ASSERT_EQ(run_cli("run --design " + design_path() + " --config " + conf +
+                        " --spef x.spef --svg x.svg --csv x.csv",
+                    &out),
+            0)
+      << out;
+  EXPECT_EQ(out.find("x.spef"), std::string::npos) << out;
+  EXPECT_EQ(out.find("x.svg"), std::string::npos) << out;
+  EXPECT_FALSE(fs::exists(results + "/x.spef"));
+  EXPECT_FALSE(fs::exists(results + "/x.svg"));
+  // The table CSV is written either way, and echoed.
+  EXPECT_NE(out.find("wrote " + results + "/x.csv"), std::string::npos)
+      << out;
+  EXPECT_TRUE(fs::exists(results + "/x.csv"));
+}
+
 TEST(Cli, CliFlagsOverrideConfigFileValues) {
   const std::string results = path_in_scratch("results_override");
   const std::string conf = path_in_scratch("override.conf");

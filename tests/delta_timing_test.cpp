@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -56,12 +57,31 @@ TEST(DeltaTimer, SingleNetChangeMatchesFreshAnalysis) {
   EXPECT_EQ(dt.node_arrival(), ev2.timing.node_arrival);
   EXPECT_EQ(dt.node_slew(), ev2.timing.node_slew);
 
-  // The touched set is the changed net plus descendants, parents first.
-  const std::vector<int>& touched = dt.last_updated_nets();
+  // The touched slice is exactly the changed net plus its descendants,
+  // each net after its parent net (depth-first, so not in id order).
+  const std::span<const int> touched = dt.last_updated_nets();
   ASSERT_FALSE(touched.empty());
   EXPECT_EQ(touched.front(), net_id);
-  EXPECT_TRUE(std::is_sorted(touched.begin(), touched.end()));
+  std::vector<int> below = {net_id};
+  for (std::size_t head = 0; head < below.size(); ++head) {
+    for (const int load : f.nets.nets[below[head]].loads) {
+      const int child = f.nets.net_driven[load];
+      if (child >= 0) below.push_back(child);
+    }
+  }
+  std::vector<int> got(touched.begin(), touched.end());
+  std::sort(got.begin(), got.end());
+  std::sort(below.begin(), below.end());
+  EXPECT_EQ(got, below);
+  for (std::size_t i = 1; i < touched.size(); ++i) {
+    const int parent = f.nets.net_of_edge[f.nets.nets[touched[i]].driver];
+    EXPECT_NE(std::find(touched.begin(), touched.begin() + i, parent),
+              touched.begin() + i)
+        << "net " << touched[i] << " before its parent " << parent;
+  }
   EXPECT_LT(static_cast<int>(touched.size()), f.nets.size());
+  EXPECT_TRUE(std::equal(touched.begin(), touched.end(),
+                         dt.subtree(net_id).begin(), dt.subtree(net_id).end()));
 }
 
 TEST(DeltaTimer, RootNetChangeReachesEverySink) {
@@ -193,7 +213,7 @@ TEST(DeltaTimerSeed, ReportSeededStateStaysEqualOverFeasibleMoves) {
     const NetImpact impact{exact.step_slew_worst, exact.sigma_worst,
                            exact.xtalk_worst, exact.wire_delay_worst};
     if (!state.check_move(net_id, rule, impact, margins)) continue;
-    state.apply_move(net_id, rule, exact);
+    state.apply_move(net_id, rule);
     if (++applied % 250 == 0) {
       SCOPED_TRACE("after " + std::to_string(applied) + " moves");
       test::expect_matches_fresh_rebuild(state);
@@ -219,7 +239,7 @@ TEST(DeltaTimingChurn, RandomMovesStayBitwiseIdenticalToRebuild) {
     const int net_id = static_cast<int>(rng.uniform_int(n_nets));
     int rule = static_cast<int>(rng.uniform_int(n_rules));
     if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
-    state.apply_move(net_id, rule, state.exact_eval(net_id, rule));
+    state.apply_move(net_id, rule);
     test::expect_matches_fresh_rebuild(state);
   }
 }
@@ -281,7 +301,7 @@ TEST(DeltaTimingChurn, CongestedCheckMoveMatchesFreshRebuild) {
     }
 
     // Churn through rejected moves too, so usage keeps moving both ways.
-    state.apply_move(net_id, rule, exact);
+    state.apply_move(net_id, rule);
     a[net_id] = rule;
   }
   EXPECT_GT(verdicts[0], 0);
@@ -315,7 +335,7 @@ TEST(DeltaTimingChurn, ChurnIsThreadCountInvariant) {
       const int net_id = static_cast<int>(rng.uniform_int(n_nets));
       int rule = static_cast<int>(rng.uniform_int(n_rules));
       if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
-      state.apply_move(net_id, rule, state.exact_eval(net_id, rule));
+      state.apply_move(net_id, rule);
     }
     test::StateSnapshot s = test::snapshot(state);
     common::set_thread_count(-1);

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -15,6 +18,7 @@
 #include "ndr/smart_ndr.hpp"
 #include "tech/corners.hpp"
 #include "test_util.hpp"
+#include "timing/tree_timing.hpp"
 #include "timing/variation.hpp"
 
 namespace sndr::ndr {
@@ -193,6 +197,97 @@ TEST(NetBatch, WarmRowsBitwiseMatchLazyEvalAtAnyThreadCount) {
             static_cast<std::int64_t>(n_nets) * R);
   EXPECT_EQ(warmed.exact_cache_misses(), n_nets);  // warm rows never refill.
   common::set_thread_count(-1);
+}
+
+/// Every stored per-load moment pair equals RcTree::moments over a scalar
+/// materialize of the net under the rule, at the state's driver
+/// resistance and timing Miller factor — bitwise.
+void expect_load_moments_match_scalar(const AssignmentState& state) {
+  const timing::AnalysisOptions& aopt = state.analysis();
+  extract::NetParasitics par;
+  extract::RcMoments m;
+  for (const netlist::Net& net : state.nets().nets) {
+    const double dres =
+        timing::net_driver_res(state.tree(), state.tech(), net, aopt);
+    for (int r = 0; r < state.tech().rules.size(); ++r) {
+      extract::materialize(state.geometry_cache().geometry(net.id),
+                           state.tech(), state.tech().rules[r], par);
+      par.rc.moments(dres, aopt.timing_miller, m);
+      const std::span<const double> got = state.load_moments(net.id, r);
+      ASSERT_EQ(got.size(), 2 * net.loads.size());
+      for (std::size_t li = 0; li < net.loads.size(); ++li) {
+        const int rc = par.load_rc_index[li];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[2 * li]),
+                  std::bit_cast<std::uint64_t>(m.m1[rc]))
+            << "net " << net.id << " rule " << r << " load " << li;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[2 * li + 1]),
+                  std::bit_cast<std::uint64_t>(m.m2[rc]))
+            << "net " << net.id << " rule " << r << " load " << li;
+      }
+    }
+  }
+}
+
+void check_load_moments(const test::Flow& f) {
+  const RuleAssignment blanket =
+      assign_all(f.nets, f.tech.rules.blanket_index());
+  for (const double miller : {1.0, 1.3}) {
+    timing::AnalysisOptions aopt;
+    aopt.timing_miller = miller;
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << "miller=" << miller << " threads=" << threads);
+      common::set_thread_count(threads);
+      AssignmentState state(f.cts.tree, f.design, f.tech, f.nets, aopt);
+      const FlowEvaluation ev =
+          evaluate(f.cts.tree, f.design, f.tech, f.nets, blanket, aopt,
+                   &state.geometry_cache());
+      state.rebuild(blanket, ev);
+      state.warm_all_rows();  // parallel cross-net row fills.
+      const std::int64_t misses = state.exact_cache_misses();
+      expect_load_moments_match_scalar(state);
+      EXPECT_EQ(state.exact_cache_misses(), misses);  // warm reads only.
+
+      // Transplanted rows carry their moments along.
+      MemoSnapshot snap;
+      state.export_memo(snap);
+      AssignmentState twin(f.cts.tree, f.design, f.tech, f.nets, aopt,
+                           &state.geometry_cache());
+      twin.rebuild(blanket, ev);
+      EXPECT_EQ(twin.import_memo(snap), f.nets.size());
+      expect_load_moments_match_scalar(twin);
+      EXPECT_EQ(twin.exact_cache_misses(), 0);
+      if (::testing::Test::HasFatalFailure()) break;
+    }
+  }
+  common::set_thread_count(-1);
+}
+
+TEST(LoadMoments, MatchScalarMomentsOnCongestedDesign) {
+  check_load_moments(test::congested_flow());
+}
+
+TEST(LoadMoments, MatchScalarMomentsOn3000Sinks) {
+  check_load_moments(test::small_flow(3000, 9));
+}
+
+TEST(LoadMoments, ImportRejectsSnapshotOfAnotherMillerFactor) {
+  // The stored moments are solved at the state's timing Miller factor, so
+  // a snapshot from a state timed at another factor transplants nothing.
+  const test::Flow f = test::small_flow(96, 23);
+  timing::AnalysisOptions a1;
+  timing::AnalysisOptions a13;
+  a13.timing_miller = 1.3;
+  AssignmentState donor(f.cts.tree, f.design, f.tech, f.nets, a1);
+  donor.warm_all_rows();
+  MemoSnapshot snap;
+  donor.export_memo(snap);
+  AssignmentState other(f.cts.tree, f.design, f.tech, f.nets, a13,
+                        &donor.geometry_cache());
+  EXPECT_EQ(other.import_memo(snap), 0);
+  AssignmentState same(f.cts.tree, f.design, f.tech, f.nets, a1,
+                       &donor.geometry_cache());
+  EXPECT_EQ(same.import_memo(snap), f.nets.size());
 }
 
 }  // namespace

@@ -205,7 +205,7 @@ TEST(ScenarioFuzz, AnnealCheckpointResumeBitwise) {
 void replay_to(ndr::AssignmentState& state, const ndr::RuleAssignment& target) {
   for (int id = static_cast<int>(target.size()) - 1; id >= 0; --id) {
     const int r = target[static_cast<std::size_t>(id)];
-    if (r != state.rule_of(id)) state.apply_move(id, r, state.exact_eval(id, r));
+    if (r != state.rule_of(id)) state.apply_move(id, r);
   }
 }
 

@@ -354,9 +354,12 @@ int cmd_run(const Args& args, int argc, char** argv) {
                       ? "corners: feasible at every corner\n"
                       : "corners: INFEASIBLE at some corner\n");
   }
+  // The report stage writes the SPEF and SVG views of the optimized
+  // assignment only when the smart optimizer ran.
+  const std::string none;
   for (const std::string& out :
-       {cfg.spef_out, cfg.svg_out, cfg.csv_out, cfg.metrics_out,
-        cfg.trace_out}) {
+       {result.smart ? cfg.spef_out : none, result.smart ? cfg.svg_out : none,
+        cfg.csv_out, cfg.metrics_out, cfg.trace_out}) {
     if (!out.empty()) std::cout << "wrote " << cfg.output_path(out) << "\n";
   }
   return result.feasible ? 0 : 1;
