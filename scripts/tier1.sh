@@ -8,9 +8,13 @@
 # under a byte budget) and the delta timer's depth-first net slices and
 # the search memo's per-load moment offsets, then an
 # UndefinedBehaviorSanitizer build running
-# the flow/io layers (parsers and typed error boundaries).
+# the flow/io layers (parsers and typed error boundaries). The memo-fed
+# signoff tests (per-load term offsets, rows filled on 8 threads and read
+# by concurrent signoff passes) run under both TSan and ASan.
 # A CLI identity leg checks `sndr run` stdout and the --spef file across
-# lane counts, memory budgets, anneal, margins and corners. A DSE leg
+# lane counts, memory budgets, anneal, margins, corners and the naive
+# full-STA scoring (a lent search state signed off from its memo, next to
+# per-candidate full evaluations). A DSE leg
 # checks that a sweep's artifacts do not depend on the lane count, and the
 # ASan leg also runs the durable-file parser tests.
 # Run from anywhere inside the repo.
@@ -50,6 +54,11 @@ margins=(--anneal 4000 --uncertainty-margin 0.08 --skew-margin 0.15
   --power-weight 0.5)
 run --threads 1 "${margins[@]}" >"$work/margins1.txt"
 run --threads "$(nproc)" "${margins[@]}" >"$work/marginsN.txt"
+# Full-STA scoring: every candidate re-extracts, the search's own signoffs
+# and the anneal read the one lent state's memo rows.
+run --threads 1 --anneal 2000 --scoring full_sta >"$work/fullsta1.txt"
+run --threads "$(nproc)" --anneal 2000 --scoring full_sta \
+  >"$work/fullstaN.txt"
 # Corner signoff: derated-corner lanes of one batched materialize per net,
 # under parallel_for; under a tight budget the corners' routing usage reads
 # the budgeted cache's always-resident routing footprint.
@@ -68,6 +77,7 @@ cmp "$work/t1.txt" "$work/budget.txt"
 cmp "$work/anneal1.txt" "$work/annealN.txt"
 cmp "$work/anneal1.txt" "$work/annealNbudget.txt"
 cmp "$work/margins1.txt" "$work/marginsN.txt"
+cmp "$work/fullsta1.txt" "$work/fullstaN.txt"
 cmp "$work/corners1.txt" "$work/cornersN.txt"
 cmp "$work/corners1.txt" "$work/cornersNbudget.txt"
 cmp "$work/spef1.spef" "$work/spefN.spef"
@@ -99,7 +109,7 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
   --target obs_test --target manifest_golden_test --target flow_test \
   --target delta_timing_test --target net_batch_test \
   --target scenario_fuzz_test --target serve_test --target dse_test \
-  --target batch_kernel_test
+  --target batch_kernel_test --target memo_signoff_test
 "$repo/build-tsan/tests/parallel_test"
 "$repo/build-tsan/tests/obs_test"
 "$repo/build-tsan/tests/manifest_golden_test"
@@ -117,6 +127,9 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
 # net_batch_test also fills per-load moment rows on 8 threads.
 "$repo/build-tsan/tests/delta_timing_test"
 "$repo/build-tsan/tests/net_batch_test"
+# Memo-fed signoff: rows prefetched on 8 threads, then read by the
+# concurrent power / EM / usage passes; and the lent-state handoff.
+"$repo/build-tsan/tests/memo_signoff_test"
 # Corner signoff's batched materialize and memo-row fills at 1 vs 8 threads.
 "$repo/build-tsan/tests/batch_kernel_test"
 # Property fuzz at reduced depth: every scenario runs the 1-vs-8-thread
@@ -135,7 +148,7 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
   --target scenario_fuzz_test --target assignment_state_test \
   --target pairwise_sum_test --target refine_test --target checkpoint_test \
   --target dse_test --target netlist_test --target route_test \
-  --target delta_timing_test
+  --target delta_timing_test --target memo_signoff_test
 "$repo/build-asan/tests/extract_test"
 "$repo/build-asan/tests/extract_cache_test"
 # Skew refinement: per-net cache refresh and re-materialization into
@@ -158,6 +171,9 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
 # Delta timing: the depth-first net slice, the flattened per-load arrays
 # and the per-load moment offsets every accepted move reads from the memo.
 "$repo/build-asan/tests/delta_timing_test"
+# Memo-fed signoff: the per-load term CSR (moments, sigmas, crosstalk per
+# (net, rule) block) read by every whole-tree pass, also under a budget.
+"$repo/build-asan/tests/memo_signoff_test"
 # Routing footprint: raw-offset CSR indexing (net -> wire paths -> steps)
 # and the allocation-free per-cell demand scan of fits_steps.
 "$repo/build-asan/tests/netlist_test"

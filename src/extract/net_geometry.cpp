@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/parallel.hpp"
+#include "extract/batch.hpp"
 #include "geom/segment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -175,8 +176,20 @@ GeometryCache::GeometryCache(const ClockTree& tree,
   }
 }
 
+GeometryCache::~GeometryCache() = default;
+
+const NetShapeBuckets& GeometryCache::shape_buckets() const {
+  std::lock_guard<std::mutex> lock(buckets_mu_);
+  if (buckets_ == nullptr) {
+    buckets_ = std::make_unique<const NetShapeBuckets>(
+        bucket_nets_by_shape(*this));
+  }
+  return *buckets_;
+}
+
 void GeometryCache::invalidate() {
   SNDR_COUNTER_ADD("extract.geometry.invalidations", 1);
+  buckets_.reset();
   if (!budgeted()) {
     build_all();
   } else {

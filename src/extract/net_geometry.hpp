@@ -24,12 +24,15 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "extract/extractor.hpp"
 
 namespace sndr::extract {
+
+struct NetShapeBuckets;  // batch.hpp
 
 /// Flattened rule-independent geometry of one net. RC piece i becomes RC
 /// node i + 1 (node 0 is the driver), in the exact order extract_net
@@ -137,6 +140,7 @@ class GeometryCache {
   GeometryCache(const netlist::ClockTree& tree, const netlist::Design& design,
                 const netlist::NetList& nets, std::size_t budget_bytes,
                 ExtractOptions options);
+  ~GeometryCache();
 
   /// RAII access handle: keeps the entry resident (budgeted mode) for the
   /// handle's lifetime. In unbounded mode this is a plain pointer with no
@@ -197,9 +201,18 @@ class GeometryCache {
   /// capacity checks and net summaries read it on every call.
   const netlist::RoutingFootprint& footprint() const { return footprint_; }
 
-  /// Drops every cached geometry and re-records the footprint (call after
-  /// a tree edit or congestion change). Unbounded: eager re-walk.
-  /// Budgeted: entries rebuild lazily; no pin may be outstanding.
+  /// Every net bucketed by geometry shape (bucket_nets_by_shape), computed
+  /// on the first call and kept until invalidate(): the batched row fills
+  /// and predictor labelling all plan from this one partition. Thread-safe
+  /// (concurrent first callers wait for one computation). A budgeted cache
+  /// pins each geometry once here, on first use, never at construction. A
+  /// buffer resize (refresh_load_cells) leaves every shape as it is.
+  const NetShapeBuckets& shape_buckets() const;
+
+  /// Drops every cached geometry and the shape buckets, and re-records the
+  /// footprint (call after a tree edit or congestion change). Unbounded:
+  /// eager re-walk. Budgeted: entries rebuild lazily; no pin may be
+  /// outstanding.
   void invalidate();
 
   /// Re-reads the buffer cells of `net_id`'s loads from the tree (call
@@ -249,6 +262,8 @@ class GeometryCache {
   ExtractOptions options_;
   std::size_t budget_bytes_ = 0;
   netlist::RoutingFootprint footprint_;
+  mutable std::mutex buckets_mu_;
+  mutable std::unique_ptr<const NetShapeBuckets> buckets_;
 
   // Unbounded mode.
   std::vector<NetGeometry> geoms_;

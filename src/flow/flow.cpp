@@ -2,11 +2,13 @@
 
 #include <chrono>
 #include <filesystem>
+#include <optional>
 
 #include "cts/refine.hpp"
 #include "flow/checkpoint.hpp"
 #include "io/spef.hpp"
 #include "io/svg.hpp"
+#include "ndr/assignment_state.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "route/congestion_route.hpp"
@@ -172,13 +174,26 @@ common::Result<FlowResult> Flow::run() {
   const extract::GeometryCache* geometry = session_.geometry();
 
   // One search context for both stages: the config's guard bands, the
-  // session's cancel token, and its geometry (the route stage's or the
-  // DSE donor's) and memo transplant (DSE) — value-neutral channels.
+  // session's cancel token, its geometry (the route stage's or the DSE
+  // donor's) and the flow's one search state — value-neutral channels.
   ndr::SearchContext search = config.search_context();
   search.cancel = session_.cancel_token();
   search.geometry = geometry;
-  search.memo_in = session_.reuse().memo_in;
-  search.memo_out = session_.reuse().memo_out;
+
+  // The flow's one search state: built in the optimize stage, lent to
+  // greedy and then to the annealer, and dropped by the last search's
+  // stage (or on return; no result keeps it). The binding routes whatever
+  // it flushes on destruction, a cancelled search's counts included, to
+  // this run's scope.
+  obs::ScopeBinding state_binding(session_.obs_scope());
+  std::optional<ndr::AssignmentState> state;
+  // The last search hands the state's warm rows to the next DSE point.
+  const auto retire_state = [&] {
+    if (session_.reuse().memo_out != nullptr) {
+      state->export_memo(*session_.reuse().memo_out);
+    }
+    state.reset();
+  };
 
   common::Status s = stage("optimize", [&] {
     // The all-default / blanket-NDR rows are diagnostics: they never feed
@@ -198,10 +213,16 @@ common::Result<FlowResult> Flow::run() {
       add_eval_row(result.table, "blanket-NDR", result.blanket_eval);
     }
     if (config.smart) {
+      state.emplace(tree, design, tech, nets, timing::AnalysisOptions{},
+                    geometry);
+      // DSE memo transplant: rows are adopted only where the per-net
+      // context guard holds, so they are bitwise what a cold fill gives.
+      if (session_.reuse().memo_in != nullptr) {
+        state->import_memo(*session_.reuse().memo_in);
+      }
+      search.state = &*state;
       ndr::OptimizerOptions o = config.optimizer_options();
       o.search = search;
-      // The last search harvests the warm rows: the annealer, when on.
-      if (config.anneal_iterations > 0) o.search.memo_out = nullptr;
       o.shared_predictor = session_.world().predictor;
       if (!config.warm_start.empty()) {
         // Warm start is part of the config: the seed file is named by a
@@ -220,6 +241,7 @@ common::Result<FlowResult> Flow::run() {
       }
       result.smart = ndr::optimize_smart_ndr(tree, design, tech, nets, o);
       add_eval_row(result.table, "smart-NDR", result.smart->final_eval);
+      if (config.anneal_iterations == 0) retire_state();
     }
     return common::Status::Ok();
   });
@@ -249,11 +271,14 @@ common::Result<FlowResult> Flow::run() {
           }
         };
       }
-      // A fresh anneal starts from greedy's result, already signed off.
+      // A fresh anneal starts from greedy's result, already signed off; a
+      // resumed one signs off the checkpoint's assignment itself. Either
+      // way it reseeds greedy's state.
       if (!a.resume) a.search.start_eval = &result.smart->final_eval;
       result.anneal = ndr::anneal_rules(tree, design, tech, nets,
                                         result.smart->assignment, a);
       add_eval_row(result.table, "smart+anneal", result.anneal->final_eval);
+      retire_state();
       return common::Status::Ok();
     });
     if (!s.ok()) return s;

@@ -30,6 +30,10 @@
 #include "obs/scope.hpp"
 #include "tech/technology.hpp"
 
+namespace sndr::ndr {
+struct MemoSnapshot;  // assignment_state.hpp
+}  // namespace sndr::ndr
+
 namespace sndr::flow {
 
 /// Cross-session reuse hooks (the DSE sweep's channel). Everything here is
@@ -37,7 +41,9 @@ namespace sndr::flow {
 /// to one without. `geometry` borrows another session's GeometryCache (a
 /// pure function of the tree); `memo_in`/`memo_out` transplant exact-eval
 /// memo rows under the per-net context guard
-/// (ndr::AssignmentState::import_memo). All pointers are borrowed and must
+/// (ndr::AssignmentState::import_memo): the flow's one search state adopts
+/// `memo_in` when it is built and exports into `memo_out` after the last
+/// search. All pointers are borrowed and must
 /// outlive the flow run.
 struct ReuseHooks {
   const extract::GeometryCache* geometry = nullptr;

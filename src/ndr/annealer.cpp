@@ -1,6 +1,7 @@
 #include "ndr/annealer.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "ndr/assignment_state.hpp"
@@ -21,10 +22,15 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
 
   const SearchContext& search = options.search;
   common::CancelBinding cancel_binding(search.cancel);
-  AssignmentState state(tree, design, tech, nets, {}, search.geometry);
-  // The start and final full evaluations share the state's geometry cache:
-  // the tree and congestion map are fixed, only rules move.
-  const extract::GeometryCache* geometry = &state.geometry_cache();
+  // Adopt the lent state (the flow's, warm from greedy) or build one. The
+  // rebuild below reseeds either from the boot evaluation, so the
+  // trajectory is bitwise that of a fresh state.
+  std::optional<AssignmentState> own_state;
+  AssignmentState& state =
+      search.state != nullptr
+          ? *search.state
+          : own_state.emplace(tree, design, tech, nets,
+                              timing::AnalysisOptions{}, search.geometry);
   // Resume continues from the snapshot's assignment; `start` is still the
   // fallback the uninterrupted run would have kept.
   const bool resuming = options.resume.has_value();
@@ -36,17 +42,18 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
     throw std::invalid_argument(
         "anneal_rules: start_eval is not of the start assignment");
   }
+  // Every evaluation here is signed off from the state's memo rows.
   FlowEvaluation ev;
   const FlowEvaluation* boot_eval = resuming ? nullptr : start_eval;
   if (boot_eval == nullptr) {
-    ev = evaluate(tree, design, tech, nets, boot, {}, geometry);
+    ev = evaluate(state, boot);
     boot_eval = &ev;
   }
   state.rebuild(boot, *boot_eval);
-  // Memo transplant (DSE reuse), after the rebuild settles every net's
-  // context stamp: value-neutral by the guard in import_memo, so the
-  // trajectory is exactly the one a cold run would take.
-  if (search.memo_in != nullptr) state.import_memo(*search.memo_in);
+  // The result's cache counters are this search's from here on (a lent
+  // state arrives with greedy's).
+  const std::int64_t hits0 = state.exact_cache_hits();
+  const std::int64_t misses0 = state.exact_cache_misses();
   bool start_feasible;
   if (resuming) {
     result.start_cap = options.resume->start_cap;
@@ -191,25 +198,19 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
 
   // Verify the best assignment exactly; fall back to the input if it does
   // not hold up (or if the input itself was infeasible, report honestly).
-  ev = evaluate(tree, design, tech, nets, best, {}, geometry);
+  ev = evaluate(state, best);
   if (ev.feasible() || !start_feasible) {
     result.assignment = best;
     result.final_eval = std::move(ev);
   } else {
     result.assignment = start;
-    result.final_eval = start_eval != nullptr
-                            ? *start_eval
-                            : evaluate(tree, design, tech, nets, start, {},
-                                       geometry);
+    result.final_eval =
+        start_eval != nullptr ? *start_eval : evaluate(state, start);
   }
   result.end_cap = result.final_eval.power.weighted_switched_cap;
-  result.exact_cache_hits = state.exact_cache_hits();
-  result.exact_cache_misses = state.exact_cache_misses();
+  result.exact_cache_hits = state.exact_cache_hits() - hits0;
+  result.exact_cache_misses = state.exact_cache_misses() - misses0;
   state.flush_metrics();
-  // Harvest the search's warm rows for the next DSE point (last writer in
-  // the greedy→anneal sequence, so the donated rows reflect the final
-  // context stamps).
-  if (search.memo_out != nullptr) state.export_memo(*search.memo_out);
   SNDR_COUNTER_ADD("anneal.proposed", result.proposed);
   SNDR_COUNTER_ADD("anneal.accepted", result.accepted);
   SNDR_COUNTER_ADD("anneal.rejected", result.rejected);

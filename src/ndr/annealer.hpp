@@ -13,10 +13,11 @@
 // accepted with the Metropolis criterion on a geometric cooling schedule.
 // Infeasible moves are never accepted, so every intermediate state remains
 // signoff-clean under the guard bands. The incremental state is bitwise
-// equal to a full analysis (AssignmentState::apply_move), so the loop runs
-// whole-tree extraction and timing only on the start assignment (unless
-// the caller hands in its evaluation, SearchContext::start_eval) and on the
-// final best one, which a full evaluation verifies.
+// equal to a full analysis (AssignmentState::apply_move), so the loop signs
+// off whole-tree timing only on the start assignment (unless the caller
+// hands in its evaluation, SearchContext::start_eval) and on the final best
+// one, both read from the state's memo rows (evaluate(state, ...)). In a
+// flow the state is the one greedy worked on (SearchContext::state).
 #pragma once
 
 #include <cstdint>
@@ -99,7 +100,8 @@ struct AnnealResult {
   double start_cap = 0.0;  ///< F, activity-weighted switched cap at start.
   double end_cap = 0.0;    ///< F, activity-weighted (== raw w/o domains).
 
-  /// exact_eval memo-cache counters (the annealer's dominant cost).
+  /// exact_eval memo-cache counters (the annealer's dominant cost), from
+  /// the reseed on: a boot evaluation's row fills are not counted here.
   std::int64_t exact_cache_hits = 0;
   std::int64_t exact_cache_misses = 0;
   double exact_cache_hit_rate() const {

@@ -13,14 +13,14 @@ namespace sndr::ndr {
 namespace {
 
 /// Copies net `id`'s memo row between two memos of one shape: its
-/// `n_rules` NetExact entries and its moment block [off[id], off[id + 1]).
+/// `n_rules` NetExact entries and its load-term block [off[id], off[id + 1]).
 void copy_memo_row(int id, int n_rules, const std::vector<std::size_t>& off,
-                   const NetExact* from_rows, const double* from_moments,
-                   NetExact* to_rows, double* to_moments) {
+                   const NetExact* from_rows, const double* from_terms,
+                   NetExact* to_rows, double* to_terms) {
   const std::size_t first = static_cast<std::size_t>(id) * n_rules;
   std::copy_n(from_rows + first, n_rules, to_rows + first);
-  std::copy(from_moments + off[id], from_moments + off[id + 1],
-            to_moments + off[id]);
+  std::copy(from_terms + off[id], from_terms + off[id + 1],
+            to_terms + off[id]);
 }
 
 }  // namespace
@@ -43,6 +43,7 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
       geometry_(shared_geometry ? shared_geometry : geometry_own_.get()),
       delta_(tree, design, tech, nets, analysis),
       usage_(&design.congestion) {
+  SNDR_COUNTER_ADD("ndr.search_states", 1);
   const int n_nets = nets.size();
   const int n_sinks = static_cast<int>(design.sinks.size());
 
@@ -101,13 +102,13 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
   n_rules_ = tech.rules.size();
   exact_cache_.resize(static_cast<std::size_t>(n_nets) *
                       static_cast<std::size_t>(n_rules_));
-  moment_off_.assign(static_cast<std::size_t>(n_nets) + 1, 0);
+  term_off_.assign(static_cast<std::size_t>(n_nets) + 1, 0);
   for (const netlist::Net& net : nets.nets) {
-    moment_off_[net.id + 1] = moment_off_[net.id] +
-                              2 * static_cast<std::size_t>(n_rules_) *
-                                  net.loads.size();
+    term_off_[net.id + 1] = term_off_[net.id] +
+                            kLoadTerms * static_cast<std::size_t>(n_rules_) *
+                                net.loads.size();
   }
-  moments_.resize(moment_off_.back());
+  load_terms_.resize(term_off_.back());
   row_gen_.assign(n_nets, 0);
   ctx_gen_.assign(n_nets, 1);
 
@@ -129,9 +130,9 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
                        : 0.4 * tech.buffers[drv.cell].intrinsic_delay;
   }
 
-  shape_buckets_ = extract::bucket_nets_by_shape(*geometry_);
-  SNDR_GAUGE_SET("extract.net_batch.buckets",
-                 static_cast<double>(shape_buckets_.groups.size()));
+  SNDR_GAUGE_SET(
+      "extract.net_batch.buckets",
+      static_cast<double>(geometry_->shape_buckets().groups.size()));
 }
 
 void AssignmentState::flush_metrics() const {
@@ -319,7 +320,7 @@ void AssignmentState::warm_rows(const std::vector<int>& net_ids) const {
   if (cold.empty()) return;
 
   const std::vector<std::vector<int>> batches =
-      extract::plan_net_batches(shape_buckets_, cold, n_rules_);
+      extract::plan_net_batches(geometry_->shape_buckets(), cold, n_rules_);
 
   // Each batch fills the memo rows of disjoint nets, so workers never
   // touch the same cache slot; values are bitwise equal to the lazy
@@ -347,8 +348,8 @@ void AssignmentState::warm_all_rows() const {
 }
 
 void MemoSnapshot::copy_row(const MemoSnapshot& from, int id) {
-  copy_memo_row(id, n_rules, moment_off, from.rows.data(),
-                from.moments.data(), rows.data(), moments.data());
+  copy_memo_row(id, n_rules, term_off, from.rows.data(),
+                from.load_terms.data(), rows.data(), load_terms.data());
   driver_res[id] = from.driver_res[id];
   row_warm[id] = 1;
 }
@@ -360,13 +361,13 @@ void AssignmentState::export_memo(MemoSnapshot& out) const {
   out.driver_res.assign(n_nets, 0.0);
   out.row_warm.assign(n_nets, 0);
   out.rows.assign(exact_cache_.size(), NetExact{});
-  out.moment_off = moment_off_;
-  out.moments.assign(moments_.size(), 0.0);
+  out.term_off = term_off_;
+  out.load_terms.assign(load_terms_.size(), 0.0);
   for (int id = 0; id < n_nets; ++id) {
     out.driver_res[id] = nets_state_[id].summary.driver_res;
     if (!row_warm(id)) continue;
-    copy_memo_row(id, n_rules_, moment_off_, exact_cache_.data(),
-                  moments_.data(), out.rows.data(), out.moments.data());
+    copy_memo_row(id, n_rules_, term_off_, exact_cache_.data(),
+                  load_terms_.data(), out.rows.data(), out.load_terms.data());
     out.row_warm[id] = 1;
   }
 }
@@ -375,7 +376,7 @@ int AssignmentState::import_memo(const MemoSnapshot& in) {
   const int n_nets = nets_->size();
   if (in.n_rules != n_rules_ || in.timing_miller != analysis_.timing_miller ||
       in.driver_res.size() != static_cast<std::size_t>(n_nets) ||
-      in.moment_off != moment_off_) {
+      in.term_off != term_off_) {
     return 0;  // different search shape; nothing transplantable.
   }
   int adopted = 0;
@@ -386,8 +387,9 @@ int AssignmentState::import_memo(const MemoSnapshot& in) {
     // cold eval here would produce (value-neutral).
     if (in.driver_res[id] != nets_state_[id].summary.driver_res) continue;
     if (row_warm(id)) continue;
-    copy_memo_row(id, n_rules_, moment_off_, in.rows.data(),
-                  in.moments.data(), exact_cache_.data(), moments_.data());
+    copy_memo_row(id, n_rules_, term_off_, in.rows.data(),
+                  in.load_terms.data(), exact_cache_.data(),
+                  load_terms_.data());
     row_gen_[id] = ctx_gen_[id];
     ++adopted;
   }
@@ -414,12 +416,34 @@ const NetExact& AssignmentState::exact_eval(int net_id, int rule_idx) const {
   return exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
 }
 
+const NetExact& AssignmentState::signoff_row(int net_id, int rule_idx) const {
+  ensure_row(net_id);
+  return exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
+}
+
+const double* AssignmentState::load_block(int net_id, int rule_idx) const {
+  ensure_row(net_id);
+  return load_terms_.data() + term_off_[net_id] +
+         static_cast<std::size_t>(rule_idx) * kLoadTerms *
+             nets_->nets[net_id].loads.size();
+}
+
 std::span<const double> AssignmentState::load_moments(int net_id,
                                                       int rule_idx) const {
-  ensure_row(net_id);
-  const std::size_t n = 2 * nets_->nets[net_id].loads.size();
-  return std::span<const double>(moments_).subspan(
-      moment_off_[net_id] + static_cast<std::size_t>(rule_idx) * n, n);
+  return {load_block(net_id, rule_idx),
+          2 * nets_->nets[net_id].loads.size()};
+}
+
+std::span<const double> AssignmentState::load_sigma(int net_id,
+                                                    int rule_idx) const {
+  const std::size_t n = nets_->nets[net_id].loads.size();
+  return {load_block(net_id, rule_idx) + 2 * n, n};
+}
+
+std::span<const double> AssignmentState::load_xtalk(int net_id,
+                                                    int rule_idx) const {
+  const std::size_t n = nets_->nets[net_id].loads.size();
+  return {load_block(net_id, rule_idx) + 3 * n, n};
 }
 
 void AssignmentState::fill_rows(const int* ids, int n) const {
@@ -427,8 +451,8 @@ void AssignmentState::fill_rows(const int* ids, int n) const {
   thread_local std::vector<const extract::NetGeometry*> geoms;
   thread_local std::vector<double> dres;
   thread_local std::vector<NetExact> out;
-  thread_local std::vector<double> m12;
-  // The whole batch stays pinned until its moments are stored (budgeted
+  thread_local std::vector<double> terms;
+  // The whole batch stays pinned until its load terms are stored (budgeted
   // geometry caches evict only unpinned entries).
   thread_local std::vector<extract::GeometryCache::Pinned> pins;
   geoms.resize(static_cast<std::size_t>(n));
@@ -439,29 +463,32 @@ void AssignmentState::fill_rows(const int* ids, int n) const {
     geoms[i] = pins.back().get();
     dres[i] = nets_state_[ids[i]].summary.driver_res;
   }
-  // Batches are same-shaped, so every net's moment block has one size.
-  const std::size_t block = moment_off_[ids[0] + 1] - moment_off_[ids[0]];
-  // The batch kernel solves its moments at Miller 1.0, which is what every
-  // production search times with; any other Miller factor solves the
-  // stored moments per rule with the scalar kernels instead.
-  const bool batch_moments = analysis_.timing_miller == 1.0;
-  m12.resize(static_cast<std::size_t>(n) * block);
+  // Batches are same-shaped, so every net's block has one size.
+  const std::size_t block = term_off_[ids[0] + 1] - term_off_[ids[0]];
+  terms.resize(static_cast<std::size_t>(n) * block);
   evaluate_nets_exact_all_rules(geoms.data(), dres.data(), n, *tech_,
                                 design_->constraints.clock_freq, arena,
-                                out.data(),
-                                batch_moments ? m12.data() : nullptr);
-  if (!batch_moments) {
+                                out.data(), terms.data());
+  // The batch kernel solves its moments at Miller 1.0, which is what every
+  // production search times with. Any other Miller factor re-solves each
+  // rule's moments with the scalar kernels, and the row's moment-derived
+  // scalars follow them, so the row is one Miller factor throughout.
+  if (analysis_.timing_miller != 1.0) {
     thread_local extract::NetParasitics par;
     thread_local extract::RcMoments mom;
+    const std::size_t rule_block = block / n_rules_;
     for (int i = 0; i < n; ++i) {
-      double* dst = m12.data() + static_cast<std::size_t>(i) * block;
       for (int r = 0; r < n_rules_; ++r) {
+        double* m12 = terms.data() + i * block + r * rule_block;
         extract::materialize(*geoms[i], *tech_, tech_->rules[r], par);
         par.rc.moments(dres[i], analysis_.timing_miller, mom);
-        for (const int rc : par.load_rc_index) {
-          *dst++ = mom.m1[rc];
-          *dst++ = mom.m2[rc];
+        for (std::size_t li = 0; li < par.load_rc_index.size(); ++li) {
+          m12[2 * li] = mom.m1[par.load_rc_index[li]];
+          m12[2 * li + 1] = mom.m2[par.load_rc_index[li]];
         }
+        NetExact& e = out[static_cast<std::size_t>(i) * n_rules_ + r];
+        scan_load_moments(m12, static_cast<int>(par.load_rc_index.size()), e);
+        e.driver_load = mom.down[0];
       }
     }
   }
@@ -479,8 +506,8 @@ void AssignmentState::fill_rows(const int* ids, int n) const {
       // the single-domain world bit-identical.
       e.em_peak *= net_em_scale_[id];
     }
-    std::copy_n(m12.data() + i * block, block,
-                moments_.data() + moment_off_[id]);
+    std::copy_n(terms.data() + i * block, block,
+                load_terms_.data() + term_off_[id]);
     row_gen_[id] = ctx_gen_[id];
   }
 }

@@ -10,6 +10,14 @@
 // Callers seed it with rebuild() from a full evaluation (at search start and
 // after a repair); apply_move() keeps it bitwise equal to a fresh rebuild.
 //
+// One state serves a whole flow: the flow builds it once and lends it to
+// the greedy search and then to the annealer (SearchContext::state), which
+// reseeds it with rebuild(). Its exact-eval memo rows outlive both
+// searches' moves, and they carry every per-net term a whole-tree signoff
+// reads — cap totals, driver load, per-load moments, sigmas and crosstalk
+// — so a search signs off an assignment with evaluate(state, assignment)
+// (evaluation.hpp) instead of re-extracting it.
+//
 // Two summation definitions make that equality hold by construction
 // rather than by replaying a whole-design loop:
 //  * the latency, cap and energy totals are common::PairwiseSum trees
@@ -41,22 +49,23 @@ namespace sndr::ndr {
 /// unchanged — `driver_res` records the context each row was computed
 /// under, and import_memo() re-checks it against the receiving state, so
 /// an adopted row always equals what a cold eval would produce. A row is
-/// the net's NetExact per rule plus its per-load moments (see
-/// AssignmentState::load_moments), which were solved at `timing_miller`.
+/// the net's NetExact per rule plus its per-load terms (see
+/// AssignmentState::load_moments), whose moments were solved at
+/// `timing_miller`.
 struct MemoSnapshot {
   int n_rules = 0;
   double timing_miller = 1.0;      ///< Miller factor of the moments.
   std::vector<double> driver_res;  ///< per-net context the rows assume.
   std::vector<char> row_warm;      ///< per-net: the row is valid.
   std::vector<NetExact> rows;      ///< [net][rule] flat.
-  /// Net n's [rule][load] (m1, m2) pairs are
-  /// moments[moment_off[n], moment_off[n + 1]).
-  std::vector<std::size_t> moment_off;
-  std::vector<double> moments;
+  /// Net n's [rule] per-load blocks (kLoadTerms doubles per load) are
+  /// load_terms[term_off[n], term_off[n + 1]).
+  std::vector<std::size_t> term_off;
+  std::vector<double> load_terms;
 
   bool empty() const { return rows.empty(); }
 
-  /// Overwrites net `id`'s row (scalars, moments and context) with the one
+  /// Overwrites net `id`'s row (scalars, load terms and context) with the one
   /// in `from`, a snapshot of the same search shape, and marks it warm.
   void copy_row(const MemoSnapshot& from, int id);
 };
@@ -65,7 +74,7 @@ class AssignmentState {
  public:
   /// `shared_geometry`, when non-null, borrows an externally owned cache
   /// (value-neutral; see SearchContext::geometry); null builds an unbounded
-  /// one here.
+  /// one here. Every construction counts one ndr.search_states.
   AssignmentState(const netlist::ClockTree& tree,
                   const netlist::Design& design,
                   const tech::Technology& tech, const netlist::NetList& nets,
@@ -74,7 +83,10 @@ class AssignmentState {
 
   /// Reseeds every incremental accumulator from a full evaluation of
   /// `assignment` (which becomes the current assignment), made under this
-  /// state's analysis options. Reads only the evaluation's reports.
+  /// state's analysis options. Reads only the evaluation's reports, and
+  /// recomputes routing usage from the footprint, so whatever the state
+  /// held before (another search's moves included) is gone. Memo rows
+  /// survive unless their net's context changed.
   void rebuild(const RuleAssignment& assignment, const FlowEvaluation& ev);
 
   const RuleAssignment& assignment() const { return assignment_; }
@@ -145,8 +157,9 @@ class AssignmentState {
   /// (evaluate_nets_exact_all_rules, one net) score every rule in one pass
   /// over the shared GeometryCache — no geometry walk, no congestion
   /// query, no allocation past a warm per-thread arena — and store every
-  /// rule's per-load moments next to it (load_moments()). One miss is
-  /// counted per row fill, so hit rates read as "rows already warm".
+  /// rule's per-load terms next to it (load_moments(), load_sigma(),
+  /// load_xtalk()). One miss is counted per row fill, so hit rates read
+  /// as "rows already warm".
   ///
   /// Returns a reference to the memo slot. It stays valid (and holds this
   /// value) until the next rebuild(), import_memo() or row fill
@@ -158,14 +171,28 @@ class AssignmentState {
   /// and this state's timing_miller — bitwise RcTree::moments over
   /// extract::materialize of the net under the rule. At Miller 1.0 (every
   /// production search) the row fill's batched kernel writes them; any
-  /// other Miller factor solves them per rule with the scalar kernels. A
-  /// cold row is filled and counted as one miss; a warm read counts
-  /// nothing. Valid as long as an exact_eval() reference would be.
+  /// other Miller factor solves them per rule with the scalar kernels, and
+  /// the row's step_slew_worst, wire_delay_* and driver_load follow those
+  /// moments, so check_move and the delta timer agree on one Miller
+  /// factor. A cold row is filled and counted as one miss; a warm read
+  /// counts nothing. Valid as long as an exact_eval() reference would be.
   std::span<const double> load_moments(int net_id, int rule_idx) const;
+
+  /// Per-load process sigma / crosstalk delta of `net_id` under `rule_idx`
+  /// (Net::loads order), from the memo row: bitwise timing::net_variation's
+  /// load_sigma / load_xtalk. Filled and counted like load_moments().
+  std::span<const double> load_sigma(int net_id, int rule_idx) const;
+  std::span<const double> load_xtalk(int net_id, int rule_idx) const;
+
+  /// The memo row of (`net_id`, `rule_idx`) for a signoff read: filled
+  /// (one miss) if cold, but a warm read counts no hit — a memo-fed
+  /// evaluate() reads every net and would otherwise drown the search's
+  /// own hit rate. Valid as long as an exact_eval() reference would be.
+  const NetExact& signoff_row(int net_id, int rule_idx) const;
 
   /// Prefetches the exact-eval memo rows of `net_ids` (cold rows only)
   /// using CROSS-NET batches: nets are grouped by geometry shape
-  /// (extract::bucket_nets_by_shape) and same-shaped nets ride one
+  /// (GeometryCache::shape_buckets) and same-shaped nets ride one
   /// lane-interleaved kernel call, so single-rule consumers (greedy sweeps,
   /// pending annealer proposals) fill the SIMD lanes a per-net rule sweep
   /// leaves empty. Batch composition is deterministic and independent of
@@ -175,7 +202,8 @@ class AssignmentState {
   /// per row filled, as in exact_eval.
   void warm_rows(const std::vector<int>& net_ids) const;
 
-  /// warm_rows over every net (the annealer's prewarm).
+  /// warm_rows over every net (the annealer's prewarm, and the first step
+  /// of a memo-fed evaluate()).
   void warm_all_rows() const;
 
   /// Rule-independent net geometry shared by every evaluation this state
@@ -185,7 +213,7 @@ class AssignmentState {
   /// never invalidated here.
   const extract::GeometryCache& geometry_cache() const { return *geometry_; }
 
-  /// Copies every warm memo row (scalars, per-load moments and the per-net
+  /// Copies every warm memo row (scalars, per-load terms and the per-net
   /// context) into `out`, replacing its contents. Rows whose context stamp
   /// moved since they were filled are skipped.
   void export_memo(MemoSnapshot& out) const;
@@ -283,20 +311,23 @@ class AssignmentState {
   std::unique_ptr<extract::GeometryCache> geometry_own_;
   const extract::GeometryCache* geometry_ = nullptr;
   timing::DeltaTimer delta_;  ///< incremental arrival/slew mirror.
-  extract::NetShapeBuckets shape_buckets_;
 
   RuleAssignment assignment_;
   std::vector<NetState> nets_state_;
   int n_rules_ = 0;
   /// The exact-eval memo. Rows are filled whole: net n's row (its R
-  /// NetExact entries and its per-load moments) is valid iff
+  /// NetExact entries and its per-load terms) is valid iff
   /// row_gen_[n] == ctx_gen_[n] (gen 0 is never valid: context stamps
   /// start at 1 and only grow).
   mutable std::vector<NetExact> exact_cache_;  ///< [net][rule] flat.
-  /// [net][rule][load] (m1, m2) pairs; net n's block starts at
-  /// moment_off_[n], a prefix sum of 2 * R * loads.
-  mutable std::vector<double> moments_;
-  std::vector<std::size_t> moment_off_;  ///< n_nets + 1 entries.
+  /// [net][rule] per-load blocks of kLoadTerms * loads doubles ((m1, m2)
+  /// pairs, sigmas, crosstalk; see evaluate_nets_exact_batch); net n's
+  /// blocks start at term_off_[n], a prefix sum of kLoadTerms * R * loads.
+  mutable std::vector<double> load_terms_;
+  std::vector<std::size_t> term_off_;  ///< n_nets + 1 entries.
+
+  /// Start of (net, rule)'s per-load block in load_terms_.
+  const double* load_block(int net_id, int rule_idx) const;
   mutable std::vector<std::uint64_t> row_gen_;  ///< per-net fill stamp.
   std::vector<std::uint64_t> ctx_gen_;  ///< per-net exact-eval context stamp.
   mutable std::int64_t cache_hits_ = 0;

@@ -3,6 +3,14 @@
 // one call. This is the ground truth every optimizer variant is validated
 // against, and the engine behind all reported tables.
 //
+// Each whole-tree pass is one recurrence over per-net terms (moments and
+// driver load, per-load sigma / crosstalk, cap totals, peak EM density),
+// and the terms have two sources. evaluate() and evaluate_with_parasitics()
+// solve them from extracted RC trees. evaluate(state, assignment) reads
+// them from a search state's exact-eval memo rows, which hold the same
+// values bitwise, so inside a search a signoff costs the recurrences and
+// the routing-usage total, not an extraction.
+//
 // The per-net RC parasitics are transient: they live only inside
 // evaluate() / evaluate_with_parasitics() and are freed before either
 // returns. A FlowEvaluation keeps the signoff numbers they produced, and
@@ -27,6 +35,8 @@
 #include "timing/variation.hpp"
 
 namespace sndr::ndr {
+
+class AssignmentState;  // assignment_state.hpp
 
 /// A rule assignment: rule index (into Technology::rules) per net id.
 using RuleAssignment = std::vector<int>;
@@ -96,5 +106,14 @@ FlowEvaluation evaluate_with_parasitics(
     const std::vector<extract::NetParasitics>& parasitics,
     const extract::GeometryCache& geometry,
     const timing::AnalysisOptions& options = {});
+
+/// Memo-fed signoff: bitwise evaluate(state.tree(), state.design(),
+/// state.tech(), state.nets(), assignment, state.analysis(),
+/// &state.geometry_cache()), with every per-net term read from the state's
+/// memo rows. Cold rows are filled first (warm_all_rows, one miss each);
+/// warm reads count nothing. Routing usage still reads the footprint.
+/// Counts one ndr.evaluations and one ndr.memo_signoffs.
+FlowEvaluation evaluate(const AssignmentState& state,
+                        const RuleAssignment& assignment);
 
 }  // namespace sndr::ndr

@@ -77,6 +77,23 @@ double net_em_bound(const NetSummary& s, const tech::Technology& tech,
   return tech.em_crest_factor * freq * tech.vdd * cap / width;
 }
 
+void scan_load_moments(const double* m12, int n_loads, NetExact& out) {
+  out.step_slew_worst = 0.0;
+  out.wire_delay_worst = 0.0;
+  double delay_sum = 0.0;
+  for (int li = 0; li < n_loads; ++li) {
+    const double m1 = m12[2 * li];
+    const double m2 = m12[2 * li + 1];
+    out.step_slew_worst =
+        std::max(out.step_slew_worst, timing::step_slew(m1, m2));
+    const double d = timing::delay_d2m(m1, m2);
+    delay_sum += d;
+    out.wire_delay_worst = std::max(out.wire_delay_worst, d);
+  }
+  out.wire_delay_mean =
+      n_loads == 0 ? 0.0 : delay_sum / static_cast<double>(n_loads);
+}
+
 NetExact evaluate_net_exact(const extract::NetGeometry& geom,
                             const tech::Technology& tech,
                             const tech::RoutingRule& rule, double driver_res,
@@ -92,21 +109,19 @@ NetExact evaluate_net_exact(const extract::NetGeometry& geom,
   out.em_peak = power::net_peak_current_density(
       par, scratch.down_power.data(), tech, rule, freq);
 
+  out.wire_cap_gnd = par.wire_cap_gnd;
+  out.wire_cap_cpl = par.wire_cap_cpl;
+  out.load_cap = par.load_cap;
+
   par.rc.moments(driver_res, 1.0, scratch.moments);
-  const std::vector<double>& m1 = scratch.moments.m1;
-  const std::vector<double>& m2 = scratch.moments.m2;
-  double delay_sum = 0.0;
-  for (const int rc : par.load_rc_index) {
-    out.step_slew_worst =
-        std::max(out.step_slew_worst, timing::step_slew(m1[rc], m2[rc]));
-    const double d = timing::delay_d2m(m1[rc], m2[rc]);
-    delay_sum += d;
-    out.wire_delay_worst = std::max(out.wire_delay_worst, d);
+  out.driver_load = scratch.moments.down[0];
+  scratch.m12.resize(2 * par.load_rc_index.size());
+  for (std::size_t li = 0; li < par.load_rc_index.size(); ++li) {
+    scratch.m12[2 * li] = scratch.moments.m1[par.load_rc_index[li]];
+    scratch.m12[2 * li + 1] = scratch.moments.m2[par.load_rc_index[li]];
   }
-  out.wire_delay_mean =
-      par.load_rc_index.empty()
-          ? 0.0
-          : delay_sum / static_cast<double>(par.load_rc_index.size());
+  scan_load_moments(scratch.m12.data(),
+                    static_cast<int>(par.load_rc_index.size()), out);
 
   timing::net_variation(par, tech, rule, driver_res, scratch.variation,
                         scratch.detail);
@@ -118,7 +133,7 @@ NetExact evaluate_net_exact(const extract::NetGeometry& geom,
 void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
                                const double* driver_res, double freq,
                                common::Arena& arena, NetExact* out,
-                               double* load_m12) {
+                               double* load_terms) {
   const int L = n_lanes;
   extract::BatchParasitics bp;
   extract::materialize_nets_batch(lanes, L, arena, bp);
@@ -159,6 +174,9 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
     out[l] = NetExact{};
     out[l].cap_switched = bp.wire_cap_gnd[l] + bp.load_cap[l] +
                           miller_power[l] * bp.wire_cap_cpl[l];
+    out[l].wire_cap_gnd = bp.wire_cap_gnd[l];
+    out[l].wire_cap_cpl = bp.wire_cap_cpl[l];
+    out[l].load_cap = bp.load_cap[l];
   }
 
   // EM: downstream sweep at the power Miller factor, then the worst
@@ -186,6 +204,7 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
   double* __restrict__ m2 = arena.alloc<double>(plane);
   extract::rc_moments_batch(n, L, bp.parent, bp.res, bp.cap_gnd, bp.cap_cpl,
                             driver_res, miller_one, down, subtree, m1, m2);
+  for (int l = 0; l < L; ++l) out[l].driver_load = down[l];  // node 0.
   double* delay_sum = arena.alloc_zeroed<double>(L);
   for (int li = 0; li < n_loads; ++li) {
     const std::int64_t row =
@@ -202,14 +221,16 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
     out[l].wire_delay_mean =
         n_loads == 0 ? 0.0 : delay_sum[l] / static_cast<double>(n_loads);
   }
-  if (load_m12 != nullptr) {
+  // Lane l's per-load block: (m1, m2) pairs, then sigmas, then crosstalk.
+  const std::int64_t block = static_cast<std::int64_t>(kLoadTerms) * n_loads;
+  if (load_terms != nullptr) {
     for (int li = 0; li < n_loads; ++li) {
       const std::int64_t row =
           static_cast<std::int64_t>(shape.loads[li].rc_index) * L;
       for (int l = 0; l < L; ++l) {
-        const std::int64_t k = static_cast<std::int64_t>(l) * n_loads + li;
-        load_m12[2 * k] = m1[row + l];
-        load_m12[2 * k + 1] = m2[row + l];
+        double* at = load_terms + l * block;
+        at[2 * li] = m1[row + l];
+        at[2 * li + 1] = m2[row + l];
       }
     }
   }
@@ -291,11 +312,16 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
       const double base = m1[row + l];
       const double dw = w_pert[li * L + l] - base;
       const double dt = t_pert[li * L + l] - base;
-      out[l].sigma_worst =
-          std::max(out[l].sigma_worst, std::sqrt(dw * dw + dt * dt));
-      out[l].xtalk_worst =
-          std::max(out[l].xtalk_worst,
-                   activity[l] * std::max(0.0, x_pert[li * L + l] - base));
+      const double sigma = std::sqrt(dw * dw + dt * dt);
+      const double xtalk =
+          activity[l] * std::max(0.0, x_pert[li * L + l] - base);
+      out[l].sigma_worst = std::max(out[l].sigma_worst, sigma);
+      out[l].xtalk_worst = std::max(out[l].xtalk_worst, xtalk);
+      if (load_terms != nullptr) {
+        double* at = load_terms + l * block;
+        at[2 * n_loads + li] = sigma;
+        at[3 * n_loads + li] = xtalk;
+      }
     }
   }
 }
@@ -304,7 +330,7 @@ void evaluate_nets_exact_all_rules(const extract::NetGeometry* const* geoms,
                                    const double* driver_res, int n_nets,
                                    const tech::Technology& tech, double freq,
                                    common::Arena& arena, NetExact* out,
-                                   double* load_m12) {
+                                   double* load_terms) {
   arena.reset();
   const int R = tech.rules.size();
   const int L = n_nets * R;
@@ -317,7 +343,7 @@ void evaluate_nets_exact_all_rules(const extract::NetGeometry* const* geoms,
       dres[i * R + r] = driver_res[i];
     }
   }
-  evaluate_nets_exact_batch(lanes, L, dres, freq, arena, out, load_m12);
+  evaluate_nets_exact_batch(lanes, L, dres, freq, arena, out, load_terms);
   common::note_arena_highwater(arena);
 }
 

@@ -16,8 +16,11 @@
 // compare against, and the lane-batched evaluate_nets_exact_* (any mix of
 // same-shaped nets, technologies and rules in one pass), which the
 // optimizer, the annealer's memo and predictor labelling run. The batched
-// form can also hand back the per-load (m1, m2) moments its scan read, so
-// the search memo can time an accepted move without re-extracting it.
+// form can also hand back the per-load terms it solved — (m1, m2), process
+// sigma and crosstalk delta per load — and every NetExact carries the
+// net's cap totals and driver load, so a search memo row holds everything
+// a whole-tree signoff reads of the net: an accepted move is timed, and a
+// search's evaluate() is signed off, without re-extracting anything.
 #pragma once
 
 #include "common/arena.hpp"
@@ -67,7 +70,9 @@ double net_em_bound(const NetSummary& s, const tech::Technology& tech,
                     const tech::RoutingRule& rule, double freq);
 
 /// Exact net-local metrics under `rule`: scalars only, so a memo slot or a
-/// snapshot row stays a few doubles.
+/// snapshot row stays a few doubles. The moment-derived fields
+/// (step_slew_worst, wire_delay_*, driver_load) are at Miller 1.0 here; a
+/// search memo row holds them at its state's timing Miller factor.
 struct NetExact {
   double cap_switched = 0.0;    ///< F.
   double step_slew_worst = 0.0; ///< s, worst load step slew (pre-PERI).
@@ -76,7 +81,25 @@ struct NetExact {
   double em_peak = 0.0;         ///< A/um.
   double wire_delay_mean = 0.0; ///< s, mean D2M wire delay over loads.
   double wire_delay_worst = 0.0;///< s.
+  // Signoff terms (the power pass and the timing report read them):
+  // bitwise the NetParasitics totals and the moment solve's down[0].
+  double wire_cap_gnd = 0.0;    ///< F, wire area + fringe cap.
+  double wire_cap_cpl = 0.0;    ///< F, raw wire coupling cap.
+  double load_cap = 0.0;        ///< F, load pin caps.
+  double driver_load = 0.0;     ///< F, cap the net's driver sees.
 };
+
+/// Per-load terms a batched evaluation can hand back, per lane and per
+/// load in Net::loads order: a lane's block of kLoadTerms * loads doubles
+/// holds the (m1, m2) pairs, then every load's process sigma, then every
+/// load's crosstalk delta — bitwise RcTree::moments at Miller 1.0 and
+/// timing::net_variation's load_sigma / load_xtalk.
+inline constexpr int kLoadTerms = 4;
+
+/// Derives step_slew_worst, wire_delay_worst and wire_delay_mean of `out`
+/// from per-load (m1, m2) pairs, `n_loads` of them, with the kernels'
+/// per-load scan (the scalar form of the batch kernel's lane loop).
+void scan_load_moments(const double* m12, int n_loads, NetExact& out);
 
 NetExact evaluate_net_exact(const netlist::ClockTree& tree,
                             const netlist::Design& design,
@@ -92,6 +115,7 @@ NetExact evaluate_net_exact(const netlist::ClockTree& tree,
 struct NetEvalScratch {
   extract::NetParasitics par;
   extract::RcMoments moments;
+  std::vector<double> m12;         ///< per-load (m1, m2) pairs.
   std::vector<double> down_power;  ///< downstream cap at miller_power (EM).
   timing::VariationScratch variation;
   timing::NetVariationDetail detail;
@@ -115,16 +139,14 @@ NetExact evaluate_net_exact(const extract::NetGeometry& geom,
 /// called with lane l's net and context. All scratch is carved from
 /// `arena` WITHOUT resetting it (so callers may keep lane arrays there).
 ///
-/// `load_m12`, when non-null, receives the moments the scan read: for lane
-/// l and load li (Net::loads order), load_m12[2 * (l * loads + li)] is m1
-/// and the next double m2, at miller 1.0 and the lane's driver resistance —
-/// bitwise RcTree::moments(driver_res[l], 1.0) of the lane's materialized
-/// parasitics at that load's rc_index. Callers that need no moments pass
-/// null.
+/// `load_terms`, when non-null, receives every lane's per-load terms
+/// (kLoadTerms): lane l's block starts at load_terms + kLoadTerms * l *
+/// loads, and its moments are at the lane's driver resistance. Callers
+/// that need no per-load terms pass null.
 void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
                                const double* driver_res, double freq,
                                common::Arena& arena, NetExact* out,
-                               double* load_m12 = nullptr);
+                               double* load_terms = nullptr);
 
 /// Rule-sweep entry point: resets `arena`, then evaluates each of the
 /// `n_nets` same-shaped geometries under EVERY rule of `tech` in one batch
@@ -132,13 +154,13 @@ void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
 /// tech.rules[r], bit-identical to the scalar evaluate_net_exact. With one
 /// net this is the memo-row fill of an AssignmentState miss; with several
 /// it is how warm-row prefetches and predictor labelling fill the SIMD
-/// lanes that one net's rule sweep leaves mostly empty. `load_m12` is the
-/// batch kernel's per-load moment output, so net i's block of
-/// [rule][load] (m1, m2) pairs starts at load_m12 + 2 * i * R * loads.
+/// lanes that one net's rule sweep leaves mostly empty. `load_terms` is
+/// the batch kernel's per-load output, so net i's [rule] blocks start at
+/// load_terms + kLoadTerms * i * R * loads.
 void evaluate_nets_exact_all_rules(const extract::NetGeometry* const* geoms,
                                    const double* driver_res, int n_nets,
                                    const tech::Technology& tech, double freq,
                                    common::Arena& arena, NetExact* out,
-                                   double* load_m12 = nullptr);
+                                   double* load_terms = nullptr);
 
 }  // namespace sndr::ndr

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
@@ -33,23 +34,20 @@ class Optimizer {
         tech_(tech),
         nets_(nets),
         opt_(opt),
-        state_(tree, design, tech, nets, {}, opt.search.geometry) {
-    // Transplanted rows are adopted only where the per-net context guard
-    // holds, so they are bitwise what a cold eval would compute here.
-    if (opt_.search.memo_in != nullptr) {
-      state_.import_memo(*opt_.search.memo_in);
-    }
-  }
+        state_(opt.search.state != nullptr
+                   ? *opt.search.state
+                   : own_state_.emplace(tree, design, tech, nets,
+                                        timing::AnalysisOptions{},
+                                        opt.search.geometry)) {}
 
   SmartNdrResult run();
 
  private:
+  /// The search's own signoffs (start, final, repair) read the memo: the
+  /// rows hold every per-net term, bitwise what extraction would give.
   FlowEvaluation full_eval(const RuleAssignment& assignment) {
     ++stats_.full_evals;
-    // Full evaluations share the state's geometry cache: the tree and
-    // congestion map never change during a run, only the rule assignment.
-    return evaluate(tree_, design_, tech_, nets_, assignment, {},
-                    &state_.geometry_cache());
+    return evaluate(state_, assignment);
   }
 
   /// Tries to move `net_id` to the cheapest feasible rule; returns true on
@@ -69,7 +67,8 @@ class Optimizer {
   const netlist::NetList& nets_;
   OptimizerOptions opt_;
 
-  AssignmentState state_;
+  std::optional<AssignmentState> own_state_;  ///< when none is lent.
+  AssignmentState& state_;
   RuleAssignment assignment_;  ///< mirror of state_.assignment().
 
   /// Trained here or handed in via opt_.shared_predictor (immutable either
@@ -132,12 +131,16 @@ bool Optimizer::improve_net(int net_id) {
 bool Optimizer::improve_net_full_sta(int net_id) {
   // The naive flow: every candidate is judged by a complete extraction +
   // timing + variation + EM run of the whole tree. Kept for the runtime
-  // comparison (Fig. 7); unusably slow beyond a few thousand nets.
+  // comparison (Fig. 7); unusably slow beyond a few thousand nets. It is
+  // the one evaluation here that re-extracts: it is what the paper times.
   const int old_rule = assignment_[net_id];
   for (const auto& [cap_new, r] : cheaper_rules(net_id)) {
     ++stats_.candidates_scored;
     assignment_[net_id] = r;
-    const FlowEvaluation ev = full_eval(assignment_);
+    ++stats_.full_evals;
+    const FlowEvaluation ev = evaluate(tree_, design_, tech_, nets_,
+                                       assignment_, {},
+                                       &state_.geometry_cache());
     if (ev.feasible()) {
       state_.rebuild(assignment_, ev);
       ++stats_.commits;
@@ -385,9 +388,6 @@ SmartNdrResult Optimizer::run() {
   stats_.exact_cache_hits = state_.exact_cache_hits();
   stats_.exact_cache_misses = state_.exact_cache_misses();
   state_.flush_metrics();
-  if (opt_.search.memo_out != nullptr) {
-    state_.export_memo(*opt_.search.memo_out);
-  }
   SNDR_COUNTER_ADD("optimizer.commits", stats_.commits);
   SNDR_COUNTER_ADD("optimizer.candidates_scored", stats_.candidates_scored);
   SNDR_COUNTER_ADD("optimizer.exact_net_evals", stats_.exact_net_evals);

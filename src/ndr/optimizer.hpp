@@ -16,11 +16,12 @@
 // Candidate scoring uses the learned per-rule models (plus exact analytic
 // capacitance and EM bounds); a commit is validated with an exact per-net
 // re-extraction and applied to the incremental state, which stays bitwise
-// equal to a full analysis (AssignmentState::apply_move). Full extraction
-// and timing run only at the start (unless the caller hands in its
+// equal to a full analysis (AssignmentState::apply_move). Whole-tree
+// signoff runs only at the start (unless the caller hands in its
 // evaluation, SearchContext::start_eval), after a repair, and on the final
-// assignment. `Scoring::kExactNet` degenerates to exact re-extraction
-// scoring, the slow flow the paper compares against.
+// assignment, and it reads the state's memo rows instead of re-extracting
+// (evaluate(state, ...)). `Scoring::kExactNet` degenerates to exact
+// re-extraction scoring, the slow flow the paper compares against.
 #pragma once
 
 #include <cstdint>

@@ -104,7 +104,7 @@ RuleImpactPredictor RuleImpactPredictor::train(
       static_cast<std::size_t>(n_rules));
   for (auto& l : labels) l.resize(sample_ids.size());
   const std::vector<std::vector<int>> batches = extract::plan_net_batches(
-      extract::bucket_nets_by_shape(geometry), sample_ids, n_rules);
+      geometry.shape_buckets(), sample_ids, n_rules);
   common::parallel_for(
       static_cast<std::int64_t>(batches.size()), /*grain=*/1,
       [&](std::int64_t b) {

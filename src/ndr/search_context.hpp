@@ -1,13 +1,14 @@
 // The inputs the greedy optimizer and the annealer share.
 //
 // Both searches check (net, rule) moves under the same guard bands, read
-// the same borrowed geometry, hand exact-eval memo rows between runs and
-// stop on the same cancel token. SearchContext holds exactly that, once:
+// the same borrowed geometry, work on one lent search state and stop on
+// the same cancel token. SearchContext holds exactly that, once:
 // OptimizerOptions and AnnealOptions each embed one as `.search`.
-// FlowConfig fills the margins; Flow::run adds the session's cancel
-// token, geometry and memo transplant, and passes the same context to both
-// stages (the DSE sweep axes reach both searches through it), each with
-// its own already-evaluated start.
+// FlowConfig fills the margins; Flow::run adds the session's cancel token
+// and geometry, builds the flow's one AssignmentState (adopting the DSE
+// memo transplant into it) and lends it here, and passes the same context
+// to both stages (the DSE sweep axes reach both searches through it), each
+// with its own already-evaluated start.
 #pragma once
 
 #include "common/cancel.hpp"
@@ -18,7 +19,7 @@ class GeometryCache;  // net_geometry.hpp
 
 namespace sndr::ndr {
 
-struct MemoSnapshot;    // assignment_state.hpp
+class AssignmentState;  // assignment_state.hpp
 struct FlowEvaluation;  // evaluation.hpp
 
 /// Guard bands used during move checking, as fractions of each constraint
@@ -43,14 +44,17 @@ struct SearchContext {
   /// the cache with that budget and passes it here (as the flow does).
   const extract::GeometryCache* geometry = nullptr;
 
-  /// Cross-run memo transplant (DSE warm reuse). `memo_in` donates warm
-  /// exact-eval rows: a row is adopted only where the net's evaluation
-  /// context (today: driver resistance) is bitwise unchanged, so adopted
-  /// values equal what a cold eval would compute — value-neutral by the
-  /// exact_eval memo contract. `memo_out` receives the search's final warm
-  /// rows for the next point. Both may be null (standalone runs).
-  const MemoSnapshot* memo_in = nullptr;
-  MemoSnapshot* memo_out = nullptr;
+  /// A search state to work on instead of building one (the flow lends
+  /// its one state to greedy, then to the annealer). It must be built over
+  /// the same tree, design, technology and nets with default analysis
+  /// options; its geometry cache serves the search (and `geometry` is not
+  /// read). The search reseeds it with rebuild() from its start
+  /// evaluation, so whatever assignment and usage it held are dropped and
+  /// only its warm memo rows carry over — value-neutral by the exact_eval
+  /// memo contract: results are bitwise those of a fresh state. Borrowed;
+  /// it must outlive the search, and a result never keeps it. Null = the
+  /// search builds its own.
+  AssignmentState* state = nullptr;
 
   /// The caller's evaluate() of the search's start assignment (the flow
   /// hands greedy its blanket-NDR row and the annealer greedy's final

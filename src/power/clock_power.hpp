@@ -8,6 +8,7 @@
 // burn their internal (short-circuit + self-load) energy every cycle.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "extract/extractor.hpp"
@@ -37,6 +38,30 @@ struct PowerReport {
   double buffer_internal_power = 0.0;  ///< W (activity-weighted).
   double total_power = 0.0;            ///< W.
 };
+
+/// One net's capacitance totals (NetParasitics' wire_cap_gnd, wire_cap_cpl
+/// and load_cap): the per-net terms of the power roll-up.
+struct NetCaps {
+  double wire_cap_gnd = 0.0;
+  double wire_cap_cpl = 0.0;
+  double load_cap = 0.0;
+};
+
+/// Hands analyze_power() net `net_id`'s cap totals.
+using NetCapSource = std::function<NetCaps(int net_id)>;
+
+/// Rolls up power from per-net cap totals: the one power roll-up, whatever
+/// supplied the totals (the overload below, or a search state's memo
+/// rows). A net's switched cap is wire_cap_gnd + load_cap + miller_power *
+/// wire_cap_cpl (NetParasitics::switched_cap).
+PowerReport analyze_power(const netlist::ClockTree& tree,
+                          const netlist::Design& design,
+                          const tech::Technology& tech,
+                          const netlist::NetList& nets,
+                          const NetCapSource& caps);
+
+/// A NetCapSource reading `parasitics` (borrowed, one per net id).
+NetCapSource cap_source(const std::vector<extract::NetParasitics>& parasitics);
 
 /// Rolls up power at `design.constraints.clock_freq`. When
 /// `design.clock_domains` is enabled, each net's (and buffer's) dynamic

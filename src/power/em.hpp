@@ -10,6 +10,7 @@
 // three constraints that make blanket NDR look necessary.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "extract/extractor.hpp"
@@ -47,6 +48,23 @@ double net_peak_current_density(const extract::NetParasitics& par,
                                 const double* down,
                                 const tech::Technology& tech,
                                 const tech::RoutingRule& rule, double freq);
+
+/// Hands analyze_em() net `net_id`'s peak density, domain scale applied.
+using NetDensitySource = std::function<double(int net_id)>;
+
+/// The whole-tree EM roll-up over per-net peak densities, whatever
+/// supplied them (the overload below, or a search state's memo rows).
+EmReport analyze_em(const tech::Technology& tech,
+                    const netlist::NetList& nets,
+                    const NetDensitySource& density);
+
+/// A NetDensitySource solving each net's peak density from `parasitics`
+/// under its rule, scaled by its domain's em_scale() (all borrowed).
+NetDensitySource density_source(
+    const netlist::Design& design, const tech::Technology& tech,
+    const netlist::NetList& nets,
+    const std::vector<extract::NetParasitics>& parasitics,
+    const std::vector<int>& rule_of_net);
 
 /// Whole-tree EM check at design.constraints.clock_freq. When
 /// `design.clock_domains` is enabled, each net's density is scaled by its

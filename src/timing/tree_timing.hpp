@@ -2,6 +2,7 @@
 // and transition times at every buffer input and sink.
 #pragma once
 
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -59,8 +60,39 @@ struct TimingReport {
   }
 };
 
+/// One net's terms in the timing recurrence, solved at the net's driver
+/// resistance and the analysis Miller factor: the cap its driver sees
+/// (the moment solve's down[0]) and each load's (m1, m2), in Net::loads
+/// order.
+struct NetMoments {
+  double driver_load = 0.0;
+  const double* m12 = nullptr;  ///< 2 per load: m1, then m2.
+};
+
+/// Hands analyze() net `net_id`'s terms. Called once per net, root-first;
+/// `m12` must stay readable until the next call.
+using NetMomentSource = std::function<NetMoments(int net_id)>;
+
+/// Times the whole tree from per-net moment terms: the one timing
+/// recurrence, whatever solved the terms (the overload below, or a search
+/// state's memo rows). Nets must be in build_nets order (root-first).
+TimingReport analyze(const netlist::ClockTree& tree,
+                     const netlist::Design& design,
+                     const tech::Technology& tech,
+                     const netlist::NetList& nets,
+                     const NetMomentSource& moments,
+                     const AnalysisOptions& options = {});
+
+/// A NetMomentSource that solves each net's moments from `parasitics`
+/// (borrowed; one per net id) at options' driver model and Miller factor.
+NetMomentSource moment_source(
+    const netlist::ClockTree& tree, const tech::Technology& tech,
+    const netlist::NetList& nets,
+    const std::vector<extract::NetParasitics>& parasitics,
+    const AnalysisOptions& options);
+
 /// Times the whole tree from pre-extracted parasitics (`parasitics[i]` for
-/// net i). Nets must be in build_nets order (root-first).
+/// net i): the recurrence above over moment_source().
 TimingReport analyze(const netlist::ClockTree& tree,
                      const netlist::Design& design,
                      const tech::Technology& tech,

@@ -111,6 +111,31 @@ NetVariationDetail net_variation(const extract::NetParasitics& par,
   return out;
 }
 
+std::vector<NetVariationDetail> net_variations(
+    const netlist::ClockTree& tree, const tech::Technology& tech,
+    const netlist::NetList& nets,
+    const std::vector<extract::NetParasitics>& parasitics,
+    const std::vector<int>& rule_of_net, const AnalysisOptions& options) {
+  std::vector<NetVariationDetail> details(nets.size());
+  common::parallel_for(nets.size(), /*grain=*/8, /*est_us_per_item=*/2.0,
+                       [&](std::int64_t i) {
+    thread_local VariationScratch scratch;  // reused across nets per worker.
+    const netlist::Net& net = nets.nets[static_cast<std::size_t>(i)];
+    net_variation(parasitics[net.id], tech, tech.rules[rule_of_net[net.id]],
+                  net_driver_res(tree, tech, net, options), scratch,
+                  details[i]);
+  });
+  return details;
+}
+
+NetVariationSource variation_source(
+    const std::vector<NetVariationDetail>& details) {
+  return [&details](int net_id) {
+    const NetVariationDetail& d = details[net_id];
+    return NetLoadVariation{d.load_sigma.data(), d.load_xtalk.data()};
+  };
+}
+
 VariationReport analyze_variation(
     const netlist::ClockTree& tree, const netlist::Design& design,
     const tech::Technology& tech, const netlist::NetList& nets,
@@ -121,7 +146,15 @@ VariationReport analyze_variation(
     throw std::invalid_argument(
         "analyze_variation: per-net input size mismatch");
   }
+  const std::vector<NetVariationDetail> details =
+      net_variations(tree, tech, nets, parasitics, rule_of_net, options);
+  return analyze_variation(tree, design, nets, variation_source(details));
+}
 
+VariationReport analyze_variation(const netlist::ClockTree& tree,
+                                  const netlist::Design& design,
+                                  const netlist::NetList& nets,
+                                  const NetVariationSource& terms) {
   VariationReport rep;
   rep.net_sigma.assign(nets.size(), 0.0);
   rep.net_xtalk.assign(nets.size(), 0.0);
@@ -133,37 +166,24 @@ VariationReport analyze_variation(
   std::vector<double> node_var(tree.size(), 0.0);
   std::vector<double> node_xtalk(tree.size(), 0.0);
 
-  // The heavy part — three perturbed RC solves per net — is independent
-  // per net; compute details into per-net slots in parallel. The cheap
-  // root-to-sink accumulation below stays sequential (it walks nets in
-  // root-first order), so the result is identical at any thread count.
-  std::vector<NetVariationDetail> details(nets.size());
-  common::parallel_for(nets.size(), /*grain=*/8, /*est_us_per_item=*/2.0,
-                       [&](std::int64_t i) {
-    thread_local VariationScratch scratch;  // reused across nets per worker.
-    const netlist::Net& net = nets.nets[static_cast<std::size_t>(i)];
-    net_variation(parasitics[net.id], tech, tech.rules[rule_of_net[net.id]],
-                  net_driver_res(tree, tech, net, options), scratch,
-                  details[i]);
-  });
-
   for (const netlist::Net& net : nets.nets) {
-    const NetVariationDetail& detail = details[net.id];
-    rep.net_sigma[net.id] = detail.worst_sigma();
-    rep.net_xtalk[net.id] = detail.worst_xtalk();
-
+    const NetLoadVariation load = terms(net.id);
     const double up_var = node_var[net.driver];
     const double up_xtalk = node_xtalk[net.driver];
     for (std::size_t li = 0; li < net.loads.size(); ++li) {
-      const int load = net.loads[li];
-      node_var[load] = up_var + detail.load_sigma[li] * detail.load_sigma[li];
-      node_xtalk[load] = up_xtalk + detail.load_xtalk[li];
-      const netlist::TreeNode& ln = tree.node(load);
+      const double sigma_li = load.sigma[li];
+      const double xtalk_li = load.xtalk[li];
+      rep.net_sigma[net.id] = std::max(rep.net_sigma[net.id], sigma_li);
+      rep.net_xtalk[net.id] = std::max(rep.net_xtalk[net.id], xtalk_li);
+      const int ld = net.loads[li];
+      node_var[ld] = up_var + sigma_li * sigma_li;
+      node_xtalk[ld] = up_xtalk + xtalk_li;
+      const netlist::TreeNode& ln = tree.node(ld);
       if (ln.kind == NodeKind::kSink) {
-        const double sigma = std::sqrt(node_var[load]);
+        const double sigma = std::sqrt(node_var[ld]);
         rep.sink_sigma[ln.sink] = sigma;
-        rep.sink_xtalk[ln.sink] = node_xtalk[load];
-        rep.sink_uncertainty[ln.sink] = 3.0 * sigma + node_xtalk[load];
+        rep.sink_xtalk[ln.sink] = node_xtalk[ld];
+        rep.sink_uncertainty[ln.sink] = 3.0 * sigma + node_xtalk[ld];
         rep.max_uncertainty =
             std::max(rep.max_uncertainty, rep.sink_uncertainty[ln.sink]);
       }

@@ -17,6 +17,7 @@
 //     U(sink) = 3 * sqrt(sum sigma_net^2) + sum xtalk_net.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "timing/tree_timing.hpp"
@@ -82,7 +83,42 @@ struct VariationReport {
   }
 };
 
-/// Whole-tree variation analysis. `rule_of_net[i]` indexes tech.rules.
+/// One net's terms in the variation recurrence: per-load process sigma
+/// and crosstalk delta, in Net::loads order (NetVariationDetail's arrays).
+struct NetLoadVariation {
+  const double* sigma = nullptr;
+  const double* xtalk = nullptr;
+};
+
+/// Hands analyze_variation() net `net_id`'s terms. Called once per net,
+/// root-first; the arrays must stay readable until the next call.
+using NetVariationSource = std::function<NetLoadVariation(int net_id)>;
+
+/// Accumulates per-net load terms into the whole-tree report: the one
+/// variation recurrence, whatever solved the terms (the overload below,
+/// or a search state's memo rows). A net's sigma / xtalk is its worst
+/// load's.
+VariationReport analyze_variation(const netlist::ClockTree& tree,
+                                  const netlist::Design& design,
+                                  const netlist::NetList& nets,
+                                  const NetVariationSource& terms);
+
+/// Every net's load terms from extracted parasitics (`rule_of_net[i]`
+/// indexes tech.rules), indexed by net id. The three perturbed RC solves
+/// per net run in parallel into per-net slots, so the result is identical
+/// at any thread count.
+std::vector<NetVariationDetail> net_variations(
+    const netlist::ClockTree& tree, const tech::Technology& tech,
+    const netlist::NetList& nets,
+    const std::vector<extract::NetParasitics>& parasitics,
+    const std::vector<int>& rule_of_net, const AnalysisOptions& options);
+
+/// A NetVariationSource reading `details` (borrowed, indexed by net id).
+NetVariationSource variation_source(
+    const std::vector<NetVariationDetail>& details);
+
+/// Whole-tree variation analysis from extracted parasitics: the recurrence
+/// above over net_variations().
 VariationReport analyze_variation(
     const netlist::ClockTree& tree, const netlist::Design& design,
     const tech::Technology& tech, const netlist::NetList& nets,

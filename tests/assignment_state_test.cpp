@@ -11,6 +11,7 @@
 #include "ndr/smart_ndr.hpp"
 #include "state_compare.hpp"
 #include "test_util.hpp"
+#include "timing/delay_metrics.hpp"
 #include "workload/generator.hpp"
 #include "workload/rng.hpp"
 
@@ -327,11 +328,40 @@ RefVerdict reference_check_move(const AssignmentState& st, int net_id,
 /// binds whatever the design's own limit is. Moves the default bands
 /// accept are applied, so the path prefixes the verdicts read keep
 /// changing.
-void expect_check_move_matches_reference(const netlist::ClockTree& tree,
-                                         const netlist::Design& design,
-                                         const tech::Technology& tech,
-                                         const netlist::NetList& nets) {
-  const timing::AnalysisOptions aopt;
+///
+/// With `aopt` at another timing Miller factor, the reference judges each
+/// proposal on an impact solved by the scalar kernels at that factor —
+/// the delays the state's own delta timer uses — while check_move gets
+/// the memo row's impact, so the two must agree on one Miller factor.
+NetImpact own_miller_impact(const AssignmentState& st, int net_id,
+                            int rule_idx) {
+  const tech::Technology& tech = st.tech();
+  const netlist::Net& net = st.nets().nets[net_id];
+  const double dres = st.summary(net_id).driver_res;
+  extract::NetParasitics par;
+  extract::materialize(st.geometry_cache().geometry(net_id), tech,
+                       tech.rules[rule_idx], par);
+  extract::RcMoments m;
+  par.rc.moments(dres, st.analysis().timing_miller, m);
+  NetImpact impact;
+  for (std::size_t li = 0; li < net.loads.size(); ++li) {
+    const int rc = par.load_rc_index[li];
+    impact.step_slew =
+        std::max(impact.step_slew, timing::step_slew(m.m1[rc], m.m2[rc]));
+    impact.delay =
+        std::max(impact.delay, timing::delay_d2m(m.m1[rc], m.m2[rc]));
+  }
+  const timing::NetVariationDetail v =
+      timing::net_variation(par, tech, tech.rules[rule_idx], dres);
+  impact.sigma = v.worst_sigma();
+  impact.xtalk = v.worst_xtalk();
+  return impact;
+}
+
+void expect_check_move_matches_reference(
+    const netlist::ClockTree& tree, const netlist::Design& design,
+    const tech::Technology& tech, const netlist::NetList& nets,
+    const timing::AnalysisOptions& aopt = {}) {
   const RuleAssignment blanket = assign_all(nets, tech.rules.blanket_index());
   AssignmentState state(tree, design, tech, nets, aopt);
   state.rebuild(blanket, evaluate(tree, design, tech, nets, blanket, aopt,
@@ -343,9 +373,27 @@ void expect_check_move_matches_reference(const netlist::ClockTree& tree,
   }
   const double at_worst = std::clamp(
       1.0 - worst_unc / design.constraints.max_uncertainty, 0.0, 0.99);
+  // Likewise a skew band that puts the window edge at (and halfway to)
+  // the start state's worst sink offset, as a fraction of its window.
+  const int n_sinks = static_cast<int>(design.sinks.size());
+  const double mean = state.latency_sum() / std::max(1, n_sinks);
+  double worst_frac = 0.0;
+  for (int s = 0; s < n_sinks; ++s) {
+    const double lo = design.useful_skew.enabled()
+                          ? design.useful_skew.lo[s]
+                          : -0.5 * design.constraints.max_skew;
+    const double hi = design.useful_skew.enabled()
+                          ? design.useful_skew.hi[s]
+                          : 0.5 * design.constraints.max_skew;
+    const double off = state.sink_latency(s) - mean;
+    worst_frac = std::max({worst_frac, off / hi, off / lo});
+  }
+  const double skew_at_worst = std::clamp(1.0 - worst_frac, 0.0, 0.99);
   const MoveMargins bands[] = {{},
                                {0.05, at_worst, 0.05, 0.10},
-                               {0.05, 0.5 * at_worst, 0.05, 0.10}};
+                               {0.05, 0.5 * at_worst, 0.05, 0.10},
+                               {0.05, 0.05, 0.05, skew_at_worst},
+                               {0.05, 0.05, 0.05, 0.5 * skew_at_worst}};
   const int n_nets = nets.size();
   const int n_rules = tech.rules.size();
   workload::Rng rng(2026);
@@ -358,9 +406,12 @@ void expect_check_move_matches_reference(const netlist::ClockTree& tree,
     const NetExact& exact = state.exact_eval(net_id, rule);
     const NetImpact impact{exact.step_slew_worst, exact.sigma_worst,
                            exact.xtalk_worst, exact.wire_delay_worst};
+    const NetImpact ref_impact = aopt.timing_miller == 1.0
+                                     ? impact
+                                     : own_miller_impact(state, net_id, rule);
     for (const MoveMargins& m : bands) {
       const RefVerdict want =
-          reference_check_move(state, net_id, rule, impact, m);
+          reference_check_move(state, net_id, rule, ref_impact, m);
       ASSERT_EQ(state.check_move(net_id, rule, impact, m), want.ok)
           << "proposal " << proposal << " net " << net_id << " rule "
           << rule << " uncertainty margin " << m.uncertainty;
@@ -387,6 +438,17 @@ TEST(CheckMove, MatchesPerSinkReferenceWithUsefulSkewWindows) {
   const test::Flow f = test::synthesize_flow(std::move(d));
   ASSERT_TRUE(f.design.useful_skew.enabled());
   expect_check_move_matches_reference(f.cts.tree, f.design, f.tech, f.nets);
+}
+
+// A state timed at Miller 1.3 judges the skew window on wire delays at
+// 1.3: its memo rows' moment-derived scalars are solved at its own factor,
+// not at the batch kernel's 1.0.
+TEST(CheckMove, MatchesOwnMillerReferenceAtMiller13) {
+  const test::Flow f = test::congested_flow();
+  timing::AnalysisOptions aopt;
+  aopt.timing_miller = 1.3;
+  expect_check_move_matches_reference(f.cts.tree, f.design, f.tech, f.nets,
+                                      aopt);
 }
 
 TEST(CheckMove, MatchesPerSinkReferenceOnMultiDomainScenario) {

@@ -275,6 +275,8 @@ TEST(DseSweep, GridCoversAxesAndEmitsArtifacts) {
   EXPECT_EQ(sweep->metrics.counter("dse.points_total"), 4);
   EXPECT_EQ(sweep->metrics.counter("dse.warm_starts"), 3);
   EXPECT_GT(sweep->metrics.counter("ndr.exact_cache.transplants"), 0);
+  // One search state per point, lent from greedy to the annealer.
+  EXPECT_EQ(sweep->metrics.counter("ndr.search_states"), 4);
 }
 
 // The headline contract: every frontier point's emitted config, run

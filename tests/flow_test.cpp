@@ -441,7 +441,8 @@ TEST(Flow, GreedyRunEvaluatesThreeTimesAndBuildsGeometryOnce) {
 }
 
 // With the annealer on, it starts from greedy's signed-off result: the
-// run adds only the annealer's final evaluation.
+// run adds only the annealer's final evaluation. Both searches work on the
+// flow's one search state, and both of their signoffs read its memo.
 TEST(Flow, AnnealRunEvaluatesFourTimes) {
   flow::FlowConfig config = small_run_config();
   config.anneal_iterations = 500;
@@ -453,6 +454,8 @@ TEST(Flow, AnnealRunEvaluatesFourTimes) {
   ASSERT_TRUE(r.value().anneal.has_value());
   const auto snap = session.obs_scope().metrics().snapshot();
   EXPECT_EQ(snap.counter("ndr.evaluations"), 4);
+  EXPECT_EQ(snap.counter("ndr.search_states"), 1);
+  EXPECT_EQ(snap.counter("ndr.memo_signoffs"), 2);
   EXPECT_EQ(r.value().smart->stats.full_evals, 1);
   EXPECT_EQ(snap.counter("extract.geometry.builds"), session.nets().size());
   EXPECT_EQ(snap.counter("extract.nets_fresh_walks"), 0);

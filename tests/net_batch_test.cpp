@@ -32,6 +32,16 @@ void expect_exact_eq(const NetExact& got, const NetExact& want) {
   EXPECT_EQ(got.em_peak, want.em_peak);
   EXPECT_EQ(got.wire_delay_mean, want.wire_delay_mean);
   EXPECT_EQ(got.wire_delay_worst, want.wire_delay_worst);
+  EXPECT_EQ(got.wire_cap_gnd, want.wire_cap_gnd);
+  EXPECT_EQ(got.wire_cap_cpl, want.wire_cap_cpl);
+  EXPECT_EQ(got.load_cap, want.load_cap);
+  EXPECT_EQ(got.driver_load, want.driver_load);
+}
+
+void expect_same_bits(double got, double want, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << what;
 }
 
 TEST(NetShapeBuckets, GroupsPartitionTheNetList) {
@@ -199,31 +209,72 @@ TEST(NetBatch, WarmRowsBitwiseMatchLazyEvalAtAnyThreadCount) {
   common::set_thread_count(-1);
 }
 
-/// Every stored per-load moment pair equals RcTree::moments over a scalar
-/// materialize of the net under the rule, at the state's driver
-/// resistance and timing Miller factor — bitwise.
-void expect_load_moments_match_scalar(const AssignmentState& state) {
+/// Every memo row term equals the scalar kernels bitwise, for every (net,
+/// rule): the per-load moment pairs RcTree::moments over a scalar
+/// materialize at the state's driver resistance and timing Miller factor,
+/// the per-load sigma / crosstalk timing::net_variation, the cap totals
+/// the materialized NetParasitics, and the driver load plus every
+/// moment-derived scalar the same moment solve (so a Miller-1.3 row is
+/// Miller 1.3 throughout).
+void expect_memo_rows_match_scalar(const AssignmentState& state) {
   const timing::AnalysisOptions& aopt = state.analysis();
+  const tech::Technology& tech = state.tech();
   extract::NetParasitics par;
   extract::RcMoments m;
+  timing::VariationScratch vscratch;
+  timing::NetVariationDetail detail;
   for (const netlist::Net& net : state.nets().nets) {
     const double dres =
-        timing::net_driver_res(state.tree(), state.tech(), net, aopt);
-    for (int r = 0; r < state.tech().rules.size(); ++r) {
-      extract::materialize(state.geometry_cache().geometry(net.id),
-                           state.tech(), state.tech().rules[r], par);
+        timing::net_driver_res(state.tree(), tech, net, aopt);
+    for (int r = 0; r < tech.rules.size(); ++r) {
+      SCOPED_TRACE(testing::Message() << "net " << net.id << " rule " << r);
+      extract::materialize(state.geometry_cache().geometry(net.id), tech,
+                           tech.rules[r], par);
       par.rc.moments(dres, aopt.timing_miller, m);
+      timing::net_variation(par, tech, tech.rules[r], dres, vscratch, detail);
       const std::span<const double> got = state.load_moments(net.id, r);
+      const std::span<const double> sigma = state.load_sigma(net.id, r);
+      const std::span<const double> xtalk = state.load_xtalk(net.id, r);
       ASSERT_EQ(got.size(), 2 * net.loads.size());
+      ASSERT_EQ(sigma.size(), net.loads.size());
+      ASSERT_EQ(xtalk.size(), net.loads.size());
+      std::vector<double> m12;
       for (std::size_t li = 0; li < net.loads.size(); ++li) {
         const int rc = par.load_rc_index[li];
         ASSERT_EQ(std::bit_cast<std::uint64_t>(got[2 * li]),
                   std::bit_cast<std::uint64_t>(m.m1[rc]))
-            << "net " << net.id << " rule " << r << " load " << li;
+            << "load " << li;
         ASSERT_EQ(std::bit_cast<std::uint64_t>(got[2 * li + 1]),
                   std::bit_cast<std::uint64_t>(m.m2[rc]))
-            << "net " << net.id << " rule " << r << " load " << li;
+            << "load " << li;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(sigma[li]),
+                  std::bit_cast<std::uint64_t>(detail.load_sigma[li]))
+            << "load " << li;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(xtalk[li]),
+                  std::bit_cast<std::uint64_t>(detail.load_xtalk[li]))
+            << "load " << li;
+        m12.push_back(m.m1[rc]);
+        m12.push_back(m.m2[rc]);
       }
+      NetExact want;
+      scan_load_moments(m12.data(), static_cast<int>(net.loads.size()),
+                        want);
+      const NetExact& row = state.signoff_row(net.id, r);
+      expect_same_bits(row.wire_cap_gnd, par.wire_cap_gnd, "wire_cap_gnd");
+      expect_same_bits(row.wire_cap_cpl, par.wire_cap_cpl, "wire_cap_cpl");
+      expect_same_bits(row.load_cap, par.load_cap, "load_cap");
+      expect_same_bits(row.cap_switched, par.switched_cap(tech.miller_power),
+                       "cap_switched");
+      expect_same_bits(row.driver_load, m.down[0], "driver_load");
+      expect_same_bits(row.step_slew_worst, want.step_slew_worst,
+                       "step_slew_worst");
+      expect_same_bits(row.wire_delay_worst, want.wire_delay_worst,
+                       "wire_delay_worst");
+      expect_same_bits(row.wire_delay_mean, want.wire_delay_mean,
+                       "wire_delay_mean");
+      expect_same_bits(row.sigma_worst, detail.worst_sigma(), "sigma_worst");
+      expect_same_bits(row.xtalk_worst, detail.worst_xtalk(), "xtalk_worst");
+      if (::testing::Test::HasFailure()) return;
     }
   }
 }
@@ -245,19 +296,20 @@ void check_load_moments(const test::Flow& f) {
       state.rebuild(blanket, ev);
       state.warm_all_rows();  // parallel cross-net row fills.
       const std::int64_t misses = state.exact_cache_misses();
-      expect_load_moments_match_scalar(state);
+      expect_memo_rows_match_scalar(state);
       EXPECT_EQ(state.exact_cache_misses(), misses);  // warm reads only.
+      EXPECT_EQ(state.exact_cache_hits(), 0);  // signoff reads count none.
 
-      // Transplanted rows carry their moments along.
+      // Transplanted rows carry their load terms along.
       MemoSnapshot snap;
       state.export_memo(snap);
       AssignmentState twin(f.cts.tree, f.design, f.tech, f.nets, aopt,
                            &state.geometry_cache());
       twin.rebuild(blanket, ev);
       EXPECT_EQ(twin.import_memo(snap), f.nets.size());
-      expect_load_moments_match_scalar(twin);
+      expect_memo_rows_match_scalar(twin);
       EXPECT_EQ(twin.exact_cache_misses(), 0);
-      if (::testing::Test::HasFatalFailure()) break;
+      if (::testing::Test::HasFailure()) break;
     }
   }
   common::set_thread_count(-1);
