@@ -14,7 +14,11 @@
 # A CLI identity leg checks `sndr run` stdout and the --spef file across
 # lane counts, memory budgets, anneal, margins, corners and the naive
 # full-STA scoring (a lent search state signed off from its memo, next to
-# per-candidate full evaluations). A DSE leg
+# per-candidate full evaluations), plus a 20 000-sink design large enough
+# for the fork-join clock-tree build (subtrees built concurrently, spliced
+# by index) and the parallel footprint record to engage, with and without
+# smart NDR (memo-fed vs extracted baseline rows). The clock-tree tests
+# (cts_test: 1-vs-8-lane tree identity) run under TSan and ASan. A DSE leg
 # checks that a sweep's artifacts do not depend on the lane count, and the
 # ASan leg also runs the durable-file parser tests.
 # Run from anywhere inside the repo.
@@ -83,6 +87,21 @@ cmp "$work/corners1.txt" "$work/cornersNbudget.txt"
 cmp "$work/spef1.spef" "$work/spefN.spef"
 cmp "$work/spef1.spef" "$work/spefNbudget.spef"
 
+# Fork-join clock-tree build: 20 000 sinks clear the parallel gate, so the
+# topology, embedding and emission forks and the parallel footprint record
+# really run concurrently at all lanes. With smart NDR the baseline rows
+# sign off from the search memo; without it they are extracted.
+"$sndr" generate --sinks 20000 --dist mixed --seed 9 --out "$work/d20k.txt" \
+  >/dev/null
+run20k() { "$sndr" run --design "$work/d20k.txt" --results-dir "$work" "$@"; }
+run20k --threads 1 --spef fork1.spef >"$work/fork1.txt"
+run20k --threads "$(nproc)" --spef forkN.spef >"$work/forkN.txt"
+run20k --threads 1 --no-smart >"$work/forkplain1.txt"
+run20k --threads "$(nproc)" --no-smart >"$work/forkplainN.txt"
+cmp <(grep -v '^wrote ' "$work/fork1.txt") <(grep -v '^wrote ' "$work/forkN.txt")
+cmp "$work/fork1.spef" "$work/forkN.spef"
+cmp "$work/forkplain1.txt" "$work/forkplainN.txt"
+
 # DSE standalone identity: a 3x5 annealing grid must write the same sweep
 # log, front, CSV and warm-start seeds at 1 vs all lanes. Each sweep starts
 # from an empty directory (a leftover sweep.ck would resume instead).
@@ -109,7 +128,7 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
   --target obs_test --target manifest_golden_test --target flow_test \
   --target delta_timing_test --target net_batch_test \
   --target scenario_fuzz_test --target serve_test --target dse_test \
-  --target batch_kernel_test --target memo_signoff_test
+  --target batch_kernel_test --target memo_signoff_test --target cts_test
 "$repo/build-tsan/tests/parallel_test"
 "$repo/build-tsan/tests/obs_test"
 "$repo/build-tsan/tests/manifest_golden_test"
@@ -132,6 +151,9 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
 "$repo/build-tsan/tests/memo_signoff_test"
 # Corner signoff's batched materialize and memo-row fills at 1 vs 8 threads.
 "$repo/build-tsan/tests/batch_kernel_test"
+# Fork-join clock-tree build: topology subtrees, embedder parts and
+# emission subtrees built on 8 lanes into disjoint slices.
+"$repo/build-tsan/tests/cts_test"
 # Property fuzz at reduced depth: every scenario runs the 1-vs-8-thread
 # bitwise contracts, so a handful of scenarios under TSan covers the
 # multi-domain evaluate/optimize/anneal paths (SNDR_FUZZ_ITERS dials it;
@@ -148,7 +170,7 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
   --target scenario_fuzz_test --target assignment_state_test \
   --target pairwise_sum_test --target refine_test --target checkpoint_test \
   --target dse_test --target netlist_test --target route_test \
-  --target delta_timing_test --target memo_signoff_test
+  --target delta_timing_test --target memo_signoff_test --target cts_test
 "$repo/build-asan/tests/extract_test"
 "$repo/build-asan/tests/extract_cache_test"
 # Skew refinement: per-net cache refresh and re-materialization into
@@ -174,8 +196,12 @@ cmake --build "$repo/build-asan" -j "$jobs" --target extract_test \
 # Memo-fed signoff: the per-load term CSR (moments, sigmas, crosstalk per
 # (net, rule) block) read by every whole-tree pass, also under a budget.
 "$repo/build-asan/tests/memo_signoff_test"
-# Routing footprint: raw-offset CSR indexing (net -> wire paths -> steps)
-# and the allocation-free per-cell demand scan of fits_steps.
+# Fork-join clock-tree build: id blocks from subtree sizes, parts spliced
+# by index offset, emission into pre-sized preorder node storage.
+"$repo/build-asan/tests/cts_test"
+# Routing footprint: raw-offset CSR indexing (net -> wire paths -> steps),
+# the per-block walk buffers concatenated at prefix-summed offsets, and
+# the allocation-free per-cell demand scan of fits_steps.
 "$repo/build-asan/tests/netlist_test"
 "$repo/build-asan/tests/route_test"
 # Property fuzz at reduced depth: budgeted GeometryCache eviction and the

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "geom/segment.hpp"
 #include "tech/wire_model.hpp"
 
@@ -30,6 +32,11 @@ struct EmbNode {
   double buf_load = 0.0;    ///< F, load the root buffer drives.
 };
 
+/// Parallel-gate cost estimates (µs): embedding per sink, emission per
+/// node.
+constexpr double kEmbedUsPerSink = 1.25;
+constexpr double kEmitUsPerNode = 0.3;
+
 struct Embedder {
   const netlist::Design* design;
   const tech::Technology* tech;
@@ -37,9 +44,16 @@ struct Embedder {
   double r = 0.0;  ///< ohm/um at the planning rule.
   double c = 0.0;  ///< F/um at the planning rule and occupancy.
 
+  /// Nodes in creation order: every child precedes its parent.
   std::vector<EmbNode> emb;
-  double elongation = 0.0;
+  /// um, each merge's snaking increment in creation order; the result's
+  /// elongation is their running sum, taken in this order.
+  std::vector<double> elongation_steps;
   double residual_imbalance = 0.0;  ///< s, worst unabsorbed merge mismatch.
+  /// Fork-level subtrees (Topology::fork_roots order) already embedded by
+  /// their own embedders; build() splices each in where it reaches it.
+  std::vector<Embedder> parts;
+  std::size_t next_part = 0;
 
   /// Elmore delay of a wire of length `len` driving a subtree with load
   /// `cap` and internal balanced delay `t`.
@@ -198,6 +212,27 @@ struct Embedder {
     return static_cast<int>(emb.size()) - 1;
   }
 
+  /// Appends a finished part's nodes as the one recursion would have
+  /// created them here: child indices offset by the nodes already built,
+  /// its snaking increments replayed after ours. Moves the nodes and frees
+  /// the part. Returns the part's root (its last node, as build() always
+  /// creates a subtree's root last).
+  int splice(Embedder& part) {
+    const int offset = static_cast<int>(emb.size());
+    for (EmbNode& n : part.emb) {
+      if (n.left >= 0) n.left += offset;
+      if (n.right >= 0) n.right += offset;
+      emb.push_back(std::move(n));
+    }
+    elongation_steps.insert(elongation_steps.end(),
+                            part.elongation_steps.begin(),
+                            part.elongation_steps.end());
+    residual_imbalance =
+        std::max(residual_imbalance, part.residual_imbalance);
+    part = Embedder{};
+    return static_cast<int>(emb.size()) - 1;
+  }
+
   int build(const Topology& topo, int topo_id, int depth) {
     const TopoNode& tn = topo[topo_id];
     if (tn.is_leaf()) {
@@ -208,6 +243,9 @@ struct Embedder {
       n.t = 0.0;
       emb.push_back(std::move(n));
       return static_cast<int>(emb.size()) - 1;
+    }
+    if (depth == kForkDepth && !parts.empty()) {
+      return splice(parts[next_part++]);
     }
 
     int li = build(topo, tn.left, depth + 1);
@@ -287,7 +325,7 @@ struct Embedder {
       len_b = std::min(std::max(d, elongated_length(cb, tb, ta)), allowed);
       n.left_path = {pa, pa};
       n.right_path = geom::detour_path(n.p, pb, len_b, horizontal_first);
-      elongation += len_b - d;
+      elongation_steps.push_back(len_b - d);
       n.t = ta;
       residual_imbalance =
           std::max(residual_imbalance, ta - wire_delay(len_b, cb, tb));
@@ -299,7 +337,7 @@ struct Embedder {
       len_a = std::min(std::max(d, elongated_length(ca, ta, tb)), allowed);
       n.right_path = {pb, pb};
       n.left_path = geom::detour_path(n.p, pa, len_a, !horizontal_first);
-      elongation += len_a - d;
+      elongation_steps.push_back(len_a - d);
       n.t = tb;
       residual_imbalance =
           std::max(residual_imbalance, tb - wire_delay(len_a, ca, ta));
@@ -337,25 +375,87 @@ struct Embedder {
     return static_cast<int>(emb.size()) - 1;
   }
 
-  void emit(netlist::ClockTree& tree, int emb_id, int parent_tree_id,
-            geom::Path edge_path, CtsResult& result) const {
-    const EmbNode& n = emb[emb_id];
-    int tid = -1;
+  /// One emission job: emb node `v` becomes tree node `id` under tree
+  /// node `parent`, routed along `edge` (its parent's path to it).
+  struct EmitTask {
+    int v;
+    int parent;
+    int id;
+    geom::Path* edge;
+  };
+
+  /// Writes the subtree of `t` into `out` at DFS-preorder ids: a node's
+  /// left subtree starts right after it, its right subtree right after
+  /// that, so `size` (emb nodes per subtree) fixes every id up front.
+  /// Routed paths move out of emb. With `deferred`, subtrees of at most
+  /// `cutoff` nodes are queued there instead of written.
+  void emit(std::span<netlist::TreeNode> out, const std::vector<int>& size,
+            const EmitTask& t, int cutoff, std::vector<EmitTask>* deferred) {
+    if (deferred != nullptr && size[t.v] <= cutoff) {
+      deferred->push_back(t);
+      return;
+    }
+    EmbNode& n = emb[t.v];
+    netlist::TreeNode& node = out[t.id];
+    node.loc = n.p;
+    node.parent = t.parent;
     if (n.sink >= 0) {
-      tid = tree.add_sink(n.p, parent_tree_id, n.sink);
+      node.kind = netlist::NodeKind::kSink;
+      node.sink = n.sink;
     } else if (n.buffer_cell >= 0) {
-      tid = tree.add_buffer(n.p, parent_tree_id, n.buffer_cell);
-      ++result.buffers;
+      node.kind = netlist::NodeKind::kBuffer;
+      node.cell = n.buffer_cell;
     } else {
-      tid = tree.add_steiner(n.p, parent_tree_id);
+      node.kind = netlist::NodeKind::kSteiner;
     }
-    if (edge_path.size() < 2) {
-      edge_path = {tree.loc(parent_tree_id), n.p};
+    if (t.edge->size() >= 2) {
+      node.path = std::move(*t.edge);
+    } else {
+      node.path = {out[t.parent].loc, n.p};
     }
-    tree.set_path(tid, std::move(edge_path));
-    if (n.left >= 0 && n.right >= 0) ++result.merges;
-    if (n.left >= 0) emit(tree, n.left, tid, n.left_path, result);
-    if (n.right >= 0) emit(tree, n.right, tid, n.right_path, result);
+    const int left_id = t.id + 1;
+    const int right_id = n.left >= 0 ? left_id + size[n.left] : left_id;
+    if (n.left >= 0 && n.right >= 0) {
+      node.children = {left_id, right_id};
+    } else if (n.left >= 0 || n.right >= 0) {
+      node.children = {left_id};
+    }
+    if (n.left >= 0) {
+      emit(out, size, {n.left, t.id, left_id, &n.left_path}, cutoff,
+           deferred);
+    }
+    if (n.right >= 0) {
+      emit(out, size, {n.right, t.id, right_id, &n.right_path}, cutoff,
+           deferred);
+    }
+  }
+
+  /// Emits the subtree of emb[top] under a source at `source`, reached
+  /// along `root_path`: the top levels serially, then the remaining
+  /// subtrees (each at most 1/2^kForkDepth of the nodes) concurrently
+  /// into the pre-sized node storage.
+  void emit_tree(netlist::ClockTree& tree, geom::Point source, int top,
+                 geom::Path& root_path) {
+    std::vector<int> size(emb.size(), 1);
+    for (std::size_t i = 0; i < emb.size(); ++i) {
+      if (emb[i].left >= 0) size[i] += size[emb[i].left];
+      if (emb[i].right >= 0) size[i] += size[emb[i].right];
+    }
+    const std::span<netlist::TreeNode> out =
+        tree.build_nodes(1 + size[top], source);
+    out[0].children = {1};
+    std::vector<EmitTask> tasks;
+    emit(out, size, {top, 0, 1, &root_path}, size[top] >> kForkDepth,
+         &tasks);
+    const double us_per_task =
+        tasks.empty() ? 0.0
+                      : kEmitUsPerNode * size[top] /
+                            static_cast<double>(tasks.size());
+    common::parallel_for(
+        static_cast<std::int64_t>(tasks.size()), 1, us_per_task,
+        [&](std::int64_t i) {
+          emit(out, size, tasks[static_cast<std::size_t>(i)], 0, nullptr);
+        });
   }
 };
 
@@ -384,6 +484,26 @@ CtsResult synthesize(const netlist::Design& design,
           ? build_topology_hybrid(design.sinks, design.core,
                                   options.htree_levels)
           : build_topology_mmm(design.sinks);
+  // Fork-level subtrees first, each by its own copy of the (still empty)
+  // embedder; the top-level recursion then splices them in as it reaches
+  // them, in the order it would have built them itself.
+  const std::vector<int> roots = topo.fork_roots();
+  std::vector<Embedder> parts(roots.size(), e);
+  const double us_per_part =
+      roots.empty() ? 0.0
+                    : kEmbedUsPerSink *
+                          static_cast<double>(design.sinks.size()) /
+                          static_cast<double>(roots.size());
+  common::parallel_for(static_cast<std::int64_t>(roots.size()), 1,
+                       us_per_part, [&](std::int64_t i) {
+                         const auto k = static_cast<std::size_t>(i);
+                         parts[k].build(topo, roots[k], kForkDepth);
+                       });
+  std::size_t part_nodes = 0;
+  for (const Embedder& part : parts) part_nodes += part.emb.size();
+  // Room for the top levels' merges, buffers and repeaters as well.
+  e.emb.reserve(part_nodes + 1024);
+  e.parts = std::move(parts);
   const int top = e.build(topo, topo.root, 0);
 
   // A lightly loaded top merge still needs a driver between the source and
@@ -404,18 +524,21 @@ CtsResult synthesize(const netlist::Design& design,
   }
 
   CtsResult result;
-  const int src = result.tree.add_source(design.clock_root);
-  const geom::Path root_path =
+  geom::Path root_path =
       geom::l_path(design.clock_root, e.emb[top_final].p, true);
-  e.emit(result.tree, top_final, src, root_path, result);
-  result.tree.validate(static_cast<int>(design.sinks.size()));
-
-  result.wirelength = result.tree.total_wirelength();
-  result.elongation = e.elongation;
-  result.residual_imbalance = e.residual_imbalance;
   result.planned_latency =
       e.wire_delay(geom::path_length(root_path), e.emb[top_final].cap_up,
                    e.emb[top_final].t);
+  e.emit_tree(result.tree, design.clock_root, top_final, root_path);
+  result.tree.validate(static_cast<int>(design.sinks.size()));
+  for (const netlist::TreeNode& n : result.tree.nodes()) {
+    if (n.kind == netlist::NodeKind::kBuffer) ++result.buffers;
+    if (n.children.size() == 2) ++result.merges;
+  }
+
+  result.wirelength = result.tree.total_wirelength();
+  for (const double step : e.elongation_steps) result.elongation += step;
+  result.residual_imbalance = e.residual_imbalance;
   return result;
 }
 

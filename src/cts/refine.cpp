@@ -19,11 +19,11 @@ struct SubtreeLatency {
 };
 
 SubtreeLatency subtree_latency(const netlist::ClockTree& tree,
+                               const std::vector<int>& order,
                                const timing::TimingReport& rep) {
   SubtreeLatency s;
   s.sum.assign(tree.size(), 0.0);
   s.count.assign(tree.size(), 0);
-  const std::vector<int> order = tree.topological_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const int id = *it;
     const netlist::TreeNode& n = tree.node(id);
@@ -68,6 +68,9 @@ RefineResult refine_skew(netlist::ClockTree& tree,
   // Nets loaded by a buffer the previous pass resized: the only parasitics
   // a resize changes (the buffer's input cap).
   std::vector<int> stale;
+  // Resizing never changes the topology: one root-first order serves
+  // every pass, bottom-up and top-down.
+  const std::vector<int> order = tree.topological_order();
 
   // Pass `max_iterations` only measures what the last sizing pass left.
   for (int iter = 0;; ++iter) {
@@ -84,7 +87,7 @@ RefineResult refine_skew(netlist::ClockTree& tree,
     result.iterations = iter;
     if (rep.skew() <= skew_goal) break;
 
-    const SubtreeLatency sub = subtree_latency(tree, rep);
+    const SubtreeLatency sub = subtree_latency(tree, order, rep);
     const double target = sub.count[tree.root()] > 0
                               ? sub.sum[tree.root()] / sub.count[tree.root()]
                               : 0.0;
@@ -93,8 +96,8 @@ RefineResult refine_skew(netlist::ClockTree& tree,
     // ancestors have not already corrected.
     std::vector<double> corrected(tree.size(), 0.0);
     stale.clear();
-    for (const int id : tree.topological_order()) {
-      netlist::TreeNode n = tree.node(id);
+    for (const int id : order) {
+      const netlist::TreeNode& n = tree.node(id);
       if (n.parent >= 0) corrected[id] = corrected[n.parent];
       if (n.kind != netlist::NodeKind::kBuffer || sub.count[id] == 0) {
         continue;

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/parallel.hpp"
+
 namespace sndr::cts {
 
 int Topology::leaf_count() const {
@@ -14,13 +16,47 @@ int Topology::leaf_count() const {
   return n;
 }
 
+std::vector<int> Topology::fork_roots() const {
+  std::vector<int> roots;
+  const auto walk = [&](const auto& self, int id, int depth) -> void {
+    const TopoNode& n = nodes[id];
+    if (n.is_leaf()) return;
+    if (depth == kForkDepth) {
+      roots.push_back(id);
+      return;
+    }
+    self(self, n.left, depth + 1);
+    self(self, n.right, depth + 1);
+  };
+  if (root >= 0) walk(walk, root, 0);
+  return roots;
+}
+
 namespace {
 
+/// Topology build cost per sink (µs), for the parallel gate.
+constexpr double kUsPerSink = 0.5;
+
+/// One builder for both modes: the top `h_levels` levels cut the region
+/// at its geometric center (hybrid H-tree), every level below splits at
+/// the median (MMM; h_levels = 0 is pure MMM).
 struct Builder {
   const std::vector<netlist::Sink>* sinks;
-  Topology topo;
+  std::vector<int> ids;  ///< sink order; a subtree permutes only its slice.
+  std::vector<TopoNode>* nodes;
+  int h_levels = 0;
 
-  int median_split(std::vector<int>& ids, int lo, int hi, bool split_x) {
+  /// A subtree: the sinks ids[lo, hi), its id block starting at `base`,
+  /// its H-tree region and its depth.
+  struct Range {
+    int lo;
+    int hi;
+    int base;
+    geom::BBox region;
+    int depth;
+  };
+
+  int median_split(int lo, int hi, bool split_x) {
     const int mid = lo + (hi - lo) / 2;
     std::nth_element(ids.begin() + lo, ids.begin() + mid, ids.begin() + hi,
                      [&](int a, int b) {
@@ -36,60 +72,84 @@ struct Builder {
     return mid;
   }
 
-  int build(std::vector<int>& ids, int lo, int hi) {  // [lo, hi)
-    if (hi - lo == 1) {
-      topo.nodes.push_back(TopoNode{-1, -1, ids[lo]});
-      return topo.size() - 1;
+  /// Builds the subtree `r` into its id block and returns its root id.
+  /// With `deferred`, internal subtrees at kForkDepth are queued there
+  /// instead (their root id is already known from their size).
+  int build(const Range& r, std::vector<Range>* deferred) {
+    const int id = r.base + 2 * (r.hi - r.lo) - 2;
+    if (r.hi - r.lo == 1) {
+      (*nodes)[id] = TopoNode{-1, -1, ids[r.lo]};
+      return id;
     }
-    // Axis of larger spread; median split keeps the tree balanced.
-    geom::BBox box;
-    for (int i = lo; i < hi; ++i) box.extend((*sinks)[ids[i]].loc);
-    const bool split_x = box.width() >= box.height();
-    const int mid = median_split(ids, lo, hi, split_x);
-    const int l = build(ids, lo, mid);
-    const int r = build(ids, mid, hi);
-    topo.nodes.push_back(TopoNode{l, r, -1});
-    return topo.size() - 1;
-  }
-
-  int build_hybrid(std::vector<int>& ids, int lo, int hi,
-                   const geom::BBox& region, int h_levels, int depth) {
-    if (hi - lo == 1) {
-      topo.nodes.push_back(TopoNode{-1, -1, ids[lo]});
-      return topo.size() - 1;
+    if (deferred != nullptr && r.depth == kForkDepth) {
+      deferred->push_back(r);
+      return id;
     }
-    if (depth >= h_levels) {
-      return build(ids, lo, hi);
-    }
-    // Geometric center cut with alternating axis.
-    const bool split_x = depth % 2 == 0;
-    const double cut = split_x ? region.center().x : region.center().y;
-    const auto left_of = [&](int id) {
-      const geom::Point p = (*sinks)[id].loc;
-      return (split_x ? p.x : p.y) <= cut;
-    };
-    const auto mid_it =
-        std::partition(ids.begin() + lo, ids.begin() + hi, left_of);
-    int mid = static_cast<int>(mid_it - ids.begin());
-    if (mid == lo || mid == hi) {
-      // Degenerate cut (all sinks on one side): median keeps progress.
-      mid = median_split(ids, lo, hi, split_x);
-    }
-    geom::BBox left = region;
-    geom::BBox right = region;
-    if (split_x) {
-      left = geom::BBox(region.lo().x, region.lo().y, cut, region.hi().y);
-      right = geom::BBox(cut, region.lo().y, region.hi().x, region.hi().y);
+    int mid = 0;
+    geom::BBox left = r.region;
+    geom::BBox right = r.region;
+    if (r.depth < h_levels) {
+      // Geometric center cut with alternating axis.
+      const bool split_x = r.depth % 2 == 0;
+      const double cut = split_x ? r.region.center().x : r.region.center().y;
+      const auto left_of = [&](int s) {
+        const geom::Point p = (*sinks)[s].loc;
+        return (split_x ? p.x : p.y) <= cut;
+      };
+      mid = static_cast<int>(
+          std::partition(ids.begin() + r.lo, ids.begin() + r.hi, left_of) -
+          ids.begin());
+      if (mid == r.lo || mid == r.hi) {
+        // Degenerate cut (all sinks on one side): median keeps progress.
+        mid = median_split(r.lo, r.hi, split_x);
+      }
+      const geom::Point lo = r.region.lo();
+      const geom::Point hi = r.region.hi();
+      if (split_x) {
+        left = geom::BBox(lo.x, lo.y, cut, hi.y);
+        right = geom::BBox(cut, lo.y, hi.x, hi.y);
+      } else {
+        left = geom::BBox(lo.x, lo.y, hi.x, cut);
+        right = geom::BBox(lo.x, cut, hi.x, hi.y);
+      }
     } else {
-      left = geom::BBox(region.lo().x, region.lo().y, region.hi().x, cut);
-      right = geom::BBox(region.lo().x, cut, region.hi().x, region.hi().y);
+      // Axis of larger spread; median split keeps the tree balanced.
+      geom::BBox box;
+      for (int i = r.lo; i < r.hi; ++i) box.extend((*sinks)[ids[i]].loc);
+      mid = median_split(r.lo, r.hi, box.width() >= box.height());
     }
-    const int l = build_hybrid(ids, lo, mid, left, h_levels, depth + 1);
-    const int r = build_hybrid(ids, mid, hi, right, h_levels, depth + 1);
-    topo.nodes.push_back(TopoNode{l, r, -1});
-    return topo.size() - 1;
+    const int l = build({r.lo, mid, r.base, left, r.depth + 1}, deferred);
+    const int rr = build(
+        {mid, r.hi, r.base + 2 * (mid - r.lo) - 1, right, r.depth + 1},
+        deferred);
+    (*nodes)[id] = TopoNode{l, rr, -1};
+    return id;
   }
 };
+
+Topology build_topology(const std::vector<netlist::Sink>& sinks,
+                        const geom::BBox& region, int h_levels) {
+  const int n = static_cast<int>(sinks.size());
+  Topology topo;
+  topo.nodes.resize(2 * static_cast<std::size_t>(n) - 1);
+  Builder b;
+  b.sinks = &sinks;
+  b.ids.resize(sinks.size());
+  std::iota(b.ids.begin(), b.ids.end(), 0);
+  b.nodes = &topo.nodes;
+  b.h_levels = h_levels;
+  // The top splits, serially; then the fork-level subtrees, each on one
+  // lane (disjoint sink slices and id blocks).
+  std::vector<Builder::Range> parts;
+  topo.root = b.build({0, n, 0, region, 0}, &parts);
+  const double us_per_part =
+      parts.empty() ? 0.0 : kUsPerSink * n / static_cast<double>(parts.size());
+  common::parallel_for(static_cast<std::int64_t>(parts.size()), 1,
+                       us_per_part, [&](std::int64_t i) {
+                         b.build(parts[static_cast<std::size_t>(i)], nullptr);
+                       });
+  return topo;
+}
 
 }  // namespace
 
@@ -97,13 +157,7 @@ Topology build_topology_mmm(const std::vector<netlist::Sink>& sinks) {
   if (sinks.empty()) {
     throw std::invalid_argument("build_topology_mmm: no sinks");
   }
-  Builder b;
-  b.sinks = &sinks;
-  b.topo.nodes.reserve(2 * sinks.size());
-  std::vector<int> ids(sinks.size());
-  std::iota(ids.begin(), ids.end(), 0);
-  b.topo.root = b.build(ids, 0, static_cast<int>(ids.size()));
-  return std::move(b.topo);
+  return build_topology(sinks, geom::BBox{}, 0);
 }
 
 Topology build_topology_hybrid(const std::vector<netlist::Sink>& sinks,
@@ -111,18 +165,11 @@ Topology build_topology_hybrid(const std::vector<netlist::Sink>& sinks,
   if (sinks.empty()) {
     throw std::invalid_argument("build_topology_hybrid: no sinks");
   }
-  Builder b;
-  b.sinks = &sinks;
-  b.topo.nodes.reserve(2 * sinks.size());
-  std::vector<int> ids(sinks.size());
-  std::iota(ids.begin(), ids.end(), 0);
   geom::BBox region = core;
   if (region.empty()) {
     for (const netlist::Sink& s : sinks) region.extend(s.loc);
   }
-  b.topo.root = b.build_hybrid(ids, 0, static_cast<int>(ids.size()), region,
-                               std::max(0, htree_levels), 0);
-  return std::move(b.topo);
+  return build_topology(sinks, region, std::max(0, htree_levels));
 }
 
 }  // namespace sndr::cts

@@ -202,16 +202,6 @@ common::Result<FlowResult> Flow::run() {
     // standalone path where a user actually reads the table.
     const bool baseline_rows =
         session_.reuse().cts == nullptr || !config.smart;
-    if (baseline_rows) {
-      result.default_eval = ndr::evaluate(tree, design, tech, nets,
-                                          ndr::assign_all(nets, 0), {},
-                                          geometry);
-      add_eval_row(result.table, "all-default", result.default_eval);
-      result.blanket_eval = ndr::evaluate(
-          tree, design, tech, nets,
-          ndr::assign_all(nets, tech.rules.blanket_index()), {}, geometry);
-      add_eval_row(result.table, "blanket-NDR", result.blanket_eval);
-    }
     if (config.smart) {
       state.emplace(tree, design, tech, nets, timing::AnalysisOptions{},
                     geometry);
@@ -220,6 +210,23 @@ common::Result<FlowResult> Flow::run() {
       if (session_.reuse().memo_in != nullptr) {
         state->import_memo(*session_.reuse().memo_in);
       }
+    }
+    if (baseline_rows) {
+      // With a search state, the rows sign off from its memo: the first
+      // warms every row in one parallel batch (so greedy's exact evals
+      // never miss) and both read bitwise what extraction gives.
+      const auto signoff = [&](int rule) {
+        const ndr::RuleAssignment all = ndr::assign_all(nets, rule);
+        return state ? ndr::evaluate(*state, all)
+                     : ndr::evaluate(tree, design, tech, nets, all, {},
+                                     geometry);
+      };
+      result.default_eval = signoff(0);
+      add_eval_row(result.table, "all-default", result.default_eval);
+      result.blanket_eval = signoff(tech.rules.blanket_index());
+      add_eval_row(result.table, "blanket-NDR", result.blanket_eval);
+    }
+    if (config.smart) {
       search.state = &*state;
       ndr::OptimizerOptions o = config.optimizer_options();
       o.search = search;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "ndr/assignment_state.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "workload/rng.hpp"
 
@@ -109,9 +110,12 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
     best = ck.best;
     best_cap = ck.best_cap;
   }
+  // The temperature schedule is observed locally and merged once: a
+  // registry observation per iteration costs a few percent of the loop.
+  obs::LocalHistogram temperatures;
   for (int it = it0; it < options.iterations; ++it, temperature *= cooling) {
     search.cancel.check();
-    SNDR_HISTOGRAM_OBSERVE("anneal.temperature", temperature);
+    temperatures.observe(temperature);
     // The proposal body runs as an immediately-invoked closure so rejected
     // proposals (early returns) still fall through to the checkpoint hook
     // below — a snapshot cadence must not depend on acceptance.
@@ -195,6 +199,8 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
       options.checkpoint_sink(ck);
     }
   }
+
+  SNDR_HISTOGRAM_MERGE("anneal.temperature", temperatures);
 
   // Verify the best assignment exactly; fall back to the input if it does
   // not hold up (or if the input itself was infeasible, report honestly).

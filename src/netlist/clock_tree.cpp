@@ -61,6 +61,16 @@ int ClockTree::add_sink(geom::Point loc, int parent, int sink_index) {
   return id;
 }
 
+std::span<TreeNode> ClockTree::build_nodes(int n, geom::Point source_loc) {
+  if (n < 1) throw std::invalid_argument("ClockTree::build_nodes: n < 1");
+  nodes_.clear();
+  nodes_.resize(static_cast<std::size_t>(n));
+  nodes_[0].kind = NodeKind::kSource;
+  nodes_[0].loc = source_loc;
+  root_ = 0;
+  return nodes_;
+}
+
 void ClockTree::set_path(int id, geom::Path path) {
   TreeNode& n = nodes_.at(id);
   if (n.parent < 0) throw std::logic_error("ClockTree: root has no path");

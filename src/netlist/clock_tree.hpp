@@ -9,6 +9,7 @@
 // clock_nets.hpp.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,12 @@ class ClockTree {
   int add_buffer(geom::Point loc, int parent, int cell);
   int add_steiner(geom::Point loc, int parent);
   int add_sink(geom::Point loc, int parent, int sink_index);
+
+  /// Bulk build: replaces the tree with `n` default nodes, node 0 being
+  /// the root source at `source_loc`, and returns the node storage for the
+  /// caller to fill in place (distinct nodes may be filled concurrently).
+  /// Nothing the add_*() calls check is checked here: validate() after.
+  std::span<TreeNode> build_nodes(int n, geom::Point source_loc);
 
   int size() const { return static_cast<int>(nodes_.size()); }
   bool empty() const { return nodes_.empty(); }

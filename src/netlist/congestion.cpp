@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/parallel.hpp"
 #include "netlist/clock_nets.hpp"
 
 namespace sndr::netlist {
@@ -65,36 +66,68 @@ double CongestionMap::avg_occupancy(const geom::Path& path) const {
   return weighted / len;
 }
 
+namespace {
+
+/// Nets per footprint block, and a block's walk cost (µs) for the
+/// parallel gate.
+constexpr std::size_t kNetsPerBlock = 64;
+constexpr double kWalkUsPerBlock = 2.0 * kNetsPerBlock;
+
+}  // namespace
+
 RoutingFootprint::RoutingFootprint(const ClockTree& tree,
                                    const NetList& nets,
                                    const CongestionMap& map) {
-  const auto record = [this](int cell, double len) {
-    steps_.push_back({cell, len});
-  };
-  geom::Path link(2);  // reused buffer for pathless (direct) wires.
-  std::size_t n_wires = 0;
-  for (const Net& net : nets.nets) n_wires += net.wires.size();
-  net_path_.reserve(nets.nets.size() + 1);
-  path_step_.reserve(n_wires + 1);
-  for (const Net& net : nets.nets) {
-    for (const int v : net.wires) {
-      // The wire's path as the usage walk has always read it: the routed
-      // path, else the straight link from its parent.
-      const TreeNode& n = tree.node(v);
-      if (map.valid()) {
-        if (n.path.size() >= 2) {
-          map.for_each_cell(n.path, record);
-        } else if (n.parent >= 0) {
-          link[0] = tree.loc(n.parent);
-          link[1] = n.loc;
-          map.for_each_cell(link, record);
-        }
-      }
-      path_step_.push_back(steps_.size());
-    }
-    net_path_.push_back(path_step_.size() - 1);
+  const std::size_t n_nets = nets.nets.size();
+  net_path_.resize(n_nets + 1);
+  for (std::size_t i = 0; i < n_nets; ++i) {
+    net_path_[i + 1] = net_path_[i] + nets.nets[i].wires.size();
   }
-  steps_.shrink_to_fit();
+  path_step_.assign(net_path_.back() + 1, 0);
+  if (!map.valid()) return;
+
+  // Each block of nets walks its wires into its own buffer, in net and
+  // wire order, noting every path's step count; the counts prefix-sum into
+  // the offsets and the buffers concatenate in block order. One walk per
+  // wire, and the steps land exactly where a serial walk would put them.
+  const std::size_t n_blocks = (n_nets + kNetsPerBlock - 1) / kNetsPerBlock;
+  std::vector<std::vector<CellStep>> blocks(n_blocks);
+  common::parallel_for(
+      static_cast<std::int64_t>(n_blocks), 1, kWalkUsPerBlock,
+      [&](std::int64_t b) {
+        std::vector<CellStep>& buf = blocks[static_cast<std::size_t>(b)];
+        const auto record = [&buf](int cell, double len) {
+          buf.push_back({cell, len});
+        };
+        geom::Path link(2);  // reused buffer for pathless (direct) wires.
+        const std::size_t lo = static_cast<std::size_t>(b) * kNetsPerBlock;
+        const std::size_t hi = std::min(n_nets, lo + kNetsPerBlock);
+        for (std::size_t net = lo; net < hi; ++net) {
+          const std::vector<int>& wires = nets.nets[net].wires;
+          for (std::size_t k = 0; k < wires.size(); ++k) {
+            // The wire's path as the usage walk has always read it: the
+            // routed path, else the straight link from its parent.
+            const std::size_t before = buf.size();
+            const TreeNode& n = tree.node(wires[k]);
+            if (n.path.size() >= 2) {
+              map.for_each_cell(n.path, record);
+            } else if (n.parent >= 0) {
+              link[0] = tree.loc(n.parent);
+              link[1] = n.loc;
+              map.for_each_cell(link, record);
+            }
+            path_step_[net_path_[net] + k + 1] = buf.size() - before;
+          }
+        }
+      });
+  for (std::size_t p = 1; p < path_step_.size(); ++p) {
+    path_step_[p] += path_step_[p - 1];
+  }
+  steps_.reserve(path_step_.back());
+  for (std::vector<CellStep>& buf : blocks) {
+    steps_.insert(steps_.end(), buf.begin(), buf.end());
+    std::vector<CellStep>().swap(buf);
+  }
 }
 
 std::size_t RoutingFootprint::bytes() const {

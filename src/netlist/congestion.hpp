@@ -118,9 +118,11 @@ struct CellStep {
 /// reordered, so any order-sensitive sum over them (usage `+=`, per-cell
 /// demand, occupancy weighting) reproduces the path walk bit for bit.
 ///
-/// Stored flat (CSR): net -> wire paths -> steps. Stale after any wire
-/// moves (a tree edit or a congestion-map change); a buffer resize moves
-/// no wire. An invalid map records no steps.
+/// Stored flat (CSR): net -> wire paths -> steps. Blocks of nets walk
+/// their wires concurrently, each into its own buffer; the per-path step
+/// counts prefix-sum into the offsets. Stale after any wire moves
+/// (a tree edit or a congestion-map change); a buffer resize moves no
+/// wire. An invalid map records no steps.
 class RoutingFootprint {
  public:
   RoutingFootprint(const ClockTree& tree, const NetList& nets,

@@ -185,6 +185,13 @@ double MetricsRegistry::bucket_lower_bound(int i) {
   return std::ldexp(1.0, i - kBucketBias);
 }
 
+int MetricsRegistry::bucket_index(double value) {
+  if (!(value > 0.0) || !std::isfinite(value)) {
+    return 0;  // zero / negative / non-finite land in bucket 0.
+  }
+  return std::clamp(std::ilogb(value) + kBucketBias, 0, kHistBuckets - 1);
+}
+
 void MetricsRegistry::observe(int histogram_id, double value) {
   if (!metrics_enabled()) return;
   if (histogram_id < 0 || histogram_id >= kMaxHistograms) return;
@@ -198,12 +205,45 @@ void MetricsRegistry::observe(int histogram_id, double value) {
   if (value > h.max.load(std::memory_order_relaxed)) {
     h.max.store(value, std::memory_order_relaxed);
   }
-  int bucket = 0;  // zero / negative / underflow land in bucket 0.
-  if (value > 0.0 && std::isfinite(value)) {
-    bucket = std::clamp(std::ilogb(value) + kBucketBias, 0,
-                        kHistBuckets - 1);
+  h.buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+}
+
+void MetricsRegistry::merge(int histogram_id, const HistogramSnapshot& hs) {
+  if (!metrics_enabled() || hs.count == 0) return;
+  if (histogram_id < 0 || histogram_id >= kMaxHistograms) return;
+  Shard::Hist& h = local_shard()->hists[histogram_id];
+  h.count.fetch_add(hs.count, std::memory_order_relaxed);
+  atomic_add(h.sum, hs.sum);
+  if (hs.min < h.min.load(std::memory_order_relaxed)) {
+    h.min.store(hs.min, std::memory_order_relaxed);
   }
-  h.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  if (hs.max > h.max.load(std::memory_order_relaxed)) {
+    h.max.store(hs.max, std::memory_order_relaxed);
+  }
+  for (const auto& [lower, count] : hs.buckets) {
+    // Snapshot buckets carry their exact power-of-two lower bound, so
+    // the index recovers losslessly: i = ilogb(lower) + bias.
+    const int b =
+        std::clamp(std::ilogb(lower) + kBucketBias, 0, kHistBuckets - 1);
+    h.buckets[b].fetch_add(count, std::memory_order_relaxed);
+  }
+}
+
+MetricsRegistry::HistogramSnapshot LocalHistogram::snapshot() const {
+  MetricsRegistry::HistogramSnapshot hs;
+  hs.count = count_;
+  hs.sum = sum_;
+  if (count_ > 0) {
+    hs.min = min_;
+    hs.max = max_;
+  }
+  for (int b = 0; b < MetricsRegistry::kHistBuckets; ++b) {
+    if (buckets_[b] != 0) {
+      hs.buckets.emplace_back(MetricsRegistry::bucket_lower_bound(b),
+                              buckets_[b]);
+    }
+  }
+  return hs;
 }
 
 std::int64_t MetricsRegistry::Snapshot::counter(
@@ -285,25 +325,7 @@ void MetricsRegistry::accumulate(const Snapshot& snap) {
     set(gauge(name), value);
   }
   for (const auto& [name, hs] : snap.histograms) {
-    if (hs.count == 0) continue;
-    const int id = histogram(name);
-    if (id < 0 || id >= kMaxHistograms) continue;
-    Shard::Hist& h = local_shard()->hists[id];
-    h.count.fetch_add(hs.count, std::memory_order_relaxed);
-    atomic_add(h.sum, hs.sum);
-    if (hs.min < h.min.load(std::memory_order_relaxed)) {
-      h.min.store(hs.min, std::memory_order_relaxed);
-    }
-    if (hs.max > h.max.load(std::memory_order_relaxed)) {
-      h.max.store(hs.max, std::memory_order_relaxed);
-    }
-    for (const auto& [lower, count] : hs.buckets) {
-      // Snapshot buckets carry their exact power-of-two lower bound, so
-      // the index recovers losslessly: i = ilogb(lower) + bias.
-      const int b =
-          std::clamp(std::ilogb(lower) + kBucketBias, 0, kHistBuckets - 1);
-      h.buckets[b].fetch_add(count, std::memory_order_relaxed);
-    }
+    if (hs.count > 0) merge(histogram(name), hs);
   }
 }
 

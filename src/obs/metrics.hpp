@@ -34,6 +34,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,6 +97,10 @@ class MetricsRegistry {
     std::vector<std::pair<double, std::int64_t>> buckets;
   };
 
+  /// Folds a whole histogram into histogram `histogram_id`: counts and
+  /// buckets add, the sum adds once, min/max combine. A no-op when empty.
+  void merge(int histogram_id, const HistogramSnapshot& hs);
+
   /// A merged, name-sorted view of every registered metric.
   struct Snapshot {
     std::vector<std::pair<std::string, std::int64_t>> counters;
@@ -125,6 +130,8 @@ class MetricsRegistry {
 
   /// Inclusive lower bound of histogram bucket `i`.
   static double bucket_lower_bound(int i);
+  /// The bucket observe() files `value` under.
+  static int bucket_index(double value);
 
   // Implementation detail (defined in metrics.cpp); public only so the
   // thread-local shard cache can hold Shard pointers.
@@ -138,6 +145,31 @@ class MetricsRegistry {
   /// One shard per writing thread, owned here (freed with the registry).
   std::vector<std::pair<std::thread::id, std::unique_ptr<Shard>>> shards_;
   std::array<std::atomic<double>, kMaxGauges> gauges_{};
+};
+
+/// A histogram one owner fills with plain arithmetic and merges into a
+/// registry once (SNDR_HISTOGRAM_MERGE), for loops where even a relaxed
+/// atomic per observation shows in a profile. It keeps what observe()
+/// keeps (count, sum in observation order, min, max, buckets), so merged
+/// into an empty histogram it reads exactly as per-value observations.
+class LocalHistogram {
+ public:
+  void observe(double value) {
+    ++count_;
+    sum_ += value;
+    if (value < min_) min_ = value;
+    if (value > max_) max_ = value;
+    ++buckets_[MetricsRegistry::bucket_index(value)];
+  }
+
+  MetricsRegistry::HistogramSnapshot snapshot() const;
+
+ private:
+  std::int64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+  std::array<std::int64_t, MetricsRegistry::kHistBuckets> buckets_{};
 };
 
 }  // namespace sndr::obs
@@ -175,5 +207,15 @@ class MetricsRegistry {
           ::sndr::obs::MetricsRegistry::instance().histogram(name);       \
       ::sndr::obs::MetricsRegistry::instance().observe(                   \
           SNDR_OBS_CONCAT(sndr_obs_id_, __LINE__), (value));              \
+    }                                                                     \
+  } while (0)
+
+#define SNDR_HISTOGRAM_MERGE(name, local)                                 \
+  do {                                                                    \
+    if (::sndr::obs::metrics_enabled()) {                                 \
+      static const int SNDR_OBS_CONCAT(sndr_obs_id_, __LINE__) =          \
+          ::sndr::obs::MetricsRegistry::instance().histogram(name);       \
+      ::sndr::obs::MetricsRegistry::instance().merge(                     \
+          SNDR_OBS_CONCAT(sndr_obs_id_, __LINE__), (local).snapshot());   \
     }                                                                     \
   } while (0)

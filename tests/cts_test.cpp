@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "common/thread_pool.hpp"
 #include "cts/embedding.hpp"
 #include "cts/topology.hpp"
 #include "extract/extractor.hpp"
@@ -227,6 +232,211 @@ TEST(Synthesize, NoRootBufferOption) {
   opt.buffer_root = false;
   const CtsResult r = synthesize(d, t, opt);
   EXPECT_NO_THROW(r.tree.validate(4));
+}
+
+// ---- Fork-join construction ----------------------------------------------
+//
+// The topology builder splits the top levels serially and builds the
+// subtrees below the fork depth concurrently; the embedder builds each
+// fork-level subtree in its own part and splices the parts back in the
+// order the one recursion creates nodes; emission fills DFS-preorder ids
+// in place. None of it may show: the tree and every CtsResult field are
+// bitwise the same at 1 and 8 lanes, and equal the pinned fingerprint of
+// the single-recursion construction they replaced.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_cts(const CtsResult& got, const CtsResult& want) {
+  const netlist::ClockTree& a = got.tree;
+  const netlist::ClockTree& b = want.tree;
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.root(), b.root());
+  for (int id = 0; id < a.size(); ++id) {
+    const netlist::TreeNode& x = a.node(id);
+    const netlist::TreeNode& y = b.node(id);
+    SCOPED_TRACE(testing::Message() << "node " << id);
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(bits(x.loc.x), bits(y.loc.x));
+    EXPECT_EQ(bits(x.loc.y), bits(y.loc.y));
+    EXPECT_EQ(x.parent, y.parent);
+    EXPECT_EQ(x.children, y.children);
+    EXPECT_EQ(x.cell, y.cell);
+    EXPECT_EQ(x.sink, y.sink);
+    ASSERT_EQ(x.path.size(), y.path.size());
+    for (std::size_t k = 0; k < x.path.size(); ++k) {
+      EXPECT_EQ(bits(x.path[k].x), bits(y.path[k].x));
+      EXPECT_EQ(bits(x.path[k].y), bits(y.path[k].y));
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(got.buffers, want.buffers);
+  EXPECT_EQ(got.merges, want.merges);
+  EXPECT_EQ(bits(got.wirelength), bits(want.wirelength));
+  EXPECT_EQ(bits(got.elongation), bits(want.elongation));
+  EXPECT_EQ(bits(got.residual_imbalance), bits(want.residual_imbalance));
+  EXPECT_EQ(bits(got.planned_latency), bits(want.planned_latency));
+}
+
+/// FNV-1a over every field expect_same_cts compares.
+std::uint64_t fingerprint(const CtsResult& r) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mix_int = [&mix](long long v) {
+    mix(static_cast<std::uint64_t>(v));
+  };
+  mix_int(r.tree.size());
+  mix_int(r.tree.root());
+  for (const netlist::TreeNode& n : r.tree.nodes()) {
+    mix_int(static_cast<int>(n.kind));
+    mix(bits(n.loc.x));
+    mix(bits(n.loc.y));
+    mix_int(n.parent);
+    mix_int(static_cast<long long>(n.children.size()));
+    for (const int c : n.children) mix_int(c);
+    mix_int(n.cell);
+    mix_int(n.sink);
+    mix_int(static_cast<long long>(n.path.size()));
+    for (const geom::Point& p : n.path) {
+      mix(bits(p.x));
+      mix(bits(p.y));
+    }
+  }
+  mix_int(r.buffers);
+  mix_int(r.merges);
+  mix(bits(r.wirelength));
+  mix(bits(r.elongation));
+  mix(bits(r.residual_imbalance));
+  mix(bits(r.planned_latency));
+  return h;
+}
+
+/// Emission contract: ids are the DFS preorder of the tree, children in
+/// creation (left, right) order — child k of `id` starts right after the
+/// subtrees of children 0..k-1.
+void expect_dfs_preorder_ids(const netlist::ClockTree& tree) {
+  std::vector<int> size(static_cast<std::size_t>(tree.size()), 1);
+  for (int id = tree.size() - 1; id > 0; --id) {
+    const int parent = tree.node(id).parent;
+    ASSERT_GE(parent, 0);
+    ASSERT_LT(parent, id) << "node " << id << " precedes its parent";
+    size[static_cast<std::size_t>(parent)] +=
+        size[static_cast<std::size_t>(id)];
+  }
+  ASSERT_EQ(tree.root(), 0);
+  EXPECT_EQ(size[0], tree.size());
+  for (int id = 0; id < tree.size(); ++id) {
+    int next = id + 1;
+    for (const int c : tree.node(id).children) {
+      ASSERT_EQ(c, next) << "child of node " << id;
+      next += size[static_cast<std::size_t>(c)];
+    }
+  }
+}
+
+netlist::Design line_design(std::vector<geom::Point> locs) {
+  netlist::Design d;
+  d.name = "line";
+  for (std::size_t i = 0; i < locs.size(); ++i) {
+    d.sinks.push_back({"s" + std::to_string(i), locs[i], 2e-15});
+    d.core.extend(locs[i]);
+  }
+  d.core.inflate(50.0);
+  d.clock_root = d.core.lo();
+  return d;
+}
+
+netlist::Design generated(int sinks, std::uint64_t seed) {
+  workload::DesignSpec spec;
+  spec.name = "fork";
+  spec.num_sinks = sinks;
+  spec.dist = workload::SinkDistribution::kMixed;
+  spec.seed = seed;
+  return workload::make_design(spec);
+}
+
+struct LaneCase {
+  std::string name;
+  netlist::Design design;
+  TopologyMode mode;
+  std::uint64_t pinned;  ///< fingerprint of the construction at 1 lane.
+};
+
+/// Synthesizes `c` at 1 and at 8 lanes (parallel gate at `min_us`),
+/// requires the two bitwise equal, preorder ids, and the pinned
+/// fingerprint.
+void expect_lane_identity(const LaneCase& c, double min_us) {
+  SCOPED_TRACE(c.name);
+  const tech::Technology tech = tech::Technology::make_default_45nm();
+  CtsOptions opt;
+  opt.topology = c.mode;
+  common::set_parallel_min_us(min_us);
+  common::set_thread_count(1);
+  const CtsResult one = synthesize(c.design, tech, opt);
+  common::set_thread_count(8);
+  const CtsResult eight = synthesize(c.design, tech, opt);
+  common::set_thread_count(-1);
+  common::set_parallel_min_us(-1.0);
+  expect_same_cts(eight, one);
+  expect_dfs_preorder_ids(one.tree);
+  EXPECT_EQ(fingerprint(one), c.pinned)
+      << std::hex << "fingerprint 0x" << fingerprint(one);
+}
+
+TEST(ForkJoin, TinyAndDegenerateDesignsMatchAcrossLanes) {
+  std::vector<geom::Point> collinear;
+  std::vector<geom::Point> duplicates;
+  for (int i = 0; i < 40; ++i) {
+    collinear.push_back({100.0 + 37.0 * i, 200.0});
+    duplicates.push_back({300.0 + 150.0 * (i % 3), 400.0});
+  }
+  const std::vector<LaneCase> cases = {
+      {"1 sink", test::small_design(1), TopologyMode::kMmm,
+       0x8495fc4f6f6abf86},
+      {"2 sinks", test::small_design(2), TopologyMode::kMmm,
+       0x24d35521cb84f592},
+      {"3 sinks", test::small_design(3), TopologyMode::kMmm,
+       0x1f664e9a5913f67f},
+      {"3 sinks hybrid", test::small_design(3), TopologyMode::kHybridHtree,
+       0x1f664e9a5913f67f},
+      {"collinear", line_design(collinear), TopologyMode::kMmm,
+       0x81da2beee16e67c8},
+      {"collinear hybrid", line_design(collinear),
+       TopologyMode::kHybridHtree, 0x70a116b9cdeecb36},
+      {"duplicates", line_design(duplicates), TopologyMode::kMmm,
+       0xd1fdb614ff27f826},
+      {"duplicates hybrid", line_design(duplicates),
+       TopologyMode::kHybridHtree, 0x5fc469fb0a96081f},
+  };
+  for (const LaneCase& c : cases) {
+    expect_lane_identity(c, 0.0);
+    if (HasFailure()) return;
+  }
+}
+
+// 3000 sinks sit below the default parallel gate; with the gate off every
+// fork-level part runs on its own lane.
+TEST(ForkJoin, ThreeThousandSinksMatchAcrossLanesWithGateOff) {
+  const netlist::Design d = generated(3000, 9);
+  expect_lane_identity({"3000 mmm", d, TopologyMode::kMmm, 0x623dba40d62d34de},
+                       0.0);
+  expect_lane_identity(
+      {"3000 hybrid", d, TopologyMode::kHybridHtree, 0x2a750edffa27a68b},
+      0.0);
+}
+
+// 20k sinks carry enough work to pass the default gate.
+TEST(ForkJoin, TwentyThousandSinksMatchAcrossLanesAtDefaultGate) {
+  const netlist::Design d = generated(20000, 9);
+  expect_lane_identity(
+      {"20000 mmm", d, TopologyMode::kMmm, 0x9e2f2601ee8d6792}, -1.0);
+  expect_lane_identity(
+      {"20000 hybrid", d, TopologyMode::kHybridHtree, 0x8db73d9287b238ca},
+      -1.0);
 }
 
 }  // namespace

@@ -18,10 +18,12 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "eval_compare.hpp"
 #include "extract/net_geometry.hpp"
 #include "flow/config.hpp"
 #include "flow/flow.hpp"
 #include "flow/session.hpp"
+#include "fuzz_util.hpp"
 #include "io/design_io.hpp"
 #include "io/spef.hpp"
 #include "ndr/annealer.hpp"
@@ -442,7 +444,8 @@ TEST(Flow, GreedyRunEvaluatesThreeTimesAndBuildsGeometryOnce) {
 
 // With the annealer on, it starts from greedy's signed-off result: the
 // run adds only the annealer's final evaluation. Both searches work on the
-// flow's one search state, and both of their signoffs read its memo.
+// flow's one search state, and every signoff reads its memo: the two
+// baseline rows, greedy's final one and the annealer's.
 TEST(Flow, AnnealRunEvaluatesFourTimes) {
   flow::FlowConfig config = small_run_config();
   config.anneal_iterations = 500;
@@ -455,10 +458,95 @@ TEST(Flow, AnnealRunEvaluatesFourTimes) {
   const auto snap = session.obs_scope().metrics().snapshot();
   EXPECT_EQ(snap.counter("ndr.evaluations"), 4);
   EXPECT_EQ(snap.counter("ndr.search_states"), 1);
-  EXPECT_EQ(snap.counter("ndr.memo_signoffs"), 2);
+  EXPECT_EQ(snap.counter("ndr.memo_signoffs"), 4);
   EXPECT_EQ(r.value().smart->stats.full_evals, 1);
   EXPECT_EQ(snap.counter("extract.geometry.builds"), session.nets().size());
   EXPECT_EQ(snap.counter("extract.nets_fresh_walks"), 0);
+}
+
+// The optimize stage signs the all-default and blanket-NDR rows off from
+// the flow's search memo when smart NDR is on (the first warms every row),
+// and extracts them when it is off. Either way each row must equal a
+// cache-free extracted evaluation field by field and over every report
+// array.
+void expect_baseline_rows_extracted(const flow::Session& session,
+                                    const flow::FlowResult& result) {
+  const netlist::NetList& nets = session.nets();
+  const auto extracted = [&](int rule) {
+    return ndr::evaluate(session.cts().tree, session.design(),
+                         session.technology(), nets,
+                         ndr::assign_all(nets, rule));
+  };
+  {
+    SCOPED_TRACE("all-default");
+    test::expect_evaluations_bitwise(result.default_eval, extracted(0));
+  }
+  {
+    SCOPED_TRACE("blanket-NDR");
+    test::expect_evaluations_bitwise(
+        result.blanket_eval,
+        extracted(session.technology().rules.blanket_index()));
+  }
+}
+
+void expect_flow_baseline_rows_extracted(const flow::FlowConfig& config,
+                                         netlist::Design design) {
+  flow::Session session(config);
+  session.set_design(std::move(design));
+  flow::Flow f(session);
+  common::Result<flow::FlowResult> r = f.run();
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r.value().smart.has_value(), config.smart);
+  const auto snap = session.obs_scope().metrics().snapshot();
+  if (config.smart) {
+    EXPECT_GE(snap.counter("ndr.memo_signoffs"), 2);  // the two rows.
+  } else {
+    EXPECT_EQ(snap.counter("ndr.memo_signoffs"), 0);
+  }
+  expect_baseline_rows_extracted(session, r.value());
+}
+
+TEST(Flow, BaselineRowsEqualExtractionOnCongestedDesign) {
+  expect_flow_baseline_rows_extracted(small_run_config(),
+                                      test::congested_flow().design);
+}
+
+TEST(Flow, BaselineRowsEqualExtractionUnder64KiBBudget) {
+  flow::FlowConfig config = small_run_config();
+  config.memory_budget_bytes = std::size_t{64} << 10;
+  expect_flow_baseline_rows_extracted(config, test::congested_flow().design);
+}
+
+TEST(Flow, BaselineRowsEqualExtractionWithoutSmartNdr) {
+  flow::FlowConfig config = small_run_config();
+  config.smart = false;
+  expect_flow_baseline_rows_extracted(config, test::congested_flow().design);
+}
+
+// Flow has no input for domain annotations, so the scenario's annotated
+// tree is swapped in after prepare(): its nets and a geometry cache over
+// them replace the synthesized ones before run() reaches the optimize
+// stage.
+TEST(Flow, BaselineRowsEqualExtractionOnMultiDomainScenario) {
+  const test::fuzz::Scenario sc =
+      test::fuzz::make_scenario(test::fuzz::scenario_seed(43, 0));
+  SCOPED_TRACE(sc.label());
+  workload::DomainWorkload w = test::fuzz::build(
+      sc, tech::Technology::make_default_45nm());
+  ASSERT_TRUE(w.design.clock_domains.enabled());
+  flow::Session session(small_run_config());
+  session.set_design(w.design);
+  flow::Flow f(session);
+  ASSERT_TRUE(f.prepare().ok());
+  session.build_cts().tree = std::move(w.tree);
+  session.nets() = std::move(w.nets);
+  session.set_geometry(std::make_unique<extract::GeometryCache>(
+      session.cts().tree, session.design(), session.nets(), 0,
+      extract::ExtractOptions{}));
+  common::Result<flow::FlowResult> r = f.run();
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  ASSERT_TRUE(r.value().smart.has_value());
+  expect_baseline_rows_extracted(session, r.value());
 }
 
 std::string read_bytes(const std::string& path) {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "netlist/clock_nets.hpp"
 #include "netlist/clock_tree.hpp"
 #include "netlist/congestion.hpp"
@@ -252,10 +253,19 @@ TEST(RoutingUsage, AddAndOverflow) {
 
 /// Replays for_each_cell over every wire of every net, in net and wire
 /// order, and requires the footprint's steps to be that walk exactly: same
-/// cells, bitwise-equal lengths, same order, one path per wire.
+/// cells, bitwise-equal lengths, same order, one path per wire. The
+/// footprint is recorded at 1 lane and at 8 (parallel gate off, so its
+/// per-net count and fill passes really run concurrently).
 void expect_footprint_is_walk(const ClockTree& tree, const NetList& nets,
                               const CongestionMap& map) {
+  common::set_parallel_min_us(0.0);
+  common::set_thread_count(1);
   const RoutingFootprint fp(tree, nets, map);
+  common::set_thread_count(8);
+  const RoutingFootprint fp8(tree, nets, map);
+  common::set_thread_count(-1);
+  common::set_parallel_min_us(-1.0);
+  EXPECT_TRUE(fp8 == fp);
   ASSERT_EQ(fp.net_count(), nets.size());
   std::size_t total = 0;
   for (const Net& net : nets.nets) {
