@@ -19,8 +19,14 @@
 # by index) and the parallel footprint record to engage, with and without
 # smart NDR (memo-fed vs extracted baseline rows). The clock-tree tests
 # (cts_test: 1-vs-8-lane tree identity) run under TSan and ASan. A DSE leg
-# checks that a sweep's artifacts do not depend on the lane count, and the
-# ASan leg also runs the durable-file parser tests.
+# checks that a sweep's artifacts do not depend on the lane count, and a
+# service leg drains one `sndr_serve --spool` of 3000-sink and small jobs
+# (anneal/corners variants) at 1, nproc and 2*nproc workers and compares
+# every job's CSV and SPEF with each other and with `sndr run` on the
+# same config. The TSan leg's parallel_test and serve_test drive regions
+# from several threads at once on one pool (concurrent callers, busy
+# serve workers counted as lanes, a cancel raised mid-region).
+# The ASan leg also runs the durable-file parser tests.
 # Run from anywhere inside the repo.
 set -euo pipefail
 
@@ -122,6 +128,45 @@ for f in "$work"/dse1/point_*.seed; do
   cmp "$f" "$work/dseN/${f##*/}"
 done
 
+# Service identity: one spool of jobs (the 3000-sink design plus small
+# ones, with anneal and corners variants) drained at 1, nproc and 2*nproc
+# workers. Busy workers count as pool lanes, so these runs move chunks
+# between pool threads and each job's own worker; every
+# job's CSV and SPEF must not move, and must equal `sndr run` on the same
+# config file. Result lines carry wall times, so files are compared, not
+# stdout.
+echo "== tier1: sndr_serve spool byte-identity (workers) =="
+serve="$repo/build/tools/sndr_serve"
+"$sndr" generate --sinks 200 --dist uniform --seed 3 --out "$work/s200.txt" \
+  >/dev/null
+"$sndr" generate --sinks 600 --dist clustered --seed 5 --out "$work/s600.txt" \
+  >/dev/null
+job_designs=(d.txt d.txt d.txt d.txt s200.txt s200.txt s600.txt s600.txt)
+job_extras=("" "anneal = 2000" "corners = true" "anneal = 2000
+corners = true" "" "anneal = 2000" "corners = true" "anneal = 2000")
+spool() {  # $1: tag; job k writes its CSV and SPEF under serve_$1/job$k.
+  rm -rf "${work:?}/spool_$1" "${work:?}/serve_$1"
+  mkdir -p "$work/spool_$1"
+  for k in "${!job_designs[@]}"; do
+    printf 'design = %s\nresults_dir = %s\ncsv = run.csv\nspef = run.spef\n%s\n' \
+      "$work/${job_designs[$k]}" "$work/serve_$1/job$k" "${job_extras[$k]}" \
+      >"$work/spool_$1/job$k.job"
+  done
+  "$serve" --spool "$work/spool_$1" --workers "$2" >/dev/null
+}
+spool w1 1
+spool wN "$(nproc)"
+spool w2N "$((2 * $(nproc)))"
+for k in "${!job_designs[@]}"; do
+  "$sndr" run --config "$work/spool_w1/job$k.job" \
+    --results-dir "$work/serve_ref/job$k" >/dev/null
+  for tag in w1 wN w2N; do
+    for f in run.csv run.spef; do
+      cmp "$work/serve_ref/job$k/$f" "$work/serve_$tag/job$k/$f"
+    done
+  done
+done
+
 echo "== tier1: ThreadSanitizer build + parallel/obs/flow tests =="
 cmake -B "$repo/build-tsan" -S "$repo" -DSNDR_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
@@ -129,13 +174,17 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target parallel_test \
   --target delta_timing_test --target net_batch_test \
   --target scenario_fuzz_test --target serve_test --target dse_test \
   --target batch_kernel_test --target memo_signoff_test --target cts_test
+# Many drivers on one pool: concurrent callers, the progress case, the
+# busy-driver lane cap and per-caller exceptions/cancels.
 "$repo/build-tsan/tests/parallel_test"
 "$repo/build-tsan/tests/obs_test"
 "$repo/build-tsan/tests/manifest_golden_test"
 # Pins scope isolation under real concurrency (two sessions, two threads).
 "$repo/build-tsan/tests/flow_test"
 # Serve smoke: concurrent submits through the worker pool + shared cache,
-# a mid-anneal cancel unwinding across threads, and both shutdown modes —
+# jobs at 1/2/8 workers whose regions all fan out (busy workers counted
+# as pool lanes), a job cancelled while another fanned-out job runs, a
+# mid-anneal cancel unwinding across threads, and both shutdown modes —
 # the whole service locking story under TSan.
 "$repo/build-tsan/tests/serve_test"
 # DSE sweep: the 8-thread-vs-1-thread frontier identity and the dse job

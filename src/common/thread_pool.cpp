@@ -25,6 +25,19 @@ struct WorkerScope {
 
 bool ThreadPool::on_worker_thread() { return t_on_worker; }
 
+namespace {
+
+/// Threads holding a BusyDriver mark, process-wide: the pool is too.
+std::atomic<int> g_busy_drivers{0};
+
+/// Lanes the drivers keep for themselves; with no mark held, the one
+/// implicit driver (the thread calling run()).
+int driver_lanes() {
+  return std::max(1, g_busy_drivers.load(std::memory_order_relaxed));
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(int threads) {
   const int workers = std::max(0, threads - 1);
   workers_.reserve(workers);
@@ -43,69 +56,87 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::work_on(const std::shared_ptr<Job>& job) {
-  WorkerScope scope;
-  // Chunks this lane executed, published to job->done in one batch at the
-  // end so the claim loop stays free of registry and wakeup traffic.
-  int executed = 0;
-  {
-    // Observe into the submitting session's scope, not whatever this
-    // worker last saw: metrics/spans from a chunk belong to the run that
-    // issued it.
-    obs::ScopeBinding obs_binding(*job->scope);
-    for (;;) {
-      int chunk;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (job->next >= job->chunks) break;
-        chunk = job->next++;
-        if (job->next >= job->chunks && job_ == job) {
-          job_.reset();  // fully claimed: let idle workers sleep again.
-        }
-      }
-      try {
-        // A cancelled job still *claims* every chunk (the done accounting
-        // must reach job->chunks) but stops executing bodies: each
-        // remaining chunk records Cancelled and run() rethrows the
-        // lowest-indexed one.
-        if (job->cancel && job->cancel->load(std::memory_order_relaxed)) {
-          throw Cancelled();
-        }
-        (*job->fn)(chunk);
-      } catch (...) {
-        job->errors[chunk] = std::current_exception();
-      }
-      ++executed;
-    }
-    // Flush the per-lane counter while this lane's chunks are still held
-    // out of job->done: the moment done reaches job->chunks the submitter
-    // may return from run() and destroy the scope this binding targets.
-    if (executed > 0) {
-      if (t_pool_worker_thread) {
-        SNDR_COUNTER_ADD("pool.chunks_on_workers", executed);
-      } else {
-        SNDR_COUNTER_ADD("pool.chunks_on_caller", executed);
-      }
-    }
+ThreadPool::Region* ThreadPool::joinable() const {
+  if (regions_.empty() || inside_ + 1 + driver_lanes() > lanes()) {
+    return nullptr;
   }
+  return regions_.front();
+}
+
+void ThreadPool::wake_idle() {
+  // Lock-then-notify: a worker that read the old driver count under
+  // mutex_ is either already waiting (and gets this notify) or has not
+  // yet evaluated its predicate (and reads the new count).
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  wake_.notify_all();
+}
+
+void ThreadPool::work_on(Region& region) {
+  WorkerScope scope;
+  // Chunks this lane executed, counted once at the end so the claim loop
+  // stays free of registry traffic.
+  int executed = 0;
+  // Observe into the submitting session's scope, not whatever this worker
+  // last saw: metrics/spans from a chunk belong to the run that issued it.
+  obs::ScopeBinding obs_binding(*region.scope);
+  for (;;) {
+    int chunk;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (region.next >= region.chunks) break;
+      chunk = region.next++;
+      if (region.next == region.chunks) {
+        // Fully claimed: unlink it so idle workers stop joining.
+        regions_.erase(std::find(regions_.begin(), regions_.end(), &region));
+      }
+    }
+    try {
+      // A cancelled region still claims every chunk but stops executing
+      // bodies: each remaining chunk records Cancelled and run() rethrows
+      // the lowest-indexed one.
+      if (region.cancel && region.cancel->load(std::memory_order_relaxed)) {
+        throw Cancelled();
+      }
+      (*region.fn)(chunk);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!region.error || chunk < region.error_chunk) {
+        region.error_chunk = chunk;
+        region.error = std::current_exception();
+      }
+    }
+    ++executed;
+  }
+  // Flushed while this lane still counts as inside the region: once it
+  // leaves, the submitter may return from run() and destroy the scope
+  // this binding targets.
   if (executed > 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job->done += executed;
-    if (job->done >= job->chunks) done_.notify_all();
+    if (t_pool_worker_thread) {
+      SNDR_COUNTER_ADD("pool.chunks_on_workers", executed);
+    } else {
+      SNDR_COUNTER_ADD("pool.chunks_on_caller", executed);
+    }
   }
 }
 
 void ThreadPool::worker_loop() {
   t_pool_worker_thread = true;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stop_ || job_ != nullptr; });
-      if (stop_) return;
-      job = job_;
-    }
-    work_on(job);
+    Region* region = nullptr;
+    wake_.wait(lock, [&] {
+      return stop_ || (region = joinable()) != nullptr;
+    });
+    if (stop_) return;
+    ++region->active;
+    ++inside_;
+    lock.unlock();
+    work_on(*region);
+    lock.lock();
+    --inside_;
+    // Every chunk is claimed by now (work_on ran the claims dry), so the
+    // last pool thread out releases the caller.
+    if (--region->active == 0) done_.notify_all();
   }
 }
 
@@ -119,31 +150,31 @@ void ThreadPool::run(int chunks, const std::function<void(int)>& chunk_fn) {
   }
   SNDR_COUNTER_ADD("pool.jobs", 1);
   SNDR_COUNTER_ADD("pool.chunks", chunks);
-  std::lock_guard<std::mutex> run_lock(run_mutex_);
-  auto job = std::make_shared<Job>();
-  job->fn = &chunk_fn;
-  job->scope = &obs::ObsScope::current();
-  job->cancel = CancelBinding::current_flag();
-  job->chunks = chunks;
-  job->errors.assign(static_cast<std::size_t>(chunks), nullptr);
+  Region region;
+  region.fn = &chunk_fn;
+  region.scope = &obs::ObsScope::current();
+  region.cancel = CancelBinding::current_flag().get();
+  region.chunks = chunks;
+  bool joinable_now;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job_ = job;
+    regions_.push_back(&region);
+    joinable_now = joinable() != nullptr;
   }
-  wake_.notify_all();
-  work_on(job);
-  // Take the captured exceptions under the lock: once workers have moved
-  // on, their final shared_ptr<Job> release must not be the one destroying
-  // an exception object the caller is still rethrowing/reading.
-  std::vector<std::exception_ptr> errors;
+  // With the budget full no pool thread may join, so none is woken; a
+  // released mark wakes them (wake_idle).
+  if (joinable_now) wake_.notify_all();
+  work_on(region);
+  std::exception_ptr error;
   {
+    // The caller's claim loop ended, so every chunk is claimed; the pool
+    // threads still inside finish theirs. The last claimer unlinked the
+    // region while inside, so once none is inside, none can join again.
     std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&job] { return job->done >= job->chunks; });
-    errors.swap(job->errors);
+    done_.wait(lock, [&region] { return region.active == 0; });
+    error = std::move(region.error);
   }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {
@@ -183,6 +214,17 @@ ThreadPool* global_pool() {
     g_pool_built = true;
   }
   return g_pool.get();
+}
+
+BusyDriver::BusyDriver() {
+  g_busy_drivers.fetch_add(1, std::memory_order_relaxed);
+}
+
+BusyDriver::~BusyDriver() {
+  g_busy_drivers.fetch_sub(1, std::memory_order_relaxed);
+  // One lane fewer reserved: idle pool threads may now join a region.
+  std::lock_guard<std::mutex> lock(g_pool_mutex);
+  if (g_pool) g_pool->wake_idle();
 }
 
 namespace {

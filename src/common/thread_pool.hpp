@@ -12,6 +12,14 @@
 // pool worker runs serially on that worker (no deadlock, no oversubscribe),
 // so coarse outer parallelism (e.g. one task per corner) automatically
 // quiets the inner per-net loops.
+//
+// Many threads may drive regions at once (serve workers, concurrent
+// sessions). Each run() posts its region to a FIFO list and works on it
+// itself, never waiting for another caller's region; idle pool threads
+// join the oldest posted region. Pool threads only help while
+// (pool threads inside regions) + max(1, busy drivers) <= lanes(), where a
+// busy driver is a thread holding a BusyDriver mark (a serve worker running
+// a job); with the budget full a caller runs its whole region alone.
 #pragma once
 
 #include <atomic>
@@ -50,30 +58,56 @@ class ThreadPool {
   static bool on_worker_thread();
 
  private:
-  struct Job {
+  friend class BusyDriver;
+
+  /// One run() call. Lives on its caller's stack: the caller returns only
+  /// once no pool thread is inside (`active == 0`).
+  struct Region {
     const std::function<void(int)>* fn = nullptr;
     obs::ObsScope* scope = nullptr;  ///< caller's obs scope at submit time.
     /// The submitter's bound cancel flag (CancelBinding) at submit time;
     /// null when none. Each lane re-checks it before executing a chunk, so
     /// a cancel lands within one chunk regardless of which thread asked.
-    std::shared_ptr<std::atomic<bool>> cancel;
+    const std::atomic<bool>* cancel = nullptr;
     int chunks = 0;
-    int next = 0;           ///< next unclaimed chunk (under mutex).
-    int done = 0;           ///< finished chunks (under mutex).
-    std::vector<std::exception_ptr> errors;  ///< per chunk, mostly null.
+    int next = 0;    ///< next unclaimed chunk (under mutex_).
+    int active = 0;  ///< pool threads inside (under mutex_).
+    /// Lowest-index throwing chunk and its exception (under mutex_).
+    int error_chunk = 0;
+    std::exception_ptr error;
   };
 
   void worker_loop();
-  /// Claims and executes chunks of `job` until none remain.
-  void work_on(const std::shared_ptr<Job>& job);
+  /// Claims and executes chunks of `region` until none remain.
+  void work_on(Region& region);
+  /// The oldest posted region if the lane budget lets one more pool
+  /// thread in, else null. Caller holds mutex_.
+  Region* joinable() const;
+  /// Wakes idle pool threads after the busy-driver count fell.
+  void wake_idle();
 
   std::vector<std::thread> workers_;
+  /// Guards regions_, inside_, stop_ and the claim, active and error
+  /// fields of every posted Region.
   std::mutex mutex_;
-  std::condition_variable wake_;   ///< workers wait for a job / stop.
-  std::condition_variable done_;   ///< run() waits for completion.
-  std::shared_ptr<Job> job_;       ///< active job, null when idle.
-  std::mutex run_mutex_;           ///< serializes concurrent run() callers.
+  std::condition_variable wake_;   ///< workers wait for a region / stop.
+  std::condition_variable done_;   ///< run() waits for its helpers.
+  std::vector<Region*> regions_;   ///< posted, not fully claimed; FIFO.
+  int inside_ = 0;                 ///< pool threads inside regions.
   bool stop_ = false;
+};
+
+/// RAII mark: while alive, counts one busy driver — a thread with a job
+/// of its own to run, and so a lane the pool leaves free (see the lane
+/// budget above). serve::Server holds one around each job it executes.
+/// With no mark held anywhere there is one implicit driver, so a lone
+/// `sndr run` keeps every pool lane.
+class BusyDriver {
+ public:
+  BusyDriver();
+  ~BusyDriver();
+  BusyDriver(const BusyDriver&) = delete;
+  BusyDriver& operator=(const BusyDriver&) = delete;
 };
 
 /// Sets the global thread budget: n < 0 restores the default (hardware

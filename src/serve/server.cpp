@@ -149,7 +149,11 @@ void Server::worker_loop() {
     const common::CancelToken token = entry.token;
     lock.unlock();
 
-    JobOutcome outcome = execute_job(std::move(config), cache_, token);
+    JobOutcome outcome = [&] {
+      // A running job is a lane the pool's threads leave free (DESIGN §6).
+      const common::BusyDriver busy;
+      return execute_job(std::move(config), cache_, token);
+    }();
 
     lock.lock();
     memory_in_use_ -= reserved;

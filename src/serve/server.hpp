@@ -52,7 +52,10 @@ namespace sndr::serve {
 
 struct ServerOptions {
   /// Worker threads (>= 1). Each runs one job at a time; jobs themselves
-  /// may parallelize through the process-global pool.
+  /// may parallelize through the process-global pool. A running job
+  /// counts as a busy lane (common::BusyDriver), so the pool lends its
+  /// threads to jobs only while running jobs leave lanes idle: while at
+  /// least `lanes` jobs run, each runs its regions on its own worker.
   int workers = 1;
   /// Server-wide memory budget for admission control; 0 = unlimited (jobs
   /// need not declare).

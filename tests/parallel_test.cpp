@@ -1,11 +1,19 @@
 // Determinism and cache-correctness contract of the parallel subsystem:
 // every parallel primitive and every parallelized flow stage must be
 // bit-identical at threads=1 and threads=N, and a cached exact_eval must
-// match a fresh evaluation after arbitrary move/rebuild sequences.
+// match a fresh evaluation after arbitrary move/rebuild sequences. The
+// PoolDrivers tests drive regions from several threads at once on one
+// pool: results, progress, the busy-driver lane cap and failure routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -129,6 +137,225 @@ TEST(ParallelInvoke, RunsAllTasks) {
   common::parallel_invoke([&] { mask |= 1; }, [&] { mask |= 2; },
                           [&] { mask |= 4; });
   EXPECT_EQ(mask.load(), 7);
+}
+
+// ---- Many drivers on one pool ----------------------------------------------
+
+/// A 4-lane pool with the parallel gate off, both restored on exit.
+struct FourLanePool {
+  ThreadGuard threads;
+  MinUsGuard min_us;
+  FourLanePool() {
+    common::set_thread_count(4);
+    common::set_parallel_min_us(0.0);
+  }
+};
+
+/// One caller's mixed workload: a slot-writing parallel_for, a gated and
+/// an ungated FP reduction, and a parallel_invoke. Returns every value it
+/// produced, so two runs compare bitwise.
+std::vector<double> drive_regions(int salt) {
+  std::vector<double> out(3000);
+  common::parallel_for(3000, 7, [&](std::int64_t i) {
+    out[static_cast<std::size_t>(i)] =
+        std::sin(0.001 * static_cast<double>(i * (salt + 1)));
+  });
+  const auto map = [salt](std::int64_t i) {
+    return 1.0 / (1.0 + static_cast<double>(i + salt));
+  };
+  const auto add = [](double a, double b) { return a + b; };
+  out.push_back(common::parallel_reduce(20000, 64, 0.0, map, add));
+  out.push_back(common::parallel_reduce(20000, 32, 1.0, 0.0, map, add));
+  double a = 0.0, b = 0.0, c = 0.0;
+  common::parallel_invoke([&] { a = std::sqrt(2.0 + salt); },
+                          [&] { b = std::log(3.0 + salt); },
+                          [&] { c = std::exp(-1.0 * salt); });
+  out.insert(out.end(), {a, b, c});
+  return out;
+}
+
+TEST(PoolDrivers, ConcurrentCallersMatchSerialBitwise) {
+  FourLanePool pool;
+  for (const int callers : {2, 3, 4}) {
+    std::vector<std::vector<double>> serial;
+    common::set_thread_count(1);
+    for (int t = 0; t < callers; ++t) serial.push_back(drive_regions(t));
+    common::set_thread_count(4);
+    std::vector<std::vector<double>> got(callers);
+    for (int round = 0; round < 5; ++round) {
+      std::vector<std::thread> threads;
+      for (int t = 0; t < callers; ++t) {
+        threads.emplace_back([&got, t] { got[t] = drive_regions(t); });
+      }
+      for (std::thread& th : threads) th.join();
+      for (int t = 0; t < callers; ++t) {
+        EXPECT_EQ(got[t], serial[t])
+            << "callers=" << callers << " round=" << round << " caller=" << t;
+      }
+    }
+  }
+}
+
+TEST(PoolDrivers, CallerNeverWaitsForAnotherCallersRegion) {
+  // Caller A's region holds a chunk open until caller B's region has run.
+  // A pool that runs one region at a time deadlocks here; the timeout
+  // turns that into a failure instead of a hang.
+  FourLanePool pool;
+  std::mutex m;
+  std::condition_variable cv;
+  bool a_holding = false;
+  bool b_done = false;
+  bool timed_out = false;
+  std::thread a([&] {
+    common::parallel_for(8, 1, [&](std::int64_t i) {
+      if (i != 0) return;
+      std::unique_lock<std::mutex> lock(m);
+      a_holding = true;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(20),
+                       [&] { return b_done; })) {
+        timed_out = true;
+      }
+    });
+  });
+  std::thread b([&] {
+    {
+      std::unique_lock<std::mutex> lock(m);
+      cv.wait(lock, [&] { return a_holding; });
+    }
+    const std::vector<double> got = drive_regions(7);
+    std::lock_guard<std::mutex> lock(m);
+    b_done = !got.empty();
+    cv.notify_all();
+  });
+  a.join();
+  b.join();
+  EXPECT_TRUE(b_done);
+  EXPECT_FALSE(timed_out) << "caller B waited for caller A's region";
+}
+
+/// Runs a region of `chunks` sleeping chunks and returns the peak number
+/// of pool threads (threads other than the caller) inside chunks at once.
+int peak_pool_threads_inside(int chunks, std::chrono::microseconds nap) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> inside{0};
+  std::atomic<int> peak{0};
+  common::parallel_for(chunks, 1, [&](std::int64_t) {
+    if (std::this_thread::get_id() == caller) {
+      std::this_thread::sleep_for(nap);
+      return;
+    }
+    const int now = inside.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(nap);
+    inside.fetch_sub(1);
+  });
+  return peak.load();
+}
+
+TEST(PoolDrivers, BusyMarksCapPoolThreadsInsideChunks) {
+  FourLanePool pool;
+  const int lanes = common::global_pool()->lanes();
+  ASSERT_EQ(lanes, 4);
+  for (const int k : {0, 1, 2, 3, 4, 6}) {
+    std::vector<std::unique_ptr<common::BusyDriver>> marks;
+    for (int i = 0; i < k; ++i) {
+      marks.push_back(std::make_unique<common::BusyDriver>());
+    }
+    const int peak =
+        peak_pool_threads_inside(48, std::chrono::microseconds(500));
+    EXPECT_LE(peak, std::max(0, lanes - std::max(1, k))) << "marks=" << k;
+    // With no mark the one implicit driver leaves every pool thread free,
+    // and 24 ms of sleeping chunks give them time to join.
+    if (k == 0) {
+      EXPECT_GE(peak, 1);
+    }
+  }
+}
+
+TEST(PoolDrivers, ReleasedMarkWakesIdlePoolThreads) {
+  // Three marks leave one pool thread free; releasing them mid-region lets
+  // the sleeping ones join the region that is still being worked.
+  FourLanePool pool;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::unique_ptr<common::BusyDriver>> marks;
+  for (int i = 0; i < 3; ++i) {
+    marks.push_back(std::make_unique<common::BusyDriver>());
+  }
+  std::atomic<int> inside{0};
+  std::atomic<int> peak_before{0};
+  std::atomic<int> peak_after{0};
+  std::atomic<bool> released{false};
+  common::parallel_for(400, 1, [&](std::int64_t i) {
+    const bool pool_thread = std::this_thread::get_id() != caller;
+    if (i >= 20 && !pool_thread && !released) {
+      // Flag first: a pool thread that joins after the release must never
+      // be counted against the before-release cap.
+      released = true;
+      marks.clear();
+    }
+    const int now = pool_thread ? inside.fetch_add(1) + 1 : inside.load();
+    std::atomic<int>& peak = released ? peak_after : peak_before;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    if (pool_thread) inside.fetch_sub(1);
+  });
+  marks.clear();
+  EXPECT_LE(peak_before.load(), 1);
+  if (released) {
+    EXPECT_GE(peak_after.load(), 2);
+  }
+}
+
+TEST(PoolDrivers, FailuresReachOnlyTheirOwnCaller) {
+  FourLanePool pool;
+  for (int round = 0; round < 5; ++round) {
+    std::string thrown;
+    bool cancelled = false;
+    bool clean_failed = false;
+    std::vector<double> clean;
+    std::thread failing([&] {
+      try {
+        common::parallel_for(100, 1, [&](std::int64_t i) {
+          if (i >= 40) throw std::runtime_error("chunk " + std::to_string(i));
+        });
+      } catch (const std::runtime_error& e) {
+        thrown = e.what();
+      }
+    });
+    std::thread cancelling([&] {
+      common::CancelToken token;
+      common::CancelBinding binding(token);
+      try {
+        common::parallel_for(200, 1, [&](std::int64_t i) {
+          if (i == 10) token.cancel();
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        });
+      } catch (const common::Cancelled&) {
+        cancelled = true;
+      }
+    });
+    std::thread bystander([&] {
+      try {
+        clean = drive_regions(3);
+      } catch (...) {
+        clean_failed = true;
+      }
+    });
+    failing.join();
+    cancelling.join();
+    bystander.join();
+    EXPECT_EQ(thrown, "chunk 40") << "round " << round;
+    EXPECT_TRUE(cancelled) << "round " << round;
+    EXPECT_FALSE(clean_failed) << "round " << round;
+    common::set_thread_count(1);
+    EXPECT_EQ(clean, drive_regions(3)) << "round " << round;
+    common::set_thread_count(4);
+  }
 }
 
 class ParallelFlowFixture : public ::testing::Test {

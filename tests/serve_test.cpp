@@ -1,5 +1,7 @@
 // Service-layer tests (DESIGN.md §12): the SharedCache content-fingerprint
-// contract, concurrent server submits bitwise-matching serial CLI runs,
+// contract, concurrent server submits bitwise-matching serial CLI runs
+// (also with the parallel gate off, so jobs at 1, 2 and 8 workers drive
+// fanned-out regions on one 4-lane pool at once),
 // admission control (reject undeclared/oversized, never oversubscribe),
 // cooperative cancellation (mid-anneal unwind with kCancelled, no partial
 // artifacts, checkpoint resume bitwise identical to an uninterrupted run),
@@ -23,6 +25,7 @@
 
 #include "common/cancel.hpp"
 #include "common/status.hpp"
+#include "common/thread_pool.hpp"
 #include "flow/config.hpp"
 #include "io/design_io.hpp"
 #include "serve/server.hpp"
@@ -218,6 +221,109 @@ TEST(Server, ConcurrentSubmitsMatchSerialBitwise) {
   EXPECT_EQ(snap.counter("serve.jobs_completed"), jobs);
   EXPECT_EQ(snap.counter("serve.jobs_failed"), 0);
   server.shutdown(serve::Server::Shutdown::kDrain);
+}
+
+/// A 4-lane process pool with the parallel gate off, so every loop of a
+/// small job really fans out; both restored on exit.
+struct FannedOutPool {
+  FannedOutPool() {
+    common::set_thread_count(4);
+    common::set_parallel_min_us(0.0);
+  }
+  ~FannedOutPool() {
+    common::set_parallel_min_us(-1.0);
+    common::set_thread_count(-1);
+  }
+};
+
+/// Jobs with parallel regions at every stage: plain, anneal and corners.
+std::vector<flow::FlowConfig> fanned_out_configs() {
+  const std::vector<std::string> designs = {
+      design_file("serve_fan_1.txt", 96, 21),
+      design_file("serve_fan_2.txt", 160, 22),
+  };
+  std::vector<flow::FlowConfig> configs;
+  for (int i = 0; i < 6; ++i) {
+    flow::FlowConfig c = small_config(designs[i % designs.size()], 200 + i);
+    if (i % 3 == 1) c.anneal_iterations = 1500;
+    if (i % 3 == 2) c.corners = true;
+    configs.push_back(c);
+  }
+  return configs;
+}
+
+TEST(Server, ConcurrentRegionsMatchSerialBitwise) {
+  // Busy workers count as lanes: at 1 worker the pool threads join the
+  // job's regions, at 2 they share what is left, at 8 every region runs
+  // alone on its worker while the others run theirs. Every outcome must
+  // equal the serial execute_job bits.
+  const FannedOutPool pool;
+  const std::vector<flow::FlowConfig> configs = fanned_out_configs();
+  std::vector<serve::JobOutcome> serial;
+  common::set_thread_count(1);
+  for (const flow::FlowConfig& c : configs) {
+    serial.push_back(serve::execute_job(c, nullptr));
+  }
+  for (const int workers : {1, 2, 8}) {
+    serve::ServerOptions options;
+    options.workers = workers;
+    options.thread_budget = common::ThreadBudget(4);
+    serve::Server server(options);
+    std::vector<int> ids;
+    for (const flow::FlowConfig& c : configs) {
+      common::Result<int> id = server.submit(c);
+      ASSERT_TRUE(id.ok()) << id.status().to_string();
+      ids.push_back(id.value());
+    }
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      common::Result<serve::JobRecord> rec = server.wait(ids[i]);
+      ASSERT_TRUE(rec.ok());
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " job=" + std::to_string(i));
+      expect_outcome_eq(serial[i], rec.value().outcome);
+    }
+    EXPECT_GT(server.metrics_snapshot().counter("pool.jobs"), 0);
+  }
+}
+
+TEST(Server, CancelledJobLeavesConcurrentFannedOutJobBitwise) {
+  // Job A is cancelled while it and job B run with every loop fanned out;
+  // A unwinds with kCancelled and B still equals its serial run. The
+  // cancel lands wherever A is (mostly its anneal loop's own check); a
+  // cancel raised inside a chunk while another caller's region runs is
+  // pinned by PoolDrivers.FailuresReachOnlyTheirOwnCaller.
+  const FannedOutPool pool;
+  flow::FlowConfig victim =
+      small_config(design_file("serve_fan_victim.txt", 400, 23));
+  victim.corners = true;
+  victim.anneal_iterations = 400000;
+  flow::FlowConfig bystander =
+      small_config(design_file("serve_fan_bystander.txt", 160, 24));
+  bystander.corners = true;
+  bystander.anneal_iterations = 1500;
+  common::set_thread_count(1);
+  const serve::JobOutcome ref = serve::execute_job(bystander, nullptr);
+
+  serve::ServerOptions options;
+  options.workers = 2;
+  options.thread_budget = common::ThreadBudget(4);
+  serve::Server server(options);
+  common::Result<int> a = server.submit(victim);
+  common::Result<int> b = server.submit(bystander);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  while (server.queue_depth() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(server.cancel(a.value()));
+  common::Result<serve::JobRecord> arec = server.wait(a.value());
+  common::Result<serve::JobRecord> brec = server.wait(b.value());
+  ASSERT_TRUE(arec.ok());
+  ASSERT_TRUE(brec.ok());
+  EXPECT_EQ(arec.value().outcome.status.code(), StatusCode::kCancelled)
+      << arec.value().outcome.status.to_string();
+  expect_outcome_eq(ref, brec.value().outcome);
 }
 
 TEST(Server, FailedJobSurfacesTypedStatusInRecord) {

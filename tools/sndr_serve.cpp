@@ -23,7 +23,11 @@
 // own memory_budget (rejected otherwise), and dispatch blocks until the
 // declared sum fits. --workers is the number of concurrent jobs;
 // --threads is the process-global evaluation lane count the jobs inherit
-// (per-job `threads` keys are overridden by the server).
+// (per-job `threads` keys are overridden by the server). A running job
+// counts as one busy lane: the pool's threads help a job's parallel
+// regions only with the lanes the running jobs leave idle, so at
+// --workers >= --threads with a full queue each job runs its regions on
+// its own worker. Results do not depend on either flag.
 //
 // --metrics-out writes the server-level manifest after shutdown: serve.*
 // admission counters, queue-depth gauge, per-job wall-time histogram, and
@@ -61,11 +65,15 @@ void print_usage(std::ostream& os) {
         "               `key = value` FlowConfig file), drain, report.\n"
         "  --stdin:     line protocol (submit/submit-file/cancel/wait/\n"
         "               status/drain/shutdown; EOF = drain).\n"
-        "  --workers N: concurrent jobs (default 1).\n"
+        "  --workers N: concurrent jobs (default 1); each running job\n"
+        "               holds one of the --threads lanes.\n"
         "  --memory-budget B: server admission budget (k/M/G suffixes);\n"
         "               jobs must then declare memory_budget or be\n"
         "               rejected, and dispatch never oversubscribes.\n"
-        "  --threads N: process-global evaluation lanes the jobs inherit.\n"
+        "  --threads N: process-global evaluation lanes the jobs share\n"
+        "               (default: hardware concurrency); the pool lends\n"
+        "               the lanes running jobs leave idle to their\n"
+        "               parallel regions. Output never depends on it.\n"
         "  --metrics-out f: server-level manifest (written at shutdown).\n"
         "  --trace-out f:   server-level Chrome trace.\n";
 }
