@@ -13,10 +13,13 @@
 // A second section measures the parallel evaluation engine: wall time of
 // evaluate() and 5-corner evaluate_corners() at 1/2/4/N threads (results
 // are bit-identical at every point of the ladder), plus the exact-eval
-// cache hit-rate of the optimizer. Everything lands in BENCH_runtime.json.
+// cache hit-rate of the optimizer. Both tables also go to CSV under results/.
 #include <chrono>
+#include <thread>
+#include <vector>
 
 #include "common.hpp"
+#include "common/thread_pool.hpp"
 #include "tech/corners.hpp"
 
 namespace {
@@ -35,6 +38,24 @@ std::vector<tech::Corner> five_corners() {
   corners.push_back({"fast_cold", 0.80, 0.92, 1.10, 0.78});
   return corners;
 }
+
+/// Hardware concurrency with the zero-means-unknown quirk folded away.
+int host_cpus() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : static_cast<int>(n);
+}
+
+/// The 1/2/4/N thread ladder (N = hardware concurrency, when above 4).
+/// Rungs above host_cpus() stay in the ladder (same rows on every host)
+/// but are skipped via ladder_skipped() — oversubscribed timings are
+/// noise, not speedups.
+std::vector<int> thread_ladder() {
+  std::vector<int> ladder = {1, 2, 4};
+  if (host_cpus() > 4) ladder.push_back(host_cpus());
+  return ladder;
+}
+
+bool ladder_skipped(int threads) { return threads > host_cpus(); }
 
 }  // namespace
 
@@ -85,7 +106,6 @@ int main() {
          "fig7_runtime_scaling.csv");
 
   // --- Parallel evaluation engine: thread-scaling + cache hit-rate ------
-  std::vector<RuntimeRecord> records;
   {
     workload::DesignSpec spec;
     spec.name = "threads_4096";
@@ -102,8 +122,6 @@ int main() {
     double corners_serial = 0.0;
     for (const int threads : thread_ladder()) {
       if (ladder_skipped(threads)) {
-        records.push_back(skipped_record("evaluate", threads));
-        records.push_back(skipped_record("evaluate_corners_x5", threads));
         ts.add_row({"evaluate", std::to_string(threads), "skipped", "-"});
         ts.add_row({"evaluate_corners_x5", std::to_string(threads),
                     "skipped", "-"});
@@ -127,8 +145,6 @@ int main() {
       ts.add_row({"evaluate_corners_x5", std::to_string(threads),
                   report::fmt(corners_s, 3),
                   report::fmt(corners_serial / corners_s, 2) + "x"});
-      records.push_back({"evaluate", threads, eval_s, -1.0});
-      records.push_back({"evaluate_corners_x5", threads, corners_s, -1.0});
     }
     common::set_thread_count(-1);
 
@@ -139,9 +155,6 @@ int main() {
     const auto t0 = Clock::now();
     const ndr::SmartNdrResult smart =
         ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);
-    records.push_back({"optimize_exact_net", smart.stats.threads_used,
-                       seconds_since(t0),
-                       smart.stats.exact_cache_hit_rate()});
     ts.add_row({"optimize_exact_net (cache " +
                     report::fmt_pct(smart.stats.exact_cache_hit_rate()) +
                     " hit)",
@@ -151,6 +164,5 @@ int main() {
     finish(ts, "Fig. 7b: evaluation-engine thread scaling (4096 sinks)",
            "fig7_thread_scaling.csv");
   }
-  publish_runtime("fig7_runtime_scaling", records);
   return 0;
 }

@@ -8,16 +8,10 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "common/thread_pool.hpp"
 #include "cts/embedding.hpp"
-#include "obs/manifest.hpp"
-#include "obs/metrics.hpp"
 #include "cts/refine.hpp"
 #include "ndr/smart_ndr.hpp"
 #include "report/table.hpp"
@@ -67,127 +61,6 @@ inline void finish(report::Table& table, const std::string& title,
   const std::string path = results_path(csv_name);
   table.write_csv(path);
   std::cout << "\n[csv: " << path << "]\n";
-}
-
-// --- Machine-readable runtime tracking (BENCH_runtime.json) ---------------
-//
-// Perf-sensitive benches record wall time per stage at several thread
-// counts (plus cache hit-rates where applicable) into one shared JSON file,
-// so the perf trajectory is diffable across PRs. The file is a JSON array
-// with one record object per line; merging replaces the records of the
-// bench being rerun and keeps everything else.
-
-struct RuntimeRecord {
-  std::string stage;
-  int threads = 0;
-  double seconds = 0.0;
-  double cache_hit_rate = -1.0;  ///< < 0 = not applicable (emitted null).
-  /// Rung not run on this host (threads > host_cpus): recorded so the
-  /// ladder keeps the same rows everywhere, but with no fake timing.
-  bool skipped = false;
-};
-
-/// Hardware concurrency with the zero-means-unknown quirk folded away.
-inline int host_cpus() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
-}
-
-inline void write_runtime_json(const std::string& bench,
-                               const std::vector<RuntimeRecord>& records,
-                               const std::string& path = "BENCH_runtime.json") {
-  // Keep other benches' records (one object per line, see format above).
-  std::vector<std::string> kept;
-  {
-    std::ifstream in(path);
-    const std::string mine = "\"bench\":\"" + bench + "\"";
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind("{", 0) == 0 &&
-          line.find(mine) == std::string::npos) {
-        if (line.back() == ',') line.pop_back();
-        kept.push_back(line);
-      }
-    }
-  }
-  std::ostringstream out;
-  for (const RuntimeRecord& r : records) {
-    std::ostringstream rec;
-    rec << "{\"bench\":\"" << bench << "\",\"stage\":\"" << r.stage
-        << "\",\"threads\":" << r.threads << ",\"seconds\":" << r.seconds
-        << ",\"cache_hit_rate\":";
-    if (r.cache_hit_rate < 0.0) {
-      rec << "null";
-    } else {
-      rec << r.cache_hit_rate;
-    }
-    if (r.skipped) rec << ",\"skipped\":true";
-    rec << "}";
-    kept.push_back(rec.str());
-  }
-  std::ofstream f(path);
-  f << "[\n";
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    f << kept[i] << (i + 1 < kept.size() ? ",\n" : "\n");
-  }
-  f << "]\n";
-  std::cout << "[json: " << path << "]\n";
-}
-
-/// Publishes bench timings through the observability layer: every record
-/// becomes a registry gauge `bench.<bench>.<stage>.t<threads>` (plus
-/// `.hit_rate` when applicable), then a run manifest for this bench goes
-/// to `BENCH_manifest.<bench>.json` — the file scripts/bench_check.sh
-/// reads — and the legacy merged BENCH_runtime.json is refreshed too so
-/// the cross-PR perf trajectory keeps one home.
-inline void publish_runtime(const std::string& bench,
-                            const std::vector<RuntimeRecord>& records) {
-  for (const RuntimeRecord& r : records) {
-    if (r.skipped) continue;  // no gauge: absent beats a fabricated zero.
-    const std::string base =
-        "bench." + bench + "." + r.stage + ".t" + std::to_string(r.threads);
-    obs::MetricsRegistry::instance().set(
-        obs::MetricsRegistry::instance().gauge(base + ".seconds"), r.seconds);
-    if (r.cache_hit_rate >= 0.0) {
-      obs::MetricsRegistry::instance().set(
-          obs::MetricsRegistry::instance().gauge(base + ".hit_rate"),
-          r.cache_hit_rate);
-    }
-  }
-  obs::RunInfo info;
-  info.tool = "bench_" + bench;
-  info.command = bench;
-  info.threads = common::thread_count();
-  obs::write_run_manifest("BENCH_manifest." + bench + ".json", info);
-  std::cout << "[manifest: BENCH_manifest." << bench << ".json]\n";
-  write_runtime_json(bench, records);
-}
-
-/// The 1/2/4/N thread ladder (deduplicated, N = hardware concurrency).
-/// Rungs above host_cpus() stay in the ladder (same rows on every host)
-/// but callers must skip them via ladder_skipped() — oversubscribed
-/// timings are noise, not speedups.
-inline std::vector<int> thread_ladder() {
-  std::vector<int> ladder = {1, 2, 4};
-  const int hw = host_cpus();
-  if (hw > 4) ladder.push_back(hw);
-  std::vector<int> out;
-  for (const int t : ladder) {
-    if (t <= hw || t <= 8) out.push_back(t);  // keep the ladder comparable
-  }                                           // even on small machines.
-  return out;
-}
-
-/// True when a ladder rung would oversubscribe this host; pair with a
-/// skipped RuntimeRecord so BENCH_runtime.json says why the row is absent.
-inline bool ladder_skipped(int threads) { return threads > host_cpus(); }
-
-inline RuntimeRecord skipped_record(const std::string& stage, int threads) {
-  RuntimeRecord r;
-  r.stage = stage;
-  r.threads = threads;
-  r.skipped = true;
-  return r;
 }
 
 }  // namespace sndr::bench

@@ -27,11 +27,15 @@
 # from several threads at once on one pool (concurrent callers, busy
 # serve workers counted as lanes, a cancel raised mid-region).
 # The ASan leg also runs the durable-file parser tests.
+# Last, the script fails if `git status --porcelain` differs from what it
+# was at start: no build, test or CLI leg may write into the tracked tree
+# (everything goes under the ignored build directories or a temp dir).
 # Run from anywhere inside the repo.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="${JOBS:-$(nproc)}"
+tree_at_start="$(git -C "$repo" status --porcelain)"
 
 echo "== tier1: plain build + ctest =="
 cmake -B "$repo/build" -S "$repo" >/dev/null
@@ -287,5 +291,12 @@ cmake --build "$repo/build-ubsan" -j "$jobs" --target flow_test \
 # the checkpoint corruption property (strtod hexfloat paths) under UBSan.
 SNDR_FUZZ_ITERS="${SNDR_FUZZ_ITERS_UBSAN:-4}" \
   "$repo/build-ubsan/tests/scenario_fuzz_test"
+
+echo "== tier1: tracked tree unchanged =="
+if [[ "$(git -C "$repo" status --porcelain)" != "$tree_at_start" ]]; then
+  echo "tier1: the run changed the working tree:" >&2
+  diff <(echo "$tree_at_start") <(git -C "$repo" status --porcelain) >&2 || true
+  exit 1
+fi
 
 echo "tier1: OK"

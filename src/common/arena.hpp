@@ -155,10 +155,4 @@ inline std::uint64_t arena_used_highwater() {
   return detail::arena_used_hw.load(std::memory_order_relaxed);
 }
 
-/// Test hook: rewinds the process-wide marks (stats are otherwise monotone).
-inline void reset_arena_highwater() {
-  detail::arena_capacity_hw.store(0, std::memory_order_relaxed);
-  detail::arena_used_hw.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace sndr::common

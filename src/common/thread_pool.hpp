@@ -121,9 +121,9 @@ int thread_count();
 
 /// Minimum estimated work, in microseconds, a loop must carry before the
 /// cost-annotated parallel_for/parallel_reduce overloads go parallel.
-/// Committed bench data (BENCH_runtime.json) shows per-net loops of a few
-/// hundred µs total running *slower* at 2-4 threads than serial on small
-/// boxes — dispatch overhead dominates. Fixed at 2000 µs.
+/// Per-net loops of a few hundred µs total ran *slower* at 2-4 threads
+/// than serial on small boxes — dispatch overhead dominates. Fixed at
+/// 2000 µs.
 double parallel_min_us();
 
 /// Test hook: overrides parallel_min_us(); us < 0 restores the 2000 µs

@@ -408,6 +408,13 @@ common::Result<SweepResult> explore(const flow::FlowConfig& base,
     return common::Status::InvalidArgument(
         "dse requires the smart optimizer stage (smart = true)");
   }
+  // Only the annealer reads power_weight: without it every value of the
+  // axis solves to the same point.
+  if (base.dse_power_weight.size() >= 2 && base.anneal_iterations == 0) {
+    return common::Status::InvalidArgument(
+        "dse_power_weight has no effect without annealing; set anneal > 0 "
+        "or give dse_power_weight a single value");
+  }
   const Axes axes = axes_from(base);
   const std::string dse_dir = base.output_path(base.dse_out);
   std::error_code ec;

@@ -23,7 +23,9 @@
 // the point's FlowConfig (the warm-start seed file). A frontier point
 // re-run standalone with its emitted config — `PointResult::config` —
 // therefore reproduces the sweep's numbers bit for bit, at any thread
-// count. bench/bench_dse.cpp gates both halves (speedup and identity).
+// count. dse_test's DseSweep.EveryPointReproducesStandaloneBitwise pins
+// the identity for every point; perfbench's dse-anneal workload times the
+// sweep.
 //
 // Modes:
 //   * grid — the full Cartesian product of the axis lists, in

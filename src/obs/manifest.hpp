@@ -4,10 +4,8 @@
 // command, args, git state, host), how (threads, seed), and what the
 // observability layer saw (per-stage span rollup, every registry
 // counter/gauge/histogram, derived rates). The CLI writes one per
-// invocation behind --metrics-out; bench binaries write one per run so
-// perf trajectory is a byproduct of observability
-// (scripts/bench_check.sh reads kernel numbers out of the bench
-// manifest instead of a hand-rolled format).
+// invocation behind --metrics-out, the flow one per job (a DSE sweep one
+// per point) and sndr_serve one for the whole server.
 //
 // Schema "sndr.run_manifest/2" — one key per line, keys in fixed order,
 // metric names sorted — so the document is diffable, greppable, and
@@ -35,8 +33,8 @@ struct StageInfo {
 };
 
 struct RunInfo {
-  std::string tool;     ///< e.g. "sndr_cli", "bench_micro_kernels".
-  std::string command;  ///< e.g. "run", "micro_kernels".
+  std::string tool;     ///< e.g. "sndr_cli", "sndr_serve".
+  std::string command;  ///< e.g. "run", "dse".
   std::vector<std::string> args;
   int threads = 0;            ///< resolved lane count.
   std::uint64_t seed = 0;

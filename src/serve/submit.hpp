@@ -5,8 +5,8 @@
 // server's workers call it with the shared cache and a live cancel token.
 // Both therefore execute the identical Session/Flow sequence, which is
 // what makes "service results are bitwise identical to the CLI" true by
-// construction rather than by test alone (bench/bench_serve.cpp asserts
-// it anyway).
+// construction rather than by test alone (serve_test's
+// Server.ConcurrentSubmitsMatchSerialBitwise asserts it anyway).
 #pragma once
 
 #include <cstddef>

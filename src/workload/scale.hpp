@@ -2,7 +2,7 @@
 //
 // The paper-style workloads (generator.hpp) run real CTS + congestion
 // rerouting, which is the right fidelity for quality experiments but far
-// too slow to synthesize a million-net tree on every bench run. This
+// too slow to synthesize a million-net tree in a test. This
 // module builds the tree DIRECTLY: a deterministic b-ary buffer hierarchy
 // over a quadrant-subdivided floorplan, leaf buffers fanning out to sinks,
 // default L-routes, and a uniform congestion field. The result exercises
@@ -11,7 +11,7 @@
 //
 // Determinism: everything derives from ScaleSpec::seed via workload::Rng,
 // so a rung's tree is bit-identical across runs, machines, and thread
-// counts — the scale bench can assert bitwise-equal optimizer output
+// counts — scale_smoke_test asserts bitwise-equal optimizer output
 // between budgeted and unbounded flows.
 #pragma once
 

@@ -102,6 +102,19 @@ TEST(Cli, OutOfRangeGuardBandsAndTemperaturesAreUsageErrors) {
   }
 }
 
+TEST(Cli, DsePowerAxisWithoutAnnealIsAUsageError) {
+  // Only the annealer reads power_weight, so the axis would sweep
+  // identical points: exit 2 naming the axis, and no sweep written.
+  const std::string results = path_in_scratch("inert_axis");
+  std::string out;
+  EXPECT_EQ(run_cli("dse --design " + design_path() + " --results-dir " +
+                        results + " --dse-power-weight 0.5,2",
+                    &out),
+            2);
+  EXPECT_NE(out.find("dse_power_weight"), std::string::npos) << out;
+  EXPECT_FALSE(fs::exists(results + "/dse"));
+}
+
 TEST(Cli, MissingDesignFileExitsNotFound) {
   std::string out;
   EXPECT_EQ(run_cli("run --design " + path_in_scratch("absent.txt"), &out),

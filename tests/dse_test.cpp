@@ -279,17 +279,17 @@ TEST(DseSweep, GridCoversAxesAndEmitsArtifacts) {
   EXPECT_EQ(sweep->metrics.counter("ndr.search_states"), 4);
 }
 
-// The headline contract: every frontier point's emitted config, run
-// standalone through the same execute_job entry the CLI uses — no sweep,
-// no shared cache, cold session — reproduces the sweep's numbers bitwise.
-TEST(DseSweep, FrontierPointsReproduceStandaloneBitwise) {
+// The headline contract: every point's emitted config — frontier or not —
+// run standalone through the same execute_job entry the CLI uses (no
+// sweep, no shared cache, cold session) reproduces the sweep's numbers
+// bitwise.
+TEST(DseSweep, EveryPointReproducesStandaloneBitwise) {
   const std::string dir = temp_dir("sndr_dse_standalone");
   const auto sweep = dse::explore(sweep_base(dir));
   ASSERT_TRUE(sweep.ok()) << sweep.status().to_string();
-  ASSERT_FALSE(sweep->front.empty());
-  for (const int id : sweep->front) {
-    SCOPED_TRACE("front point " + std::to_string(id));
-    const dse::PointResult& p = sweep->points[static_cast<std::size_t>(id)];
+  ASSERT_EQ(sweep->points.size(), 4u);
+  for (const dse::PointResult& p : sweep->points) {
+    SCOPED_TRACE("point " + std::to_string(p.id));
     const serve::JobOutcome solo = serve::execute_job(p.config, nullptr);
     ASSERT_TRUE(solo.ok()) << solo.status.to_string();
     ASSERT_TRUE(solo.result.has_value());
@@ -300,6 +300,29 @@ TEST(DseSweep, FrontierPointsReproduceStandaloneBitwise) {
     EXPECT_EQ(solo.result->final_eval().timing.sink_arrival, p.sink_arrival);
     EXPECT_EQ(solo.result->feasible, p.feasible);
   }
+}
+
+// power_weight is read only by the annealer, so a power axis with several
+// values and no anneal would sweep identical points: rejected up front,
+// before the sweep directory exists. A single value stays accepted.
+TEST(DseSweep, PowerAxisWithoutAnnealIsRejected) {
+  const std::string dir = temp_dir("sndr_dse_inert_axis");
+  flow::FlowConfig base = sweep_base(dir);
+  base.anneal_iterations = 0;
+  const auto sweep = dse::explore(base);
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_EQ(sweep.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sweep.status().message().find("dse_power_weight"),
+            std::string::npos)
+      << sweep.status().message();
+  EXPECT_NE(sweep.status().message().find("anneal"), std::string::npos)
+      << sweep.status().message();
+  EXPECT_FALSE(std::filesystem::exists(base.output_path(base.dse_out)));
+
+  base.dse_power_weight = {2.0};
+  const auto single = dse::explore(base);
+  ASSERT_TRUE(single.ok()) << single.status().to_string();
+  EXPECT_EQ(single->points.size(), 2u);  // the margin axis alone.
 }
 
 TEST(DseSweep, EightThreadSweepMatchesOneThread) {

@@ -1,5 +1,5 @@
 // Bitwise comparison of two signoff evaluations, field by field and over
-// every report array (memo_signoff_test, flow_test).
+// every report array (memo_signoff_test, flow_test, scale_smoke_test).
 #pragma once
 
 #include <gtest/gtest.h>

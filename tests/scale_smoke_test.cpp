@@ -1,16 +1,17 @@
-// Scale-ladder workload smoke tests.
+// Scale workload smoke tests.
 //
-// make_scale_workload is the bench ladder's tree source, so what matters
-// here is (1) structural validity at a real rung size — 10k nets, the
+// make_scale_workload builds large pre-buffered trees without CTS, so what
+// matters here is (1) structural validity at a real size — 10k nets, the
 // tier-1 smoke rung — (2) bit-exact determinism from the seed, since the
-// ladder asserts bitwise-equal optimizer output between budgeted and
-// unbounded runs, and (3) that the generated tree actually flows through
-// extract -> evaluate under a tight memory budget with identical results.
+// budget tests below compare budgeted and unbounded runs bit for bit, and
+// (3) that the generated tree flows through extract -> evaluate and the
+// whole optimizer under a tight memory budget with identical results.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
 
+#include "eval_compare.hpp"
 #include "extract/net_geometry.hpp"
 #include "ndr/smart_ndr.hpp"
 #include "workload/scale.hpp"
@@ -110,6 +111,35 @@ TEST(ScaleWorkload, EvaluatesIdenticallyUnderTightBudget) {
   EXPECT_EQ(ref.variation.sink_uncertainty, got.variation.sink_uncertainty);
   EXPECT_EQ(ref.em.worst_density, got.em.worst_density);
   EXPECT_EQ(ref.max_track_util, got.max_track_util);
+}
+
+// The budget contract end to end: the optimizer borrowing a cache held to
+// 1/4 of the unbounded geometry footprint evicts, yet settles on the same
+// assignment and signs off the same bits as the unbounded run. Eviction
+// changes when geometry is built, never what.
+TEST(ScaleWorkload, OptimizesIdenticallyUnderQuarterBudget) {
+  ScaleSpec spec;
+  spec.num_nets = 2000;
+  const tech::Technology tech = tech::Technology::make_default_45nm();
+  const ScaleWorkload w = make_scale_workload(spec, tech);
+
+  ndr::OptimizerOptions opt;
+  const ndr::SmartNdrResult ref =
+      ndr::optimize_smart_ndr(w.tree, w.design, tech, w.nets, opt);
+  // The search really moves: nets leave the blanket rule.
+  ASSERT_NE(ref.assignment,
+            ndr::assign_all(w.nets, tech.rules.blanket_index()));
+
+  const extract::GeometryCache unbounded(w.tree, w.design, w.nets);
+  const extract::GeometryCache budgeted(
+      w.tree, w.design, w.nets, unbounded.resident_bytes() / 4, {});
+  opt.search.geometry = &budgeted;
+  const ndr::SmartNdrResult got =
+      ndr::optimize_smart_ndr(w.tree, w.design, tech, w.nets, opt);
+
+  EXPECT_GT(budgeted.evictions(), 0);
+  EXPECT_EQ(got.assignment, ref.assignment);
+  test::expect_evaluations_bitwise(got.final_eval, ref.final_eval);
 }
 
 }  // namespace

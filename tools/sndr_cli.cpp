@@ -194,7 +194,8 @@ void print_usage(std::ostream& os) {
       "  --dse-power-weight L, --dse-max-skew L,\n"
       "  --dse-uncertainty-margin L: comma-separated axis value lists\n"
       "               (e.g. 0.5,1.0,2.0); an empty axis uses the matching\n"
-      "               scalar key as a single grid line.\n"
+      "               scalar key as a single grid line. Two or more power\n"
+      "               weights need --anneal (only the annealer reads it).\n"
       "\n"
       "exit codes: 0 ok, 1 infeasible, 2 usage, 3 missing file,\n"
       "            4 parse error, 5 io error, 6 internal, 7 cancelled\n";
